@@ -2,59 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <map>
+#include <string>
 #include <vector>
 
-#include "features/extractor_registry.h"
+#include "golden_features.h"
 #include "imaging/color.h"
-#include "imaging/draw.h"
 #include "imaging/histogram.h"
-#include "util/rng.h"
 
 namespace vr {
 namespace {
-
-/// Bitwise double comparison: parity means the fused plan reproduces the
-/// legacy extractor to the last bit, not merely within a tolerance.
-bool SameBits(double a, double b) {
-  uint64_t ba = 0;
-  uint64_t bb = 0;
-  std::memcpy(&ba, &a, sizeof(ba));
-  std::memcpy(&bb, &b, sizeof(bb));
-  return ba == bb;
-}
-
-void ExpectBitIdentical(const FeatureVector& legacy, const FeatureVector& fused,
-                        const char* label) {
-  ASSERT_EQ(legacy.size(), fused.size()) << label;
-  for (size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_TRUE(SameBits(legacy[i], fused[i]))
-        << label << " dim " << i << ": legacy=" << legacy[i]
-        << " fused=" << fused[i];
-  }
-}
-
-Image NoiseImage(int w, int h, int channels, uint64_t seed) {
-  Image img(w, h, channels);
-  Rng rng(seed);
-  AddGaussianNoise(&img, 600.0, &rng);  // large stddev: full byte range
-  return img;
-}
-
-std::vector<Image> TestImages() {
-  std::vector<Image> images;
-  images.push_back(NoiseImage(120, 90, 3, 1));  // query-frame geometry
-  images.push_back(NoiseImage(64, 48, 3, 2));   // bench-corpus geometry
-  images.push_back(NoiseImage(61, 47, 3, 3));   // odd dimensions
-  images.push_back(NoiseImage(64, 64, 1, 4));   // grayscale input
-  Image gradient(80, 50, 3);
-  FillVerticalGradient(&gradient, {10, 40, 200}, {250, 120, 0});
-  images.push_back(gradient);
-  Image stripes(96, 72, 3);
-  DrawStripes(&stripes, 8, 30.0, {20, 20, 20}, {240, 200, 60});
-  images.push_back(stripes);
-  return images;
-}
 
 std::vector<const FeatureExtractor*> Raw(
     const std::vector<std::unique_ptr<FeatureExtractor>>& owned) {
@@ -63,38 +20,83 @@ std::vector<const FeatureExtractor*> Raw(
   return raw;
 }
 
-TEST(ExtractionPlanTest, FusedMatchesLegacyBitwiseForEveryKind) {
-  const auto extractors = MakeAllExtractors();
-  ExtractionPlan plan(Raw(extractors));
-  for (const Image& img : TestImages()) {
-    Result<FeatureMap> fused = plan.ExtractAll(img);
-    ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-    ASSERT_EQ(fused->size(), extractors.size());
-    for (const auto& extractor : extractors) {
-      Result<FeatureVector> legacy = extractor->Extract(img);
-      ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-      const auto it = fused->find(extractor->kind());
-      ASSERT_NE(it, fused->end());
-      ExpectBitIdentical(*legacy, it->second,
-                         FeatureKindName(extractor->kind()));
+std::vector<const FeatureExtractor*> Raw(const std::vector<golden::Case>& set) {
+  std::vector<const FeatureExtractor*> raw;
+  for (const golden::Case& c : set) raw.push_back(c.extractor.get());
+  return raw;
+}
+
+const std::map<std::string, FeatureVector>& Fixture() {
+  static const auto* fixture = new std::map<std::string, FeatureVector>(
+      golden::LoadFixture(VR_GOLDEN_FEATURES).value());
+  return *fixture;
+}
+
+/// Bitwise check of \p got against the fixture entry for (frame, c).
+void ExpectGolden(const golden::Frame& frame, const golden::Case& c,
+                  const Result<FeatureVector>& got) {
+  const std::string key = golden::Key(frame.name, c.label);
+  ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
+  const auto it = Fixture().find(key);
+  ASSERT_NE(it, Fixture().end()) << key << " missing from the golden fixture";
+  EXPECT_EQ(golden::Mismatch(it->second, *got), "") << key;
+}
+
+TEST(ExtractionPlanTest, ExtractAllMatchesGoldenFixture) {
+  const auto frames = golden::Frames();
+  size_t cases = 0;
+  for (const auto& set : golden::ExtractorSets()) {
+    ExtractionPlan plan(Raw(set));
+    cases += set.size();
+    for (const golden::Frame& frame : frames) {
+      Result<FeatureMap> fused = plan.ExtractAll(frame.image);
+      ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+      ASSERT_EQ(fused->size(), set.size());
+      for (const golden::Case& c : set) {
+        ExpectGolden(frame, c, fused->at(c.extractor->kind()));
+      }
     }
   }
+  // Every fixture entry is exercised: no stale or duplicate lines.
+  EXPECT_EQ(Fixture().size(), frames.size() * cases);
 }
 
 TEST(ExtractionPlanTest, ReusedPlanStaysBitIdenticalAcrossFrames) {
   // The plan's scratch (FFT buffers, arena, resize targets) persists
   // between frames; reuse must never leak one frame into the next.
-  const auto extractors = MakeAllExtractors();
-  ExtractionPlan plan(Raw(extractors));
-  const auto images = TestImages();
-  for (int round = 0; round < 2; ++round) {
-    for (const Image& img : images) {
-      Result<FeatureMap> fused = plan.ExtractAll(img);
-      ASSERT_TRUE(fused.ok());
-      for (const auto& extractor : extractors) {
-        const FeatureVector legacy = extractor->Extract(img).value();
-        ExpectBitIdentical(legacy, fused->at(extractor->kind()),
-                           FeatureKindName(extractor->kind()));
+  const auto frames = golden::Frames();
+  for (const auto& set : golden::ExtractorSets()) {
+    ExtractionPlan plan(Raw(set));
+    for (int round = 0; round < 2; ++round) {
+      for (const golden::Frame& frame : frames) {
+        Result<FeatureMap> fused = plan.ExtractAll(frame.image);
+        ASSERT_TRUE(fused.ok());
+        for (const golden::Case& c : set) {
+          ExpectGolden(frame, c, fused->at(c.extractor->kind()));
+        }
+      }
+    }
+  }
+}
+
+TEST(ExtractionPlanTest, ExtractOneMatchesGoldenFixture) {
+  const auto frames = golden::Frames();
+  for (const auto& set : golden::ExtractorSets()) {
+    ExtractionPlan plan(Raw(set));
+    for (const golden::Frame& frame : frames) {
+      for (const golden::Case& c : set) {
+        ExpectGolden(frame, c,
+                     plan.ExtractOne(frame.image, c.extractor->kind()));
+      }
+    }
+  }
+}
+
+TEST(ExtractionPlanTest, ExtractWrapperMatchesGoldenFixture) {
+  for (const auto& set : golden::ExtractorSets()) {
+    for (const golden::Frame& frame : golden::Frames()) {
+      for (const golden::Case& c : set) {
+        ExpectGolden(frame, c, c.extractor->Extract(frame.image));
       }
     }
   }
@@ -104,33 +106,22 @@ TEST(ExtractionPlanTest, ArenaReachesSteadyStateAcrossSameSizeFrames) {
   const auto extractors = MakeAllExtractors();
   ExtractionPlan plan(Raw(extractors));
   for (uint64_t seed = 0; seed < 4; ++seed) {
-    ASSERT_TRUE(plan.ExtractAll(NoiseImage(64, 48, 3, seed + 10)).ok());
+    ASSERT_TRUE(
+        plan.ExtractAll(golden::NoiseImage(64, 48, 3, seed + 10)).ok());
   }
   // After the first frame warmed the arena, Reset consolidates to one
   // chunk and later same-size frames allocate nothing new.
   EXPECT_EQ(plan.context().arena().chunks(), 1u);
   const size_t settled = plan.context().arena().capacity();
-  ASSERT_TRUE(plan.ExtractAll(NoiseImage(64, 48, 3, 99)).ok());
+  ASSERT_TRUE(plan.ExtractAll(golden::NoiseImage(64, 48, 3, 99)).ok());
   EXPECT_EQ(plan.context().arena().capacity(), settled);
-}
-
-TEST(ExtractionPlanTest, ExtractOneMatchesLegacy) {
-  const auto extractors = MakeAllExtractors();
-  ExtractionPlan plan(Raw(extractors));
-  const Image img = NoiseImage(96, 64, 3, 7);
-  for (const auto& extractor : extractors) {
-    Result<FeatureVector> fused = plan.ExtractOne(img, extractor->kind());
-    ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-    ExpectBitIdentical(extractor->Extract(img).value(), *fused,
-                       FeatureKindName(extractor->kind()));
-  }
 }
 
 TEST(ExtractionPlanTest, ExtractOneRejectsUnregisteredKind) {
   std::vector<std::unique_ptr<FeatureExtractor>> owned;
   owned.push_back(MakeExtractor(FeatureKind::kColorHistogram));
   ExtractionPlan plan(Raw(owned));
-  const Image img = NoiseImage(32, 32, 3, 5);
+  const Image img = golden::NoiseImage(32, 32, 3, 5);
   EXPECT_TRUE(plan.ExtractOne(img, FeatureKind::kGabor).status().IsInvalidArgument());
 }
 
@@ -143,7 +134,7 @@ TEST(ExtractionPlanTest, RejectsEmptyImage) {
 TEST(ExtractionPlanTest, HistogramMatchesComputeGrayHistogram) {
   const auto extractors = MakeAllExtractors();
   ExtractionPlan plan(Raw(extractors));
-  const Image img = NoiseImage(50, 40, 3, 11);
+  const Image img = golden::NoiseImage(50, 40, 3, 11);
   ASSERT_TRUE(plan.ExtractAll(img).ok());
   const GrayHistogram expected = ComputeGrayHistogram(ToGray(img));
   const GrayHistogram& got = plan.histogram();
@@ -156,7 +147,8 @@ TEST(ExtractionPlanTest, TimingsCoverExtractorsAndIntermediates) {
   const auto extractors = MakeAllExtractors();
   ExtractionPlan plan(Raw(extractors));
   ExtractionPlan::FrameTimings timings;
-  ASSERT_TRUE(plan.ExtractAll(NoiseImage(120, 90, 3, 13), &timings).ok());
+  ASSERT_TRUE(
+      plan.ExtractAll(golden::NoiseImage(120, 90, 3, 13), &timings).ok());
   // Gabor does 31 FFTs; its slot cannot plausibly be zero.
   EXPECT_GT(timings.extractor_ns[static_cast<size_t>(FeatureKind::kGabor)], 0u);
   uint64_t intermediate_total = 0;
