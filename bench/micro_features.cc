@@ -1,21 +1,21 @@
 /// \file micro_features.cc
-/// \brief Feature-extraction benchmark: legacy per-extractor extraction
-/// versus the fused ExtractionPlan, with per-intermediate timings.
+/// \brief Feature-extraction benchmark: the fused ExtractionPlan, split
+/// into per-extractor and per-intermediate timings.
 /// Plain executable (see EXPERIMENTS.md "Feature extraction" for the
 /// reproducible recipe); writes machine-readable results to
 /// BENCH_features.json (or the path given as argv[1]).
 ///
-/// Three measurements over the same query-geometry frames:
-///  - legacy: each registered extractor's standalone Extract;
-///  - fused: one ExtractionPlan::ExtractAll pass, split into
-///    per-extractor time (inside the fused paths) and per-intermediate
-///    time (gray plane, gray histogram, HSV plane, float luma);
-///  - totals: whole-bank cost legacy vs fused — the number the query
-///    path's extract_ms actually pays.
+/// Over the same query-geometry frames it reports:
+///  - per-extractor time inside each ExtractShared (excludes shared
+///    intermediates);
+///  - per-intermediate time (gray plane, gray histogram, HSV plane,
+///    float luma);
+///  - the whole-bank ExtractAll cost — the number the query path's
+///    extract_ms actually pays.
 ///
-/// Every run first asserts the fused plan reproduces the legacy
-/// extractors bit for bit on every frame. `--smoke` keeps that parity
-/// gate on a seconds-scale pass and skips the JSON;
+/// Every run first checks that the plan reproduces the golden-feature
+/// fixture (tests/data/golden_features.txt) bit for bit. `--smoke`
+/// keeps that gate on a seconds-scale pass and skips the JSON;
 /// scripts/check_all.sh uses it as a regression gate.
 
 #include <cstdio>
@@ -23,10 +23,8 @@
 #include <string>
 #include <vector>
 
-#include "features/extractor_registry.h"
 #include "features/plan/extraction_plan.h"
-#include "imaging/draw.h"
-#include "util/rng.h"
+#include "golden_features.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -44,14 +42,6 @@ vr::Image BenchImage(uint64_t seed) {
   return img;
 }
 
-bool SameBits(double a, double b) {
-  uint64_t ba = 0;
-  uint64_t bb = 0;
-  std::memcpy(&ba, &a, sizeof(ba));
-  std::memcpy(&bb, &b, sizeof(bb));
-  return ba == bb;
-}
-
 std::vector<const vr::FeatureExtractor*> Raw(
     const std::vector<std::unique_ptr<vr::FeatureExtractor>>& owned) {
   std::vector<const vr::FeatureExtractor*> raw;
@@ -59,25 +49,34 @@ std::vector<const vr::FeatureExtractor*> Raw(
   return raw;
 }
 
-/// Dies loudly unless the fused plan reproduces every legacy extractor
-/// bit for bit on every frame — the same contract the ctest parity
-/// suite pins, re-checked here so the bench numbers are meaningful.
-void AssertParity(
-    const std::vector<std::unique_ptr<vr::FeatureExtractor>>& extractors,
-    vr::ExtractionPlan* plan, const std::vector<vr::Image>& frames) {
-  for (const vr::Image& img : frames) {
-    const vr::FeatureMap fused = plan->ExtractAll(img).value();
-    for (const auto& extractor : extractors) {
-      const vr::FeatureVector legacy = extractor->Extract(img).value();
-      const vr::FeatureVector& got = fused.at(extractor->kind());
-      bool same = legacy.size() == got.size();
-      for (size_t i = 0; same && i < legacy.size(); ++i) {
-        same = SameBits(legacy[i], got[i]);
-      }
-      if (!same) {
-        std::fprintf(stderr, "PARITY FAILURE: %s fused != legacy\n",
-                     vr::FeatureKindName(extractor->kind()));
-        std::exit(1);
+/// Dies loudly unless a plan over each golden extractor set reproduces
+/// the fixture bit for bit on every golden frame — the contract the
+/// ctest suite pins, re-checked here so the bench numbers are
+/// meaningful.
+void AssertGolden() {
+  const auto fixture = vr::golden::LoadFixture(VR_GOLDEN_FEATURES);
+  if (!fixture.ok()) {
+    std::fprintf(stderr, "%s\n", fixture.status().ToString().c_str());
+    std::exit(1);
+  }
+  const auto frames = vr::golden::Frames();
+  for (const auto& set : vr::golden::ExtractorSets()) {
+    vr::ExtractionPlan plan(vr::golden::Extractors(set));
+    for (const auto& frame : frames) {
+      const vr::FeatureMap fused = plan.ExtractAll(frame.image).value();
+      for (const auto& c : set) {
+        const std::string key = vr::golden::Key(frame.name, c.label);
+        const auto want = fixture->find(key);
+        const std::string diff =
+            want == fixture->end()
+                ? "missing from the fixture"
+                : vr::golden::Mismatch(want->second,
+                                       fused.at(c.extractor->kind()));
+        if (!diff.empty()) {
+          std::fprintf(stderr, "GOLDEN FAILURE: %s: %s\n", key.c_str(),
+                       diff.c_str());
+          std::exit(1);
+        }
       }
     }
   }
@@ -104,21 +103,16 @@ int main(int argc, char** argv) {
     frames.push_back(BenchImage(seed));
   }
 
-  AssertParity(extractors, &plan, frames);
-  std::printf("parity: fused plan bit-identical to legacy extractors\n");
+  AssertGolden();
+  std::printf("golden: plan output bit-identical to the fixture\n");
 
-  // Legacy: each extractor standalone, mean ms per frame.
-  std::vector<double> legacy_ms(extractors.size(), 0.0);
-  for (size_t e = 0; e < extractors.size(); ++e) {
-    vr::Stopwatch sw;
-    for (size_t i = 0; i < iters; ++i) {
-      auto fv = extractors[e]->Extract(frames[i % frames.size()]);
-      if (!fv.ok()) return 1;
-    }
-    legacy_ms[e] = sw.ElapsedMillis() / static_cast<double>(iters);
+  // Warm the plan's scratch (FFT plan, filter bank, arena) so the timed
+  // loop measures the steady state.
+  for (const vr::Image& img : frames) {
+    if (!plan.ExtractAll(img).ok()) return 1;
   }
 
-  // Fused: one ExtractAll pass per frame, cost split by the plan's own
+  // One ExtractAll pass per frame, cost split by the plan's own
   // timers (extractor time excludes the shared intermediates).
   std::vector<double> fused_ms(extractors.size(), 0.0);
   std::vector<double> intermediate_ms(vr::kNumIntermediates, 0.0);
@@ -143,25 +137,17 @@ int main(int argc, char** argv) {
   for (double& ms : fused_ms) ms /= static_cast<double>(iters);
   for (double& ms : intermediate_ms) ms /= static_cast<double>(iters);
 
-  double legacy_total_ms = 0.0;
-  for (double ms : legacy_ms) legacy_total_ms += ms;
-
-  std::printf("\n%-18s %10s %10s %9s\n", "extractor", "legacy_ms", "fused_ms",
-              "speedup");
+  std::printf("\n%-18s %10s\n", "extractor", "fused_ms");
   for (size_t e = 0; e < extractors.size(); ++e) {
-    std::printf("%-18s %10.3f %10.3f %8.2fx\n",
-                vr::FeatureKindName(extractors[e]->kind()), legacy_ms[e],
-                fused_ms[e],
-                fused_ms[e] > 0.0 ? legacy_ms[e] / fused_ms[e] : 0.0);
+    std::printf("%-18s %10.3f\n", vr::FeatureKindName(extractors[e]->kind()),
+                fused_ms[e]);
   }
   std::printf("\n%-18s %10s\n", "intermediate", "ms");
   for (uint32_t b = 0; b < vr::kNumIntermediates; ++b) {
     std::printf("%-18s %10.3f\n", vr::IntermediateName(b), intermediate_ms[b]);
   }
-  std::printf("\nwhole bank (%dx%d): legacy %.2f ms, fused %.2f ms "
-              "(%.2fx)\n",
-              kWidth, kHeight, legacy_total_ms, fused_total_ms,
-              fused_total_ms > 0.0 ? legacy_total_ms / fused_total_ms : 0.0);
+  std::printf("\nwhole bank (%dx%d): fused %.2f ms\n", kWidth, kHeight,
+              fused_total_ms);
 
   if (smoke) {
     std::printf("\nmicro_features smoke: PASS\n");
@@ -176,15 +162,13 @@ int main(int argc, char** argv) {
   std::fprintf(json,
                "{\n  \"benchmark\": \"features\",\n"
                "  \"frame\": \"%dx%d\",\n  \"iterations\": %zu,\n"
-               "  \"legacy_total_ms\": %.3f,\n"
                "  \"fused_total_ms\": %.3f,\n  \"extractors\": [\n",
-               kWidth, kHeight, iters, legacy_total_ms, fused_total_ms);
+               kWidth, kHeight, iters, fused_total_ms);
   for (size_t e = 0; e < extractors.size(); ++e) {
     std::fprintf(json,
-                 "    {\"name\": \"%s\", \"legacy_ms\": %.4f, "
-                 "\"fused_ms\": %.4f}%s\n",
-                 vr::FeatureKindName(extractors[e]->kind()), legacy_ms[e],
-                 fused_ms[e], e + 1 < extractors.size() ? "," : "");
+                 "    {\"name\": \"%s\", \"fused_ms\": %.4f}%s\n",
+                 vr::FeatureKindName(extractors[e]->kind()), fused_ms[e],
+                 e + 1 < extractors.size() ? "," : "");
   }
   std::fprintf(json, "  ],\n  \"intermediates\": [\n");
   for (uint32_t b = 0; b < vr::kNumIntermediates; ++b) {

@@ -233,7 +233,10 @@ LatencyResult MeasureById(vr::RetrievalEngine* engine,
 /// Every stored key-frame id, in storage order.
 std::vector<int64_t> AllKeyFrameIds(vr::RetrievalEngine* engine) {
   std::vector<int64_t> ids;
-  for (const auto& video : engine->store()->ListVideos().value()) {
+  // Hold the list in a local: ranging over value() of the temporary
+  // Result would dangle once the Result is destroyed.
+  const auto videos = engine->store()->ListVideos().value();
+  for (const auto& video : videos) {
     const auto frame_ids =
         engine->store()->KeyFrameIdsOfVideo(video.v_id).value();
     ids.insert(ids.end(), frame_ids.begin(), frame_ids.end());

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # The whole gate, in dependency order: docs consistency (no build),
-# vr-lint (project-invariant rules R1-R4 with must-fail probes; works
+# vr-lint (project-invariant rules R1-R5 with must-fail probes; works
 # compiler-agnostic, degrades gracefully without python3),
 # static analysis (Clang thread-safety + clang-tidy; skips itself on
 # machines without clang), the plain build + full test suite, the
 # query-bench smoke run (its built-in serial-vs-sharded parity assert),
-# the feature-bench smoke run (fused-vs-legacy bit parity),
+# the feature-bench smoke run (plan output vs the golden-feature fixture),
 # the scale-bench smoke run (warm-open gate + two-stage-vs-exact
 # parity + the two-stage p50 <= exact p50 speed gate at its largest
 # smoke corpus),

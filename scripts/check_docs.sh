@@ -111,13 +111,11 @@ quoted_2dp() {  # quoted_2dp <value>: the doc quotes <value> to 2 decimals
     EXPERIMENTS.md
 }
 if [[ -f BENCH_features.json ]]; then
-  legacy=$(json_field BENCH_features.json legacy_total_ms)
   fused=$(json_field BENCH_features.json fused_total_ms)
-  speedup=$(awk -v a="$legacy" -v b="$fused" 'BEGIN{print a/b}')
-  quoted_2dp "$speedup" \
-    || err "EXPERIMENTS.md fused-extraction speedup drifted from" \
-           "BENCH_features.json (expected ~$(awk -v v="$speedup" \
-           'BEGIN{printf "%.2f", v}')x)"
+  quoted_2dp "$fused" \
+    || err "EXPERIMENTS.md whole-bank extraction time drifted from" \
+           "BENCH_features.json (expected ~$(awk -v v="$fused" \
+           'BEGIN{printf "%.2f", v}') ms)"
 fi
 if [[ -f BENCH_query.json ]]; then
   p50=$(grep -oE '"config": "shards=1", "p50_ms": [0-9.]+' BENCH_query.json \

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# vr-lint gate: project-invariant static analysis (rules R1–R4, table
+# vr-lint gate: project-invariant static analysis (rules R1–R5, table
 # in DESIGN.md § Static analysis & lint contract) with must-fail
 # probes. Order of business:
 #
@@ -8,7 +8,8 @@
 #      dead, and the script fails loudly (same philosophy as
 #      tests/thread_safety_negative.cc).
 #   2. Full-tree lint — scripts/vr_lint.py over src/, examples/,
-#      bench/, tests/ must be clean.
+#      bench/, tests/ (and, for R5, every path git tracks) must be
+#      clean.
 #   3. R1 compile probe — a dropped [[nodiscard]] vr::Status must not
 #      compile under -Werror=unused-result (works under GCC *and*
 #      Clang, so GCC-only legs keep full R1 coverage).
@@ -56,6 +57,8 @@ probe_must_fail tests/lint_probes/probe_r3_unranked_lock.cc unranked-lock
 probe_must_fail tests/lint_probes/probe_r4_hygiene.cc no-printf
 probe_must_fail tests/lint_probes/probe_r4_hygiene.cc no-time-rand
 probe_must_fail tests/lint_probes/probe_r4_hygiene.cc no-naked-new
+probe_must_fail tests/lint_probes/probe_r5_tracked_build_output/CMakeCache.txt \
+  tracked-build-output
 
 # A rule the linter knows but no probe exercises is a rule that can die
 # silently. Fail the gate until the new rule ships with its probe.
@@ -70,7 +73,7 @@ echo "check_lint: lint probes OK (every rule fires)"
 
 # --- 2. Full tree must be clean. -------------------------------------
 $LINT
-echo "check_lint: tree clean under rules R1-R4"
+echo "check_lint: tree clean under rules R1-R5"
 
 # --- Compile probes need a C++ compiler. -----------------------------
 CXX=""

@@ -19,11 +19,17 @@ DESIGN.md § Static analysis & lint contract):
                              code — randomness goes through vr::Rng
   R4c no-naked-new           no naked `new` — allocations are owned by
                              unique_ptr/shared_ptr from birth
+  R5  tracked-build-output   git tracks no build outputs (CMakeCache.txt,
+                             CMakeFiles/, build.ninja, .ninja_*, *.a)
 
 The compile-enforced half of R1 ([[nodiscard]] vr::Status +
 -Werror=unused-result) and the runtime half of R3 (lock_order
 validator) are driven by scripts/check_lint.sh, which also proves every
 rule fires via the must-fail probes under tests/lint_probes/.
+
+R5 judges paths, not lines: over the whole tree it checks every file
+`git ls-files` reports (skipped with a notice outside a git checkout);
+given explicit files, it checks their paths.
 
 Modes: `--mode clang` tokenizes with libclang (python clang bindings +
 compile_commands.json) for exact comment/string classification;
@@ -40,6 +46,7 @@ Exit status: 0 clean, 1 findings, 2 internal/usage error.
 import argparse
 import os
 import re
+import subprocess
 import sys
 
 # --------------------------------------------------------------------
@@ -110,12 +117,15 @@ def scope_no_logger(path):
 
 
 class Rule:
-    def __init__(self, rule_id, group, scope, check, summary):
+    def __init__(self, rule_id, group, scope, check, summary, per_path=False):
         self.rule_id = rule_id
-        self.group = group  # R1..R4, for --rules filtering
+        self.group = group  # R1..R5, for --rules filtering
         self.scope = scope
-        self.check = check  # fn(line_code, line_raw) -> message or None
+        # fn(line_code, line_raw) -> message or None; for a per_path
+        # rule, fn(path) -> message or None.
+        self.check = check
         self.summary = summary
+        self.per_path = per_path
 
 
 def check_ignore_comment(code, raw):
@@ -197,6 +207,25 @@ def check_naked_new(code, raw, prev_code=""):
     return None
 
 
+def check_build_output(path):
+    parts = path.split("/")
+    name = parts[-1]
+    if "CMakeFiles" in parts[:-1]:
+        what = "a CMakeFiles/ tree"
+    elif name in ("CMakeCache.txt", "build.ninja"):
+        what = name
+    elif name.startswith(".ninja_"):
+        what = "ninja state"
+    elif name.endswith(".a"):
+        what = "a static library"
+    else:
+        return None
+    return (
+        f"tracked build output ({what}) — build into an ignored build*/ "
+        "directory and `git rm --cached` it"
+    )
+
+
 RULES = [
     Rule("ignore-needs-comment", "R1", scope_everywhere, check_ignore_comment,
          "IgnoreError() carries a same-line justification"),
@@ -210,6 +239,8 @@ RULES = [
          "no rand()/time() randomness outside vr::Rng"),
     Rule("no-naked-new", "R4", scope_library, check_naked_new,
          "no naked new"),
+    Rule("tracked-build-output", "R5", scope_everywhere, check_build_output,
+         "git tracks no build outputs", per_path=True),
 ]
 
 
@@ -346,7 +377,7 @@ def lint_file(root, rel_path, mode, groups, findings, all_scopes=False):
     if code_lines is None:
         code_lines, allow_sets = strip_noncode(raw_lines)
     active = [r for r in RULES
-              if r.group in groups
+              if r.group in groups and not r.per_path
               and (all_scopes or r.scope(rel_path.replace(os.sep, "/")))]
     if not active:
         return True
@@ -365,6 +396,28 @@ def lint_file(root, rel_path, mode, groups, findings, all_scopes=False):
     return True
 
 
+def tracked_files(root):
+    """Paths git tracks under \p root, or None outside a git checkout."""
+    try:
+        out = subprocess.run(["git", "ls-files", "-z"], cwd=root,
+                             capture_output=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    # The probes violate the rules on purpose.
+    return [p for p in out.decode("utf-8", "replace").split("\0")
+            if p and not p.startswith("tests/lint_probes/")]
+
+
+def lint_paths(paths, groups, findings):
+    for rule in RULES:
+        if not rule.per_path or rule.group not in groups:
+            continue
+        for path in paths:
+            msg = rule.check(path.replace(os.sep, "/"))
+            if msg:
+                findings.append((path, 1, rule.rule_id, msg))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("files", nargs="*",
@@ -374,7 +427,7 @@ def main():
         help="repository root (default: the script's parent)")
     parser.add_argument("--mode", choices=("auto", "clang", "grep"),
                         default="auto")
-    parser.add_argument("--rules", default="R1,R2,R3,R4",
+    parser.add_argument("--rules", default="R1,R2,R3,R4,R5",
                         help="comma-separated rule groups to run")
     parser.add_argument("--all-scopes", action="store_true",
                         help="ignore per-rule path scoping (probe runs: "
@@ -396,6 +449,14 @@ def main():
                        args.all_scopes) and ok
     if not ok:
         return 2
+    paths = [os.path.relpath(os.path.abspath(f), args.root)
+             for f in args.files]
+    if not paths:
+        paths = tracked_files(args.root)
+        if paths is None:
+            print("vr-lint: not a git checkout; skipping R5", file=sys.stderr)
+            paths = []
+    lint_paths(paths, groups, findings)
     for path, lineno, rule_id, msg in findings:
         print(f"{path}:{lineno}: [{rule_id}] {msg}")
     if findings:

@@ -13,96 +13,57 @@ namespace vr {
 AutoColorCorrelogram::AutoColorCorrelogram(int max_distance)
     : max_distance_(std::clamp(max_distance, 1, 16)) {}
 
-Result<FeatureVector> AutoColorCorrelogram::Extract(const Image& img) const {
-  if (img.empty()) return Status::InvalidArgument("empty image");
-  // Cap the working size: the correlogram is O(pixels * max_distance^2)
-  // and its statistics stabilize well below full resolution.
-  Image work = img;
-  if (work.width() > 256 || work.height() > 256) {
-    const double s = 256.0 / std::max(work.width(), work.height());
-    work = Resize(work, std::max(8, static_cast<int>(work.width() * s)),
-                  std::max(8, static_cast<int>(work.height() * s)),
-                  ResizeFilter::kBilinear);
-  }
-  const int w = work.width();
-  const int h = work.height();
-
-  std::vector<int> quant(static_cast<size_t>(w) * h);
-  std::vector<uint64_t> color_count(kHsvQuantBins, 0);
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const int q = QuantizeHsv(RgbToHsv(work.PixelRgb(x, y)));
-      quant[static_cast<size_t>(y) * w + x] = q;
-      ++color_count[static_cast<size_t>(q)];
-    }
-  }
-
-  const int d_max = max_distance_;
-  // counts[c][d-1] = same-color pairs at chessboard distance d;
-  // ring_total[c][d-1] = in-image neighbors inspected from pixels of c.
-  std::vector<double> counts(static_cast<size_t>(kHsvQuantBins) * d_max, 0.0);
-  std::vector<double> ring_total(static_cast<size_t>(kHsvQuantBins) * d_max,
-                                 0.0);
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const int c = quant[static_cast<size_t>(y) * w + x];
-      for (int d = 1; d <= d_max; ++d) {
-        const size_t idx =
-            static_cast<size_t>(c) * d_max + static_cast<size_t>(d - 1);
-        // Chessboard ring of radius d: the square boundary.
-        for (int dx = -d; dx <= d; ++dx) {
-          for (int dy = -d; dy <= d; ++dy) {
-            if (std::max(std::abs(dx), std::abs(dy)) != d) continue;
-            const int nx = x + dx;
-            const int ny = y + dy;
-            if (nx < 0 || ny < 0 || nx >= w || ny >= h) continue;
-            ring_total[idx] += 1.0;
-            if (quant[static_cast<size_t>(ny) * w + nx] == c) {
-              counts[idx] += 1.0;
-            }
-          }
-        }
-      }
-    }
-  }
-
-  std::vector<double> feature(static_cast<size_t>(kHsvQuantBins) * d_max, 0.0);
-  for (size_t i = 0; i < feature.size(); ++i) {
-    feature[i] = ring_total[i] > 0 ? counts[i] / ring_total[i] : 0.0;
-  }
-  return FeatureVector(name(), std::move(feature));
-}
-
 uint32_t AutoColorCorrelogram::SharedIntermediates() const {
   return static_cast<uint32_t>(Intermediate::kHsvPlane);
 }
 
+namespace {
+/// Persistent downscale target for frames over the working-size cap.
+struct CorrelogramScratch : PlanContext::Scratch {
+  Image small;
+};
+}  // namespace
+
 Result<FeatureVector> AutoColorCorrelogram::ExtractShared(
     const Image& img, PlanContext& ctx) const {
   if (img.empty()) return Status::InvalidArgument("empty image");
-  if (img.width() > 256 || img.height() > 256) {
-    // The shared HSV plane covers the full-resolution frame, but this
-    // path needs the downscaled one — fall back to the legacy extractor.
-    return Extract(img);
-  }
-  const int w = img.width();
-  const int h = img.height();
-  const size_t pixels = static_cast<size_t>(w) * h;
-
-  // Quantized color plane from the shared HSV plane (built in the same
-  // row-major order the legacy loop walks).
-  Span<int> quant = ctx.arena().AllocSpan<int>(pixels);
-  const std::vector<Hsv>& hsv = ctx.HsvPlane();
-  for (size_t i = 0; i < pixels; ++i) {
-    quant[i] = QuantizeHsv(hsv[i]);
+  int w = img.width();
+  int h = img.height();
+  Span<int> quant;
+  if (w > 256 || h > 256) {
+    // Cap the working size: the correlogram is O(pixels * max_distance^2)
+    // and its statistics stabilize well below full resolution. The
+    // shared HSV plane covers the full frame, so quantize the
+    // downscaled pixels directly.
+    Image& small = ctx.ScratchFor<CorrelogramScratch>(kind())->small;
+    const double s = 256.0 / std::max(w, h);
+    ResizeInto(img, std::max(8, static_cast<int>(w * s)),
+               std::max(8, static_cast<int>(h * s)), ResizeFilter::kBilinear,
+               &small);
+    w = small.width();
+    h = small.height();
+    quant = ctx.arena().AllocSpan<int>(static_cast<size_t>(w) * h);
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < w; ++x) {
+        quant[static_cast<size_t>(y) * w + x] =
+            QuantizeHsv(RgbToHsv(small.PixelRgb(x, y)));
+      }
+    }
+  } else {
+    // Quantized color plane from the shared HSV plane (row-major).
+    quant = ctx.arena().AllocSpan<int>(static_cast<size_t>(w) * h);
+    const std::vector<Hsv>& hsv = ctx.HsvPlane();
+    for (size_t i = 0; i < quant.size(); ++i) quant[i] = QuantizeHsv(hsv[i]);
   }
 
   const int d_max = max_distance_;
   const size_t dims = static_cast<size_t>(kHsvQuantBins) * d_max;
-  // Pair counts accumulate sums of 1.0 — exact integers — so visiting
-  // the ring cells row/column-wise (cache- and SIMD-friendly) instead
-  // of the legacy dx/dy walk produces bit-identical totals: same cell
-  // set, and integer addition is order-independent.
+  // counts[c][d-1] = same-color pairs at chessboard distance d;
+  // ring_total[c][d-1] = in-image neighbors inspected from pixels of c.
+  // Pair counts accumulate sums of 1.0 — exact integers — so the order
+  // in which ring cells are visited (row/column-wise here, cache- and
+  // SIMD-friendly) cannot change the totals: integer addition is
+  // order-independent.
   Span<double> counts = ctx.arena().AllocSpan<double>(dims);
   Span<double> ring_total = ctx.arena().AllocSpan<double>(dims);
   for (int y = 0; y < h; ++y) {

@@ -19,7 +19,6 @@ class AutoColorCorrelogram : public FeatureExtractor {
   explicit AutoColorCorrelogram(int max_distance = 4);
 
   FeatureKind kind() const override { return FeatureKind::kAutoCorrelogram; }
-  Result<FeatureVector> Extract(const Image& img) const override;
   uint32_t SharedIntermediates() const override;
   Result<FeatureVector> ExtractShared(const Image& img,
                                       PlanContext& ctx) const override;

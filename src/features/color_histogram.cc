@@ -20,17 +20,6 @@ int SimpleColorHistogram::Quantize(Rgb pixel) const {
   return 0;
 }
 
-Result<FeatureVector> SimpleColorHistogram::Extract(const Image& img) const {
-  if (img.empty()) return Status::InvalidArgument("empty image");
-  std::vector<double> bins(256, 0.0);
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < img.width(); ++x) {
-      bins[static_cast<size_t>(Quantize(img.PixelRgb(x, y)))] += 1.0;
-    }
-  }
-  return FeatureVector(name(), std::move(bins));
-}
-
 uint32_t SimpleColorHistogram::SharedIntermediates() const {
   switch (space_) {
     case HistogramSpace::kRgb256:

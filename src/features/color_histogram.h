@@ -30,7 +30,6 @@ class SimpleColorHistogram : public FeatureExtractor {
       : space_(space) {}
 
   FeatureKind kind() const override { return FeatureKind::kColorHistogram; }
-  Result<FeatureVector> Extract(const Image& img) const override;
   uint32_t SharedIntermediates() const override;
   Result<FeatureVector> ExtractShared(const Image& img,
                                       PlanContext& ctx) const override;

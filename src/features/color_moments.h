@@ -17,7 +17,6 @@ class ColorMoments : public FeatureExtractor {
   ColorMoments() = default;
 
   FeatureKind kind() const override { return FeatureKind::kColorMoments; }
-  Result<FeatureVector> Extract(const Image& img) const override;
   uint32_t SharedIntermediates() const override;
   Result<FeatureVector> ExtractShared(const Image& img,
                                       PlanContext& ctx) const override;

@@ -37,7 +37,8 @@ Result<Signature> ColorSignatureFeature::Unflatten(const FeatureVector& fv) {
   return out;
 }
 
-Result<FeatureVector> ColorSignatureFeature::Extract(const Image& img) const {
+Result<FeatureVector> ColorSignatureFeature::ExtractShared(
+    const Image& img, PlanContext& /*ctx*/) const {
   VR_ASSIGN_OR_RETURN(Signature signature,
                       MakeColorSignature(img, clusters_));
   return Flatten(signature);

@@ -20,7 +20,8 @@ class ColorSignatureFeature : public FeatureExtractor {
   explicit ColorSignatureFeature(int clusters = 8);
 
   FeatureKind kind() const override { return FeatureKind::kColorSignature; }
-  Result<FeatureVector> Extract(const Image& img) const override;
+  Result<FeatureVector> ExtractShared(const Image& img,
+                                      PlanContext& ctx) const override;
   double DistanceSpan(const double* a, size_t na, const double* b,
                       size_t nb) const override;
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "features/plan/frame_context.h"
-#include "imaging/color.h"
 #include "imaging/float_image.h"
 #include "similarity/metrics.h"
 
@@ -12,14 +11,6 @@ namespace vr {
 
 EdgeHistogram::EdgeHistogram(int grid, double edge_threshold)
     : grid_(std::clamp(grid, 1, 16)), edge_threshold_(edge_threshold) {}
-
-Result<FeatureVector> EdgeHistogram::Extract(const Image& img) const {
-  if (img.empty()) return Status::InvalidArgument("empty image");
-  if (img.width() < 2 * grid_ || img.height() < 2 * grid_) {
-    return Status::InvalidArgument("image too small for edge grid");
-  }
-  return FromGrayFloat(FloatImage::FromImage(img));
-}
 
 uint32_t EdgeHistogram::SharedIntermediates() const {
   return static_cast<uint32_t>(Intermediate::kGrayFloat);
@@ -31,11 +22,7 @@ Result<FeatureVector> EdgeHistogram::ExtractShared(const Image& img,
   if (img.width() < 2 * grid_ || img.height() < 2 * grid_) {
     return Status::InvalidArgument("image too small for edge grid");
   }
-  return FromGrayFloat(ctx.GrayFloat());
-}
-
-Result<FeatureVector> EdgeHistogram::FromGrayFloat(
-    const FloatImage& gray) const {
+  const FloatImage& gray = ctx.GrayFloat();
   // MPEG-7 EHD block filters over 2x2 means a, b / c, d:
   //   vertical:    |a + c - b - d|
   //   horizontal:  |a + b - c - d|

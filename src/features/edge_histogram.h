@@ -14,8 +14,6 @@
 
 namespace vr {
 
-class FloatImage;
-
 /// \brief Local edge-type histogram over a grid of sub-images.
 class EdgeHistogram : public FeatureExtractor {
  public:
@@ -26,7 +24,6 @@ class EdgeHistogram : public FeatureExtractor {
   EdgeHistogram(int grid = 4, double edge_threshold = 11.0);
 
   FeatureKind kind() const override { return FeatureKind::kEdgeHistogram; }
-  Result<FeatureVector> Extract(const Image& img) const override;
   uint32_t SharedIntermediates() const override;
   Result<FeatureVector> ExtractShared(const Image& img,
                                       PlanContext& ctx) const override;
@@ -48,11 +45,6 @@ class EdgeHistogram : public FeatureExtractor {
   }
 
  private:
-  /// Block classification + per-cell normalization from the float gray
-  /// plane. Extract and ExtractShared both funnel here, so the paths
-  /// are bit-identical by construction.
-  Result<FeatureVector> FromGrayFloat(const FloatImage& gray) const;
-
   int grid_;
   double edge_threshold_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "features/plan/frame_context.h"
 #include "util/string_util.h"
 
 namespace vr {
@@ -86,6 +87,12 @@ void FeatureVector::NormalizeL1() {
   const double s = Sum();
   if (s == 0.0) return;
   for (double& v : values_) v /= s;
+}
+
+Result<FeatureVector> FeatureExtractor::Extract(const Image& img) const {
+  PlanContext ctx;
+  ctx.BeginFrame(img);
+  return ExtractShared(img, ctx);
 }
 
 double FeatureExtractor::DistanceSpan(const double* a, size_t na,

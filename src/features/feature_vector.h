@@ -100,8 +100,11 @@ class FeatureExtractor {
   /// Stable name; matches FeatureKindName(kind()).
   const char* name() const { return FeatureKindName(kind()); }
 
-  /// Computes the feature of \p img.
-  virtual Result<FeatureVector> Extract(const Image& img) const = 0;
+  /// Computes the feature of \p img: ExtractShared on a one-off
+  /// PlanContext. Convenient for a single frame; loops over many frames
+  /// should bind one PlanContext (or use an ExtractionPlan) so scratch
+  /// and the arena are reused.
+  Result<FeatureVector> Extract(const Image& img) const;
 
   /// Shared intermediates (bits of plan::Intermediate) this extractor
   /// reads from a PlanContext in ExtractShared; 0 when it derives
@@ -110,16 +113,13 @@ class FeatureExtractor {
   /// once per frame.
   virtual uint32_t SharedIntermediates() const { return 0; }
 
-  /// Fused extraction: like Extract, but shared intermediates come from
-  /// \p ctx (memoized per frame) and temporaries may use ctx's arena
-  /// and per-kind scratch slot. Must return values bit-identical to
-  /// Extract(img) — tests/extraction_plan_test.cc enforces this for
-  /// every registered kind. The default delegates to Extract.
+  /// The extraction body. \p ctx must be bound to \p img
+  /// (PlanContext::BeginFrame); shared intermediates come from it
+  /// (memoized per frame) and temporaries may use its arena and the
+  /// per-kind scratch slot. The output is pinned bit for bit by the
+  /// golden-feature fixture (tests/data/golden_features.txt).
   virtual Result<FeatureVector> ExtractShared(const Image& img,
-                                              PlanContext& ctx) const {
-    (void)ctx;
-    return Extract(img);
-  }
+                                              PlanContext& ctx) const = 0;
 
   /// Dissimilarity between two vectors produced by this extractor.
   /// Smaller is more similar; must be >= 0 and 0 for identical inputs.

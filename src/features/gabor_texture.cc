@@ -18,81 +18,12 @@ GaborTexture::GaborTexture(int scales, int orientations, int working_size)
       working_size_(static_cast<int>(
           NextPowerOfTwo(static_cast<size_t>(std::max(16, working_size))))) {}
 
-Result<FeatureVector> GaborTexture::Extract(const Image& img) const {
-  if (img.empty()) return Status::InvalidArgument("empty image");
-
-  // Gray, fixed working size, zero-mean unit-variance.
-  const Image small =
-      Resize(ToGray(img), working_size_, working_size_, ResizeFilter::kBilinear);
-  FloatImage f = FloatImage::FromImage(small);
-  double mean = 0.0;
-  for (float v : f.data()) mean += v;
-  mean /= static_cast<double>(f.data().size());
-  double var = 0.0;
-  for (float v : f.data()) {
-    const double d = v - mean;
-    var += d * d;
-  }
-  var /= static_cast<double>(f.data().size());
-  const double inv_std = var > 1e-12 ? 1.0 / std::sqrt(var) : 0.0;
-  for (float& v : f.data()) {
-    v = static_cast<float>((v - mean) * inv_std);
-  }
-
-  ComplexImage spectrum = ToComplexPadded(f, working_size_, working_size_);
-  VR_RETURN_NOT_OK(Fft2D(&spectrum, /*inverse=*/false));
-
-  const int w = spectrum.width;
-  const int h = spectrum.height;
-  const size_t pixels = static_cast<size_t>(w) * h;
-  const double f_max = 0.4;  // highest center frequency (cycles/pixel)
-
-  std::vector<double> feature;
-  feature.reserve(dimensions());
-  ComplexImage response(w, h);
-  for (int m = 0; m < scales_; ++m) {
-    const double f0 = f_max / std::pow(std::sqrt(2.0), m);
-    const double sigma_f = f0 / 2.0;  // isotropic frequency-domain spread
-    for (int n = 0; n < orientations_; ++n) {
-      const double theta = static_cast<double>(n) * M_PI / orientations_;
-      const double u0 = f0 * std::cos(theta);
-      const double v0 = f0 * std::sin(theta);
-      // Apply the one-sided Gaussian transfer function.
-      for (int ky = 0; ky < h; ++ky) {
-        // Wrap to signed normalized frequency in [-0.5, 0.5).
-        const double v = (ky < h / 2 ? ky : ky - h) / static_cast<double>(h);
-        for (int kx = 0; kx < w; ++kx) {
-          const double u = (kx < w / 2 ? kx : kx - w) / static_cast<double>(w);
-          const double du = u - u0;
-          const double dv = v - v0;
-          const double g =
-              std::exp(-(du * du + dv * dv) / (2.0 * sigma_f * sigma_f));
-          response.At(kx, ky) = spectrum.At(kx, ky) * static_cast<float>(g);
-        }
-      }
-      VR_RETURN_NOT_OK(Fft2D(&response, /*inverse=*/true));
-      double mag_mean = 0.0;
-      for (const Complex& c : response.data) mag_mean += std::abs(c);
-      mag_mean /= static_cast<double>(pixels);
-      double mag_var = 0.0;
-      for (const Complex& c : response.data) {
-        const double d = std::abs(c) - mag_mean;
-        mag_var += d * d;
-      }
-      mag_var /= static_cast<double>(pixels);
-      feature.push_back(mag_mean);
-      feature.push_back(std::sqrt(mag_var));
-    }
-  }
-  return FeatureVector(name(), std::move(feature));
-}
-
 namespace {
 
 /// Per-plan Gabor state: the FFT twiddle/bit-reversal plan, the filter
-/// bank evaluated once (every plane entry is the exact float multiplier
-/// the legacy loop computes per frame), and all working rasters. After
-/// the first frame, extraction allocates nothing.
+/// bank evaluated once (one float transfer-function plane per scale and
+/// orientation), and all working rasters. After the first frame,
+/// extraction allocates nothing.
 struct GaborScratch : PlanContext::Scratch {
   std::unique_ptr<Fft2DPlan> fft;
   std::vector<std::vector<float>> filters;  ///< [m * orientations + n]
@@ -118,8 +49,9 @@ Result<FeatureVector> GaborTexture::ExtractShared(const Image& img,
 
   if (!scratch->fft) {
     scratch->fft = std::make_unique<Fft2DPlan>(ws, ws);
-    // Hoist the filter bank: g depends only on (m, n, kx, ky), never on
-    // the frame. Same double-precision formula, same float cast.
+    // The filter bank: g depends only on (m, n, kx, ky), never on the
+    // frame — a one-sided Gaussian around the center frequency (u0, v0),
+    // evaluated in double and stored as float.
     const double f_max = 0.4;
     scratch->filters.reserve(static_cast<size_t>(scales_) * orientations_);
     for (int m = 0; m < scales_; ++m) {
@@ -152,8 +84,8 @@ Result<FeatureVector> GaborTexture::ExtractShared(const Image& img,
     scratch->mags.resize(pixels);
   }
 
-  // Gray, fixed working size, zero-mean unit-variance — the legacy
-  // arithmetic, fed from the shared gray plane and scratch buffers.
+  // Gray, fixed working size, zero-mean unit-variance, fed from the
+  // shared gray plane into scratch buffers.
   ResizeInto(ctx.Gray(), ws, ws, ResizeFilter::kBilinear, &scratch->small);
   FloatImage& f = scratch->f;
   const uint8_t* gray_bytes = scratch->small.data();
@@ -191,8 +123,7 @@ Result<FeatureVector> GaborTexture::ExtractShared(const Image& img,
       response.data[i] = spectrum.data[i] * filter[i];
     }
     VR_RETURN_NOT_OK(scratch->fft->Run(&response, /*inverse=*/true));
-    // One |.| pass; the stored float is the exact value the legacy
-    // mean and variance loops each recompute.
+    // One |.| pass feeds both the mean and the variance loop.
     for (size_t i = 0; i < pixels; ++i) {
       mags[i] = std::abs(response.data[i]);
     }

@@ -21,7 +21,6 @@ class GaborTexture : public FeatureExtractor {
   GaborTexture(int scales = 5, int orientations = 6, int working_size = 128);
 
   FeatureKind kind() const override { return FeatureKind::kGabor; }
-  Result<FeatureVector> Extract(const Image& img) const override;
   uint32_t SharedIntermediates() const override;
   Result<FeatureVector> ExtractShared(const Image& img,
                                       PlanContext& ctx) const override;

@@ -5,28 +5,11 @@
 #include <vector>
 
 #include "features/plan/frame_context.h"
-#include "imaging/color.h"
 
 namespace vr {
 
 GlcmTexture::GlcmTexture(int step, int levels)
     : step_(std::max(1, step)), levels_(std::clamp(levels, 2, 256)) {}
-
-Result<FeatureVector> GlcmTexture::Extract(const Image& img) const {
-  if (img.empty()) return Status::InvalidArgument("empty image");
-  if (img.width() <= step_) {
-    return Status::InvalidArgument("image narrower than GLCM step");
-  }
-  const Image gray = ToGray(img);
-  const size_t l = static_cast<size_t>(
-      256 >> [this] {
-        int s = 0;
-        while ((256 >> s) > levels_) ++s;
-        return s;
-      }());
-  std::vector<double> glcm(l * l, 0.0);
-  return FromGrayBuffer(gray, glcm.data(), l);
-}
 
 uint32_t GlcmTexture::SharedIntermediates() const {
   return static_cast<uint32_t>(Intermediate::kGray);
@@ -38,25 +21,12 @@ Result<FeatureVector> GlcmTexture::ExtractShared(const Image& img,
   if (img.width() <= step_) {
     return Status::InvalidArgument("image narrower than GLCM step");
   }
-  const size_t l = static_cast<size_t>(
-      256 >> [this] {
-        int s = 0;
-        while ((256 >> s) > levels_) ++s;
-        return s;
-      }());
+  int shift = 0;
+  while ((256 >> shift) > levels_) ++shift;
+  const size_t l = static_cast<size_t>(256 >> shift);
   // Arena-backed matrix: no allocation once the arena has warmed up.
   Span<double> glcm = ctx.arena().AllocSpan<double>(l * l);
-  return FromGrayBuffer(ctx.Gray(), glcm.data(), l);
-}
-
-Result<FeatureVector> GlcmTexture::FromGrayBuffer(const Image& gray,
-                                                  double* glcm,
-                                                  size_t l) const {
-  const int shift = [this] {
-    int s = 0;
-    while ((256 >> s) > levels_) ++s;
-    return s;
-  }();
+  const Image& gray = ctx.Gray();
   uint64_t pixel_counter = 0;
   for (int y = 0; y < gray.height(); ++y) {
     for (int x = 0; x + step_ < gray.width(); ++x) {

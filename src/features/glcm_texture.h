@@ -22,7 +22,6 @@ class GlcmTexture : public FeatureExtractor {
   explicit GlcmTexture(int step = 1, int levels = 256);
 
   FeatureKind kind() const override { return FeatureKind::kGlcm; }
-  Result<FeatureVector> Extract(const Image& img) const override;
   uint32_t SharedIntermediates() const override;
   Result<FeatureVector> ExtractShared(const Image& img,
                                       PlanContext& ctx) const override;
@@ -48,13 +47,6 @@ class GlcmTexture : public FeatureExtractor {
   };
 
  private:
-  /// Tabulates co-occurrences from \p gray into \p glcm (a zeroed
-  /// levels*levels buffer) and computes the statistics. Both Extract and
-  /// ExtractShared funnel here, so the two paths are bit-identical by
-  /// construction.
-  Result<FeatureVector> FromGrayBuffer(const Image& gray, double* glcm,
-                                       size_t levels) const;
-
   int step_;
   int levels_;
 };

@@ -12,13 +12,6 @@ NaiveSignature::NaiveSignature(int base_size, int sample_size)
     : base_size_(std::max(25, base_size)),
       sample_size_(std::max(1, sample_size)) {}
 
-Result<FeatureVector> NaiveSignature::Extract(const Image& img) const {
-  if (img.empty()) return Status::InvalidArgument("empty image");
-  const Image scaled =
-      Resize(img, base_size_, base_size_, ResizeFilter::kNearest);
-  return FromScaled(scaled);
-}
-
 namespace {
 /// Persistent rescale target so steady-state extraction reuses one
 /// 300x300 buffer instead of reallocating it per frame.
@@ -27,18 +20,13 @@ struct NaiveScratch : PlanContext::Scratch {
 };
 }  // namespace
 
-uint32_t NaiveSignature::SharedIntermediates() const { return 0; }
-
 Result<FeatureVector> NaiveSignature::ExtractShared(const Image& img,
                                                     PlanContext& ctx) const {
   if (img.empty()) return Status::InvalidArgument("empty image");
   NaiveScratch* scratch = ctx.ScratchFor<NaiveScratch>(kind());
   ResizeInto(img, base_size_, base_size_, ResizeFilter::kNearest,
              &scratch->scaled);
-  return FromScaled(scratch->scaled);
-}
-
-FeatureVector NaiveSignature::FromScaled(const Image& scaled) const {
+  const Image& scaled = scratch->scaled;
   std::vector<double> feature;
   feature.reserve(static_cast<size_t>(kPoints) * 3);
   for (int gy = 0; gy < kGrid; ++gy) {

@@ -21,8 +21,6 @@ class NaiveSignature : public FeatureExtractor {
   NaiveSignature(int base_size = 300, int sample_size = 15);
 
   FeatureKind kind() const override { return FeatureKind::kNaiveSignature; }
-  Result<FeatureVector> Extract(const Image& img) const override;
-  uint32_t SharedIntermediates() const override;
   Result<FeatureVector> ExtractShared(const Image& img,
                                       PlanContext& ctx) const override;
 
@@ -39,10 +37,6 @@ class NaiveSignature : public FeatureExtractor {
   static constexpr int kPoints = kGrid * kGrid;
 
  private:
-  /// Grid sampling over the already-rescaled image; shared by Extract
-  /// and ExtractShared so the paths are bit-identical by construction.
-  FeatureVector FromScaled(const Image& scaled) const;
-
   int base_size_;
   int sample_size_;
 };

@@ -1,22 +1,24 @@
 /// \file arena.h
 /// \brief Bump-allocated scratch arena and the typed span view over it.
 ///
-/// The extraction hot path used to allocate every intermediate (gray
-/// planes, co-occurrence matrices, quantized rasters, FFT scratch) with
-/// a fresh heap vector per frame. The arena replaces that with reusable
-/// chunks per ExtractionPlan: AllocSpan() bumps a cursor, Reset()
-/// rewinds it without freeing, so after the first frame has sized the
-/// arena the steady state performs zero heap allocations (the zero-copy
-/// span + reusable memory-buffer idiom of VideoDoctor's span.hpp /
-/// memory_buffer.hpp).
+/// Extractor temporaries (co-occurrence matrices, quantized rasters,
+/// labeling buffers) come from the arena of the PlanContext the
+/// extraction runs on instead of a fresh heap vector per frame:
+/// AllocSpan() bumps a cursor, Reset() rewinds it without freeing, so
+/// once the first frame has sized the arena a context reused across
+/// frames (an ExtractionPlan's, a KeyFrameExtractor call's) performs
+/// zero heap allocations in the steady state (the zero-copy span +
+/// reusable memory-buffer idiom of VideoDoctor's span.hpp /
+/// memory_buffer.hpp). A one-off FeatureExtractor::Extract pays for a
+/// fresh arena per call.
 ///
 /// Growth never moves live allocations: when the current chunk is full
 /// a new chunk is appended, and Reset() — when no span is live —
 /// consolidates everything into one chunk sized to the high-water mark.
 ///
-/// Thread-safety: none. An Arena belongs to exactly one ExtractionPlan
+/// Thread-safety: none. An Arena belongs to exactly one PlanContext
 /// and is used by one extraction at a time; the engine's plan pool
-/// guarantees that.
+/// guarantees that for its plans.
 
 #pragma once
 

@@ -10,10 +10,11 @@
 /// slots, so the steady state extracts without heap allocation in the
 /// fused paths.
 ///
-/// The plan's output is bit-identical to running each extractor's
-/// legacy Extract on the same frame — every fused path replays the
-/// legacy arithmetic in the legacy order (the contract
-/// tests/extraction_plan_test.cc pins for every registered kind).
+/// The plan's output is bit-identical to each extractor's Extract on
+/// the same frame: both run the one ExtractShared body, and a shared
+/// intermediate equals what the extractor would compute alone. The
+/// golden-feature fixture (tests/data/golden_features.txt) pins every
+/// registered kind.
 ///
 /// Thread-safety: a plan is single-threaded scratch. The engine keeps a
 /// pool of plans (checked out per extraction) instead of sharing one.

@@ -1,22 +1,26 @@
 /// \file frame_context.h
 /// \brief Shared per-frame intermediates for the fused extraction plan.
 ///
-/// Several extractors independently re-derive the same intermediates
-/// from the frame: the gray plane (GLCM, Gabor, Tamura, region
-/// growing), its histogram (region growing's threshold and the range
-/// finder's bucket), the per-pixel HSV plane (color moments and, on
-/// frames that skip its resize cap, the auto correlogram) and the float
-/// luma plane (edge histogram). PlanContext computes each exactly once
-/// per frame and hands every consumer the same memoized view.
+/// Several extractors read the same intermediates of a frame: the gray
+/// plane (GLCM, Gabor, Tamura, region growing), its histogram (region
+/// growing's threshold and the range finder's bucket), the per-pixel
+/// HSV plane (color moments and, on frames within its 256 px working
+/// cap, the auto correlogram) and the float luma plane (edge
+/// histogram). PlanContext computes each at most once per frame and
+/// hands every consumer the same memoized view.
 ///
-/// Every producer replays the legacy per-extractor arithmetic verbatim
-/// — same formula, same pixel order — so a fused extraction is
-/// bit-identical to running the extractors standalone (the parity
-/// contract tests/extraction_plan_test.cc enforces).
+/// Each producer computes exactly what the standalone imaging helper
+/// would (Gray() is ToGray, Histogram() is ComputeGrayHistogram of it,
+/// GrayFloat() is FloatImage::FromImage), so an extractor's output does
+/// not depend on which other extractors share the context. Every
+/// extraction runs on one: FeatureExtractor::Extract binds a one-off
+/// context per call, ExtractionPlan and KeyFrameExtractor keep one
+/// across frames. tests/data/golden_features.txt pins the results.
 ///
-/// Thread-safety: none; a PlanContext belongs to one ExtractionPlan and
-/// one extraction uses it at a time (the engine's plan pool enforces
-/// this). The REQUIRES-style contract is documented in DESIGN.md.
+/// Thread-safety: none; a PlanContext belongs to one owner and one
+/// extraction uses it at a time (the engine's plan pool enforces this
+/// for its plans). The REQUIRES-style contract is documented in
+/// DESIGN.md.
 
 #pragma once
 

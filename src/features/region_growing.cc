@@ -13,20 +13,28 @@ namespace vr {
 SimpleRegionGrowing::SimpleRegionGrowing(double major_fraction)
     : major_fraction_(major_fraction) {}
 
-Result<Image> SimpleRegionGrowing::Preprocess(const Image& img) const {
-  if (img.empty()) return Status::InvalidArgument("empty image");
-  const Image gray = ToGray(img);
-  const GrayHistogram hist = ComputeGrayHistogram(gray);
-  const int threshold = MinFuzzinessThreshold(hist);
-  Image binary = Binarize(gray, threshold);
-  // The paper's morphology sequence: dilate, erode, erode, dilate
-  // (a close followed by an open), with its 5x5 kernel.
+namespace {
+
+/// The paper's preprocessing after gray conversion: binarize at the
+/// minimum-fuzziness threshold of \p hist (the histogram of \p gray),
+/// then dilate, erode, erode, dilate (a close followed by an open) with
+/// its 5x5 kernel.
+Image PaperBinary(const Image& gray, const GrayHistogram& hist) {
+  Image binary = Binarize(gray, MinFuzzinessThreshold(hist));
   const StructuringElement kernel = PaperKernel5x5();
   binary = Dilate(binary, kernel);
   binary = Erode(binary, kernel);
   binary = Erode(binary, kernel);
   binary = Dilate(binary, kernel);
   return binary;
+}
+
+}  // namespace
+
+Result<Image> SimpleRegionGrowing::Preprocess(const Image& img) const {
+  if (img.empty()) return Status::InvalidArgument("empty image");
+  const Image gray = ToGray(img);
+  return PaperBinary(gray, ComputeGrayHistogram(gray));
 }
 
 Result<RegionStats> SimpleRegionGrowing::Analyze(const Image& img) const {
@@ -88,30 +96,16 @@ uint32_t SimpleRegionGrowing::SharedIntermediates() const {
 Result<FeatureVector> SimpleRegionGrowing::ExtractShared(
     const Image& img, PlanContext& ctx) const {
   if (img.empty()) return Status::InvalidArgument("empty image");
-  // Preprocess() recomputes gray + histogram; here both come from the
-  // shared plan (the histogram over the gray plane is exactly
+  // Preprocess() computes gray + histogram itself; here both come from
+  // the shared plan (the histogram over the gray plane is exactly
   // ComputeGrayHistogram of it), and the labeling buffers come from the
   // frame arena instead of fresh vectors.
-  const int threshold = MinFuzzinessThreshold(ctx.Histogram());
-  Image binary = Binarize(ctx.Gray(), threshold);
-  const StructuringElement kernel = PaperKernel5x5();
-  binary = Dilate(binary, kernel);
-  binary = Erode(binary, kernel);
-  binary = Erode(binary, kernel);
-  binary = Dilate(binary, kernel);
+  const Image binary = PaperBinary(ctx.Gray(), ctx.Histogram());
 
   const size_t pixels = static_cast<size_t>(binary.width()) * binary.height();
   Span<int> labels = ctx.arena().AllocSpan<int>(pixels);
   Span<Pt> stack = ctx.arena().AllocSpan<Pt>(pixels);
   const RegionStats stats = LabelRegions(binary, labels.data(), stack.data());
-  return FeatureVector(
-      name(), {static_cast<double>(stats.num_regions),
-               static_cast<double>(stats.num_holes),
-               static_cast<double>(stats.num_major_regions)});
-}
-
-Result<FeatureVector> SimpleRegionGrowing::Extract(const Image& img) const {
-  VR_ASSIGN_OR_RETURN(RegionStats stats, Analyze(img));
   return FeatureVector(
       name(), {static_cast<double>(stats.num_regions),
                static_cast<double>(stats.num_holes),

@@ -29,7 +29,6 @@ class SimpleRegionGrowing : public FeatureExtractor {
   explicit SimpleRegionGrowing(double major_fraction = 0.01);
 
   FeatureKind kind() const override { return FeatureKind::kRegionGrowing; }
-  Result<FeatureVector> Extract(const Image& img) const override;
   uint32_t SharedIntermediates() const override;
   Result<FeatureVector> ExtractShared(const Image& img,
                                       PlanContext& ctx) const override;
@@ -63,7 +62,7 @@ class SimpleRegionGrowing : public FeatureExtractor {
   /// Connected-component labeling over \p binary. \p labels must be a
   /// zero-initialized w*h buffer (0 = unlabeled; regions number from 1)
   /// and \p stack a w*h scratch buffer (each pixel is pushed at most
-  /// once). Extract and ExtractShared both funnel here, so the paths
+  /// once). Analyze and ExtractShared both funnel here, so the paths
   /// are bit-identical by construction.
   RegionStats LabelRegions(const Image& binary, int* labels,
                            Pt* stack) const;

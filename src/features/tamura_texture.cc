@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "features/plan/frame_context.h"
-#include "imaging/color.h"
 #include "imaging/filter.h"
 #include "imaging/resize.h"
 
@@ -16,11 +15,6 @@ TamuraTexture::TamuraTexture(int max_scale, int dir_bins, double dir_threshold)
       dir_bins_(std::max(4, dir_bins)),
       dir_threshold_(dir_threshold) {}
 
-Result<FeatureVector> TamuraTexture::Extract(const Image& img) const {
-  if (img.empty()) return Status::InvalidArgument("empty image");
-  return FromGray(ToGray(img));
-}
-
 uint32_t TamuraTexture::SharedIntermediates() const {
   return static_cast<uint32_t>(Intermediate::kGray);
 }
@@ -28,13 +22,9 @@ uint32_t TamuraTexture::SharedIntermediates() const {
 Result<FeatureVector> TamuraTexture::ExtractShared(const Image& img,
                                                    PlanContext& ctx) const {
   if (img.empty()) return Status::InvalidArgument("empty image");
-  return FromGray(ctx.Gray());
-}
-
-Result<FeatureVector> TamuraTexture::FromGray(const Image& gray_in) const {
   // Bound the working size so coarseness windows stay meaningful and the
   // extractor stays fast on large frames.
-  const Image* gray = &gray_in;
+  const Image* gray = &ctx.Gray();
   Image resized;
   if (gray->width() > 256 || gray->height() > 256) {
     const double s =

@@ -20,7 +20,6 @@ class TamuraTexture : public FeatureExtractor {
                 double dir_threshold = 12.0);
 
   FeatureKind kind() const override { return FeatureKind::kTamura; }
-  Result<FeatureVector> Extract(const Image& img) const override;
   uint32_t SharedIntermediates() const override;
   Result<FeatureVector> ExtractShared(const Image& img,
                                       PlanContext& ctx) const override;
@@ -42,11 +41,6 @@ class TamuraTexture : public FeatureExtractor {
   };
 
  private:
-  /// Full Tamura computation from an already-grayscale image. Extract
-  /// and ExtractShared both funnel here (the latter passing the plan's
-  /// shared gray plane), so the paths are bit-identical by construction.
-  Result<FeatureVector> FromGray(const Image& gray_in) const;
-
   int max_scale_;
   int dir_bins_;
   double dir_threshold_;

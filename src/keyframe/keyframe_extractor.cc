@@ -1,5 +1,7 @@
 #include "keyframe/keyframe_extractor.h"
 
+#include "features/plan/frame_context.h"
+
 namespace vr {
 
 KeyFrameExtractor::KeyFrameExtractor(KeyFrameOptions options)
@@ -8,8 +10,11 @@ KeyFrameExtractor::KeyFrameExtractor(KeyFrameOptions options)
 
 Result<double> KeyFrameExtractor::FrameDistance(const Image& a,
                                                 const Image& b) const {
-  VR_ASSIGN_OR_RETURN(FeatureVector fa, signature_.Extract(a));
-  VR_ASSIGN_OR_RETURN(FeatureVector fb, signature_.Extract(b));
+  PlanContext ctx;  // one context, so both frames share its scratch
+  ctx.BeginFrame(a);
+  VR_ASSIGN_OR_RETURN(FeatureVector fa, signature_.ExtractShared(a, ctx));
+  ctx.BeginFrame(b);
+  VR_ASSIGN_OR_RETURN(FeatureVector fb, signature_.ExtractShared(b, ctx));
   return signature_.Distance(fa, fb);
 }
 
@@ -19,11 +24,14 @@ Result<std::vector<KeyFrame>> KeyFrameExtractor::Extract(
     return Status::InvalidArgument("no frames to extract key frames from");
   }
   // Signatures are computed once per frame (the paper recomputes the
-  // rescaled image pairwise; one pass is equivalent and O(n)).
+  // rescaled image pairwise; one pass is equivalent and O(n)), all on
+  // one context so its arena and rescale buffer are reused per frame.
+  PlanContext ctx;
   std::vector<FeatureVector> sigs;
   sigs.reserve(frames.size());
   for (const Image& f : frames) {
-    VR_ASSIGN_OR_RETURN(FeatureVector sig, signature_.Extract(f));
+    ctx.BeginFrame(f);
+    VR_ASSIGN_OR_RETURN(FeatureVector sig, signature_.ExtractShared(f, ctx));
     sigs.push_back(std::move(sig));
   }
 

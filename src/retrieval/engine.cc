@@ -132,18 +132,6 @@ Status RetrievalEngine::WarmCache() {
   return Status::OK();
 }
 
-Result<FeatureMap> RetrievalEngine::ExtractEnabled(
-    const Image& img) const {
-  FeatureMap out;
-  for (FeatureKind kind : options_.enabled_features) {
-    const FeatureExtractor* extractor =
-        extractors_[static_cast<size_t>(kind)].get();
-    VR_ASSIGN_OR_RETURN(FeatureVector fv, extractor->Extract(img));
-    out.emplace(kind, std::move(fv));
-  }
-  return out;
-}
-
 std::unique_ptr<ExtractionPlan> RetrievalEngine::AcquirePlan() const {
   {
     MutexLock lock(plan_mutex_);

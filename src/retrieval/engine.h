@@ -387,8 +387,6 @@ class RetrievalEngine {
   /// under the exclusive lock purely to satisfy the guarded-state
   /// contract (Open is single-threaded).
   Status WarmCache() REQUIRES(mutex_);
-  Result<FeatureMap> ExtractEnabled(
-      const Image& img) const;
 
   /// A query frame after fused extraction: the feature bank, the gray
   /// histogram (the range finder's input — recomputing it from pixels

@@ -58,8 +58,12 @@ class CAPABILITY("mutex") Mutex {
     inner_.lock();
   }
   void unlock() RELEASE() {
+    // Copy the level first: once inner_ is released, a waiter may
+    // acquire it, return and destroy a scope-local mutex (a latch on
+    // its stack) before this thread reads any member again.
+    const LockLevel level = level_;
     inner_.unlock();
-    lock_order::NoteRelease(level_);
+    lock_order::NoteRelease(level);
   }
   bool try_lock() TRY_ACQUIRE(true) {
     if (!inner_.try_lock()) return false;

@@ -20,16 +20,10 @@ std::vector<const FeatureExtractor*> Raw(
   return raw;
 }
 
-std::vector<const FeatureExtractor*> Raw(const std::vector<golden::Case>& set) {
-  std::vector<const FeatureExtractor*> raw;
-  for (const golden::Case& c : set) raw.push_back(c.extractor.get());
-  return raw;
-}
-
 const std::map<std::string, FeatureVector>& Fixture() {
-  static const auto* fixture = new std::map<std::string, FeatureVector>(
-      golden::LoadFixture(VR_GOLDEN_FEATURES).value());
-  return *fixture;
+  static const std::map<std::string, FeatureVector> fixture =
+      golden::LoadFixture(VR_GOLDEN_FEATURES).value();
+  return fixture;
 }
 
 /// Bitwise check of \p got against the fixture entry for (frame, c).
@@ -46,7 +40,7 @@ TEST(ExtractionPlanTest, ExtractAllMatchesGoldenFixture) {
   const auto frames = golden::Frames();
   size_t cases = 0;
   for (const auto& set : golden::ExtractorSets()) {
-    ExtractionPlan plan(Raw(set));
+    ExtractionPlan plan(golden::Extractors(set));
     cases += set.size();
     for (const golden::Frame& frame : frames) {
       Result<FeatureMap> fused = plan.ExtractAll(frame.image);
@@ -66,7 +60,7 @@ TEST(ExtractionPlanTest, ReusedPlanStaysBitIdenticalAcrossFrames) {
   // between frames; reuse must never leak one frame into the next.
   const auto frames = golden::Frames();
   for (const auto& set : golden::ExtractorSets()) {
-    ExtractionPlan plan(Raw(set));
+    ExtractionPlan plan(golden::Extractors(set));
     for (int round = 0; round < 2; ++round) {
       for (const golden::Frame& frame : frames) {
         Result<FeatureMap> fused = plan.ExtractAll(frame.image);
@@ -82,7 +76,7 @@ TEST(ExtractionPlanTest, ReusedPlanStaysBitIdenticalAcrossFrames) {
 TEST(ExtractionPlanTest, ExtractOneMatchesGoldenFixture) {
   const auto frames = golden::Frames();
   for (const auto& set : golden::ExtractorSets()) {
-    ExtractionPlan plan(Raw(set));
+    ExtractionPlan plan(golden::Extractors(set));
     for (const golden::Frame& frame : frames) {
       for (const golden::Case& c : set) {
         ExpectGolden(frame, c,

@@ -64,7 +64,8 @@ TEST(FeatureKindTest, NamesRoundTrip) {
 class IdentityExtractor : public FeatureExtractor {
  public:
   FeatureKind kind() const override { return FeatureKind::kColorHistogram; }
-  Result<FeatureVector> Extract(const Image&) const override {
+  Result<FeatureVector> ExtractShared(const Image&,
+                                      PlanContext&) const override {
     return FeatureVector("id", {});
   }
 };

@@ -86,6 +86,14 @@ inline std::vector<std::vector<Case>> ExtractorSets() {
   return sets;
 }
 
+/// The extractors of one set, in order, for an ExtractionPlan.
+inline std::vector<const FeatureExtractor*> Extractors(
+    const std::vector<Case>& set) {
+  std::vector<const FeatureExtractor*> raw;
+  for (const Case& c : set) raw.push_back(c.extractor.get());
+  return raw;
+}
+
 /// Fixture key of one (frame, configuration) pair.
 inline std::string Key(const std::string& frame, const std::string& label) {
   return frame + " " + label;
