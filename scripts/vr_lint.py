@@ -397,7 +397,7 @@ def lint_file(root, rel_path, mode, groups, findings, all_scopes=False):
 
 
 def tracked_files(root):
-    """Paths git tracks under \p root, or None outside a git checkout."""
+    """Paths git tracks under root, or None outside a git checkout."""
     try:
         out = subprocess.run(["git", "ls-files", "-z"], cwd=root,
                              capture_output=True, check=True).stdout
