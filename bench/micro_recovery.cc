@@ -75,7 +75,7 @@ void BM_PlainOpen(benchmark::State& state) {
   const std::string dir = BenchDir("plain_open");
   BuildCleanStore(dir, state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(vr::Database::Open(dir, false));
+    benchmark::DoNotOptimize(vr::Database::Open(dir, vr::DatabaseOptions{}));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

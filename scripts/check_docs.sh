@@ -82,6 +82,44 @@ for sym in "${!SYMBOLS[@]}"; do
   fi
 done
 
+# 3b. The format versions docs/FORMAT.md states are the ones the code
+#     reads and writes, so a format bump cannot leave the spec stale:
+#     the page-file version (§1.1 prose, §1.2 meta table), the matrix
+#     cache version (§6.1 header table) and the newest §6.5 compat row.
+code_version() {  # code_version <header> <constant>
+  grep -oE "$2 = [0-9]+" "$1" | head -1 | grep -oE '[0-9]+$' || true
+}
+doc_version() {  # doc_version <ERE ending in the number>
+  grep -oE "$1" docs/FORMAT.md | head -1 | grep -oE '[0-9]+$' || true
+}
+expect_version() {  # expect_version <what> <doc value> <code value> <code>
+  if [[ -z "$2" || -z "$3" ]]; then
+    err "cannot find the $1 in docs/FORMAT.md or in $4"
+  elif [[ "$2" != "$3" ]]; then
+    err "docs/FORMAT.md states $1 $2 but $4 is $3"
+  fi
+}
+pager_version=$(code_version src/storage/pager.h kPagerFormatCurrent)
+matrix_version=$(code_version src/retrieval/matrix_store.h kFormatVersion)
+expect_version "page-file format version" \
+  "$(doc_version 'Page-file format version: [0-9]+')" "$pager_version" \
+  "kPagerFormatCurrent (src/storage/pager.h)"
+expect_version "meta-page format version" \
+  "$(doc_version '\| 32 \| u32 \| format version; must be [0-9]+')" \
+  "$pager_version" "kPagerFormatCurrent (src/storage/pager.h)"
+expect_version "matrix cache format version" \
+  "$(doc_version '\| 8 \| u32 \| format version = [0-9]+')" \
+  "$matrix_version" "MatrixStore::kFormatVersion (src/retrieval/matrix_store.h)"
+compat_row=$(awk '/^### 6\.5/ {on = 1} /^## 7/ {on = 0}
+                  on && /^\| [0-9]+ \| [0-9]+ \|/ {row = $0}
+                  END {print row}' docs/FORMAT.md)
+expect_version "newest §6.5 matrix cache version" \
+  "$(echo "$compat_row" | awk -F'|' '{gsub(/ /, "", $2); print $2}')" \
+  "$matrix_version" "MatrixStore::kFormatVersion (src/retrieval/matrix_store.h)"
+expect_version "newest §6.5 page-file version" \
+  "$(echo "$compat_row" | awk -F'|' '{gsub(/ /, "", $3); print $3}')" \
+  "$pager_version" "kPagerFormatCurrent (src/storage/pager.h)"
+
 # 4. The CLIs the docs describe ship a --help handled by the shared
 #    flags table (the anti-drift mechanism README/DESIGN point at).
 for cli in examples/serve_cli.cpp examples/ingest_admin.cpp \

@@ -6,6 +6,7 @@
 
 #include "imaging/ppm.h"
 #include "util/bitstream.h"
+#include "util/byte_io.h"
 #include "util/string_util.h"
 
 namespace vr {
@@ -229,14 +230,6 @@ Status DecodePlane(const std::vector<uint8_t>& payload, const int* quant,
   return Status::OK();
 }
 
-void PutU16(std::vector<uint8_t>* out, uint16_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-}
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
 }  // namespace
 
 Result<std::vector<uint8_t>> EncodeVjf(const Image& img, int quality) {
@@ -273,16 +266,16 @@ Result<std::vector<uint8_t>> EncodeVjf(const Image& img, int quality) {
   for (Plane& p : planes) PadEdges(&p);
 
   std::vector<uint8_t> out;
-  out.insert(out.end(), kMagic, kMagic + 4);
+  PutBytes(&out, kMagic, sizeof(kMagic));
   PutU16(&out, static_cast<uint16_t>(img.width()));
   PutU16(&out, static_cast<uint16_t>(img.height()));
-  out.push_back(static_cast<uint8_t>(channels));
-  out.push_back(static_cast<uint8_t>(quality));
+  PutU8(&out, static_cast<uint8_t>(channels));
+  PutU8(&out, static_cast<uint8_t>(quality));
   for (size_t c = 0; c < planes.size(); ++c) {
     const std::vector<uint8_t> payload =
         EncodePlane(planes[c], c == 0 ? luma_q : chroma_q);
     PutU32(&out, static_cast<uint32_t>(payload.size()));
-    out.insert(out.end(), payload.begin(), payload.end());
+    PutBytes(&out, payload.data(), payload.size());
   }
   return out;
 }
@@ -292,20 +285,17 @@ bool LooksLikeVjf(const std::vector<uint8_t>& bytes) {
 }
 
 Result<Image> DecodeVjf(const std::vector<uint8_t>& bytes) {
-  if (!LooksLikeVjf(bytes) || bytes.size() < 10) {
-    return Status::Corruption("not a VJF image");
-  }
-  size_t pos = 4;
-  auto u16 = [&](uint16_t* v) {
-    *v = static_cast<uint16_t>(bytes[pos] | (bytes[pos + 1] << 8));
-    pos += 2;
-  };
+  if (!LooksLikeVjf(bytes)) return Status::Corruption("not a VJF image");
+  ByteReader reader(bytes.data() + sizeof(kMagic),
+                    bytes.size() - sizeof(kMagic));
   uint16_t w = 0;
   uint16_t h = 0;
-  u16(&w);
-  u16(&h);
-  const int channels = bytes[pos++];
-  const int quality = bytes[pos++];
+  uint8_t channels = 0;
+  uint8_t quality = 0;
+  if (!reader.ReadU16(&w) || !reader.ReadU16(&h) ||
+      !reader.ReadU8(&channels) || !reader.ReadU8(&quality)) {
+    return Status::Corruption("not a VJF image");
+  }
   if (w == 0 || h == 0 || (channels != 1 && channels != 3)) {
     return Status::Corruption("bad VJF header");
   }
@@ -318,18 +308,11 @@ Result<Image> DecodeVjf(const std::vector<uint8_t>& bytes) {
   std::vector<Plane> planes;
   for (int c = 0; c < plane_count; ++c) {
     Plane plane = MakePlane(w, h);
-    if (pos + 4 > bytes.size()) return Status::Corruption("truncated VJF");
     uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<uint32_t>(bytes[pos + static_cast<size_t>(i)])
-             << (8 * i);
+    std::vector<uint8_t> payload;
+    if (!reader.ReadU32(&len) || !reader.ReadBytes(&payload, len)) {
+      return Status::Corruption("truncated VJF");
     }
-    pos += 4;
-    if (pos + len > bytes.size()) return Status::Corruption("truncated VJF");
-    const std::vector<uint8_t> payload(
-        bytes.begin() + static_cast<ptrdiff_t>(pos),
-        bytes.begin() + static_cast<ptrdiff_t>(pos + len));
-    pos += len;
     VR_RETURN_NOT_OK(
         DecodePlane(payload, c == 0 ? luma_q : chroma_q, &plane));
     planes.push_back(std::move(plane));

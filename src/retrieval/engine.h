@@ -412,12 +412,9 @@ class RetrievalEngine {
   void ReleasePlan(std::unique_ptr<ExtractionPlan> plan) const
       EXCLUDES(plan_mutex_);
 
-  /// Bucket-pruned candidate rows of matrix_ for a query image; updates
-  /// the last-query pruning stats.
-  Result<std::vector<uint32_t>> SelectCandidates(const Image& query)
-      REQUIRES_SHARED(mutex_);
-  /// Same pruning from an already-known histogram (the fused extraction
-  /// path) — avoids re-walking the query pixels.
+  /// Bucket-pruned candidate rows of matrix_ for a query histogram (the
+  /// fused extraction path computes it); updates the last-query
+  /// pruning stats.
   Result<std::vector<uint32_t>> SelectCandidatesByHistogram(
       const GrayHistogram& hist) REQUIRES_SHARED(mutex_);
   /// Same pruning from a precomputed bucket (the query-by-stored-id

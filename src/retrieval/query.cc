@@ -33,14 +33,6 @@ const double* ColumnBase(const FeatureMatrix::Column& col) {
 
 }  // namespace
 
-Result<std::vector<uint32_t>> RetrievalEngine::SelectCandidates(
-    const Image& query) {
-  // Legacy entry point (no precomputed histogram): bucket the pixels
-  // here. The fused query paths call the histogram/range overloads.
-  return SelectCandidatesByRange(
-      options_.use_index ? FindRange(query, options_.range) : GrayRange{});
-}
-
 Result<std::vector<uint32_t>> RetrievalEngine::SelectCandidatesByHistogram(
     const GrayHistogram& hist) {
   return SelectCandidatesByRange(

@@ -1,85 +1,17 @@
 #include "service/wire.h"
 
 #include <algorithm>
-#include <cstring>
+
+#include "util/byte_io.h"
 
 namespace vr {
 
 namespace {
 
-/// Checksummed-frame marker: both high bits of the type byte. Two bits
-/// (not one) so a single bit flip cannot turn a checksummed frame into
-/// a well-formed legacy frame — 0x80 or 0x40 alone is rejected as
-/// corruption. Legacy (pre-checksum) frames have both bits clear.
+/// Frame marker: both high bits of the type byte. Every frame carries
+/// it; any other value of the two bits is corruption. Two bits (not
+/// one) so no single bit flip can produce a well-formed marker.
 constexpr uint8_t kChecksumMarker = 0xC0;
-
-void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
-
-template <typename T>
-void PutLe(std::vector<uint8_t>* out, T v) {
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutF64(std::vector<uint8_t>* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutLe<uint64_t>(out, bits);
-}
-
-/// Bounds-checked little-endian cursor over a payload.
-class Reader {
- public:
-  explicit Reader(const std::vector<uint8_t>& buf) : buf_(buf) {}
-
-  bool ReadU8(uint8_t* v) { return ReadRaw(v, 1); }
-  bool ReadU16(uint16_t* v) { return ReadLe(v); }
-  bool ReadU32(uint32_t* v) { return ReadLe(v); }
-  bool ReadU64(uint64_t* v) { return ReadLe(v); }
-  bool ReadI64(int64_t* v) {
-    uint64_t raw;
-    if (!ReadLe(&raw)) return false;
-    std::memcpy(v, &raw, sizeof(raw));
-    return true;
-  }
-  bool ReadF64(double* v) {
-    uint64_t bits;
-    if (!ReadLe(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(bits));
-    return true;
-  }
-  bool ReadBytes(std::vector<uint8_t>* out, size_t n) {
-    if (buf_.size() - pos_ < n) return false;
-    out->assign(buf_.begin() + static_cast<ptrdiff_t>(pos_),
-                buf_.begin() + static_cast<ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return true;
-  }
-  bool AtEnd() const { return pos_ == buf_.size(); }
-
- private:
-  bool ReadRaw(void* out, size_t n) {
-    if (buf_.size() - pos_ < n) return false;
-    std::memcpy(out, buf_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  template <typename T>
-  bool ReadLe(T* v) {
-    if (buf_.size() - pos_ < sizeof(T)) return false;
-    T out = 0;
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      out |= static_cast<T>(buf_[pos_ + i]) << (8 * i);
-    }
-    pos_ += sizeof(T);
-    *v = out;
-    return true;
-  }
-
-  const std::vector<uint8_t>& buf_;
-  size_t pos_ = 0;
-};
 
 Status Truncated(const char* what) {
   return Status::Corruption(std::string("truncated wire message: ") + what);
@@ -110,27 +42,26 @@ uint32_t FrameChecksum(MessageType type, const uint8_t* payload, size_t len) {
 std::vector<uint8_t> EncodeQueryRequest(const ServiceRequest& request) {
   std::vector<uint8_t> out;
   out.reserve(40 + request.image.SizeBytes());
-  PutLe<uint64_t>(&out, request.request_id);
+  PutU64(&out, request.request_id);
   PutU8(&out, static_cast<uint8_t>(request.mode));
   PutU8(&out, static_cast<uint8_t>(request.feature));
-  PutLe<uint32_t>(&out, static_cast<uint32_t>(request.k));
-  PutLe<uint64_t>(&out, request.deadline_ms);
+  PutU32(&out, static_cast<uint32_t>(request.k));
+  PutU64(&out, request.deadline_ms);
   if (request.mode == QueryMode::kById) {
     // By-id queries ship the stored frame id in place of the image.
-    PutLe<uint64_t>(&out, static_cast<uint64_t>(request.frame_id));
+    PutI64(&out, request.frame_id);
     return out;
   }
-  PutLe<uint16_t>(&out, static_cast<uint16_t>(request.image.width()));
-  PutLe<uint16_t>(&out, static_cast<uint16_t>(request.image.height()));
+  PutU16(&out, static_cast<uint16_t>(request.image.width()));
+  PutU16(&out, static_cast<uint16_t>(request.image.height()));
   PutU8(&out, static_cast<uint8_t>(request.image.channels()));
-  const std::vector<uint8_t>& pixels = request.image.buffer();
-  out.insert(out.end(), pixels.begin(), pixels.end());
+  PutBytes(&out, request.image.data(), request.image.SizeBytes());
   return out;
 }
 
 Result<ServiceRequest> DecodeQueryRequest(
     const std::vector<uint8_t>& payload) {
-  Reader reader(payload);
+  ByteReader reader(payload);
   ServiceRequest request;
   uint8_t mode = 0;
   uint8_t feature = 0;
@@ -178,17 +109,17 @@ Result<ServiceRequest> DecodeQueryRequest(
 
 std::vector<uint8_t> EncodeQueryResponse(const ServiceResponse& response) {
   std::vector<uint8_t> out;
-  PutLe<uint64_t>(&out, response.request_id);
+  PutU64(&out, response.request_id);
   PutU8(&out, static_cast<uint8_t>(response.status.code()));
   const std::string& msg = response.status.message();
-  PutLe<uint32_t>(&out, static_cast<uint32_t>(msg.size()));
-  out.insert(out.end(), msg.begin(), msg.end());
-  PutLe<uint64_t>(&out, response.stats.candidates);
-  PutLe<uint64_t>(&out, response.stats.total);
-  PutLe<uint32_t>(&out, static_cast<uint32_t>(response.results.size()));
+  PutU32(&out, static_cast<uint32_t>(msg.size()));
+  PutBytes(&out, msg.data(), msg.size());
+  PutU64(&out, response.stats.candidates);
+  PutU64(&out, response.stats.total);
+  PutU32(&out, static_cast<uint32_t>(response.results.size()));
   for (const QueryResult& r : response.results) {
-    PutLe<uint64_t>(&out, static_cast<uint64_t>(r.i_id));
-    PutLe<uint64_t>(&out, static_cast<uint64_t>(r.v_id));
+    PutI64(&out, r.i_id);
+    PutI64(&out, r.v_id);
     PutF64(&out, r.score);
   }
   return out;
@@ -196,7 +127,7 @@ std::vector<uint8_t> EncodeQueryResponse(const ServiceResponse& response) {
 
 Result<ServiceResponse> DecodeQueryResponse(
     const std::vector<uint8_t>& payload) {
-  Reader reader(payload);
+  ByteReader reader(payload);
   ServiceResponse response;
   uint8_t code = 0;
   uint32_t msg_len = 0;
@@ -242,55 +173,51 @@ Result<ServiceResponse> DecodeQueryResponse(
 std::vector<uint8_t> EncodeStatsResponse(const ServiceStatsSnapshot& stats) {
   std::vector<uint8_t> out;
   PutU8(&out, 0);  // status code: stats snapshots always succeed
-  PutLe<uint64_t>(&out, stats.received);
-  PutLe<uint64_t>(&out, stats.served);
-  PutLe<uint64_t>(&out, stats.rejected);
-  PutLe<uint64_t>(&out, stats.expired);
-  PutLe<uint64_t>(&out, stats.failed);
-  PutLe<uint64_t>(&out, stats.degraded);
-  PutLe<uint64_t>(&out, stats.in_flight);
-  PutLe<uint64_t>(&out, stats.latency_count);
+  PutU64(&out, stats.received);
+  PutU64(&out, stats.served);
+  PutU64(&out, stats.rejected);
+  PutU64(&out, stats.expired);
+  PutU64(&out, stats.failed);
+  PutU64(&out, stats.degraded);
+  PutU64(&out, stats.in_flight);
+  PutU64(&out, stats.latency_count);
   PutF64(&out, stats.p50_ms);
   PutF64(&out, stats.p95_ms);
   PutF64(&out, stats.p99_ms);
-  PutLe<uint64_t>(&out, stats.pager.fetches);
-  PutLe<uint64_t>(&out, stats.pager.hits);
-  PutLe<uint64_t>(&out, stats.pager.misses);
-  PutLe<uint64_t>(&out, stats.pager.evictions);
-  PutLe<uint64_t>(&out, stats.pager.checksum_failures);
-  PutLe<uint64_t>(&out, stats.ingest.videos_ingested);
-  PutLe<uint64_t>(&out, stats.ingest.frames_decoded);
-  PutLe<uint64_t>(&out, stats.ingest.keyframes_kept);
+  PutU64(&out, stats.pager.fetches);
+  PutU64(&out, stats.pager.hits);
+  PutU64(&out, stats.pager.misses);
+  PutU64(&out, stats.pager.evictions);
+  PutU64(&out, stats.pager.checksum_failures);
+  PutU64(&out, stats.ingest.videos_ingested);
+  PutU64(&out, stats.ingest.frames_decoded);
+  PutU64(&out, stats.ingest.keyframes_kept);
   PutF64(&out, stats.ingest.decode_ms);
   PutF64(&out, stats.ingest.extract_ms);
   PutF64(&out, stats.ingest.commit_ms);
-  // Count-prefixed so the wire stays decodable if extractors are added.
-  PutLe<uint32_t>(&out, static_cast<uint32_t>(stats.ingest.extractor_ms.size()));
+  PutU32(&out, static_cast<uint32_t>(stats.ingest.extractor_ms.size()));
   for (double ms : stats.ingest.extractor_ms) PutF64(&out, ms);
-  PutLe<uint64_t>(&out, stats.query.image_queries);
-  PutLe<uint64_t>(&out, stats.query.video_queries);
-  PutLe<uint64_t>(&out, stats.query.sharded_ranks);
-  PutLe<uint64_t>(&out, stats.query.candidates_scored);
-  PutLe<uint64_t>(&out, stats.query.candidates_total);
-  PutLe<uint64_t>(&out, stats.query.id_queries);
-  PutLe<uint64_t>(&out, stats.query.cache_hits);
-  PutLe<uint64_t>(&out, stats.query.cache_misses);
-  PutLe<uint64_t>(&out, stats.query.two_stage_queries);
-  PutLe<uint64_t>(&out, stats.query.coarse_candidates);
+  PutU64(&out, stats.query.image_queries);
+  PutU64(&out, stats.query.video_queries);
+  PutU64(&out, stats.query.sharded_ranks);
+  PutU64(&out, stats.query.candidates_scored);
+  PutU64(&out, stats.query.candidates_total);
+  PutU64(&out, stats.query.id_queries);
+  PutU64(&out, stats.query.cache_hits);
+  PutU64(&out, stats.query.cache_misses);
+  PutU64(&out, stats.query.two_stage_queries);
+  PutU64(&out, stats.query.coarse_candidates);
   PutF64(&out, stats.query.extract_ms);
   PutF64(&out, stats.query.select_ms);
   PutF64(&out, stats.query.rank_ms);
-  // Optional tail (decoders tolerate its absence): the two-stage
-  // fallback counters added after the frame above was already in the
-  // field. Always appended going forward; new fields join this tail.
-  PutLe<uint64_t>(&out, stats.query.two_stage_fallbacks);
-  PutLe<uint64_t>(&out, stats.query.margin_kept);
+  PutU64(&out, stats.query.two_stage_fallbacks);
+  PutU64(&out, stats.query.margin_kept);
   return out;
 }
 
 Result<ServiceStatsSnapshot> DecodeStatsResponse(
     const std::vector<uint8_t>& payload) {
-  Reader reader(payload);
+  ByteReader reader(payload);
   ServiceStatsSnapshot stats;
   uint8_t code = 0;
   if (!reader.ReadU8(&code) || !reader.ReadU64(&stats.received) ||
@@ -318,11 +245,11 @@ Result<ServiceStatsSnapshot> DecodeStatsResponse(
   }
   uint32_t n_extractors = 0;
   if (!reader.ReadU32(&n_extractors)) return Truncated("stats response");
-  for (uint32_t i = 0; i < n_extractors; ++i) {
-    double ms = 0.0;
+  if (n_extractors != static_cast<uint32_t>(kNumFeatureKinds)) {
+    return Status::Corruption("stats response extractor count mismatch");
+  }
+  for (double& ms : stats.ingest.extractor_ms) {
     if (!reader.ReadF64(&ms)) return Truncated("stats response");
-    // Unknown trailing extractors (newer peer) are read and dropped.
-    if (i < stats.ingest.extractor_ms.size()) stats.ingest.extractor_ms[i] = ms;
   }
   if (!reader.ReadU64(&stats.query.image_queries) ||
       !reader.ReadU64(&stats.query.video_queries) ||
@@ -336,18 +263,10 @@ Result<ServiceStatsSnapshot> DecodeStatsResponse(
       !reader.ReadU64(&stats.query.coarse_candidates) ||
       !reader.ReadF64(&stats.query.extract_ms) ||
       !reader.ReadF64(&stats.query.select_ms) ||
-      !reader.ReadF64(&stats.query.rank_ms)) {
+      !reader.ReadF64(&stats.query.rank_ms) ||
+      !reader.ReadU64(&stats.query.two_stage_fallbacks) ||
+      !reader.ReadU64(&stats.query.margin_kept)) {
     return Truncated("stats response");
-  }
-  // Optional tail: a peer predating the two-stage fallback counters
-  // ends the payload here; the counters then stay zero. When the tail
-  // is present it must be complete — a half tail is corruption, not
-  // version skew.
-  if (!reader.AtEnd()) {
-    if (!reader.ReadU64(&stats.query.two_stage_fallbacks) ||
-        !reader.ReadU64(&stats.query.margin_kept)) {
-      return Truncated("stats response");
-    }
   }
   if (!reader.AtEnd()) {
     return Status::Corruption("trailing bytes after stats response");
@@ -359,13 +278,13 @@ std::vector<uint8_t> EncodeErrorResponse(const Status& status) {
   std::vector<uint8_t> out;
   PutU8(&out, static_cast<uint8_t>(status.code()));
   const std::string& msg = status.message();
-  PutLe<uint32_t>(&out, static_cast<uint32_t>(msg.size()));
-  out.insert(out.end(), msg.begin(), msg.end());
+  PutU32(&out, static_cast<uint32_t>(msg.size()));
+  PutBytes(&out, msg.data(), msg.size());
   return out;
 }
 
 Status DecodeErrorResponse(const std::vector<uint8_t>& payload, Status* out) {
-  Reader reader(payload);
+  ByteReader reader(payload);
   uint8_t code = 0;
   uint32_t msg_len = 0;
   if (!reader.ReadU8(&code) || !reader.ReadU32(&msg_len)) {
@@ -385,11 +304,11 @@ Status DecodeErrorResponse(const std::vector<uint8_t>& payload, Status* out) {
 FrameSender::FrameSender(MessageType type,
                          const std::vector<uint8_t>& payload) {
   frame_.reserve(9 + payload.size());
-  PutLe<uint32_t>(&frame_, static_cast<uint32_t>(payload.size()));
+  PutU32(&frame_, static_cast<uint32_t>(payload.size()));
   PutU8(&frame_, static_cast<uint8_t>(type) | kChecksumMarker);
-  PutLe<uint32_t>(&frame_,
+  PutU32(&frame_,
                   FrameChecksum(type, payload.data(), payload.size()));
-  frame_.insert(frame_.end(), payload.begin(), payload.end());
+  PutBytes(&frame_, payload.data(), payload.size());
 }
 
 Status FrameSender::Resume(Transport* transport, TransportDeadline deadline) {
@@ -440,34 +359,29 @@ Result<Frame> RecvFrame(Transport* transport, TransportDeadline deadline,
   bool any = false;
   uint8_t header[5];
   VR_RETURN_NOT_OK(RecvAll(transport, header, sizeof(header), deadline, &any));
+  // Fixed-size buffers: the reads below cannot run short.
+  ByteReader fields(header, sizeof(header));
   uint32_t len = 0;
-  for (size_t i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(header[i]) << (8 * i);
-  }
+  uint8_t type_byte = 0;
+  (void)fields.ReadU32(&len);
+  (void)fields.ReadU8(&type_byte);
   // Length is validated before any payload allocation, so a forged
   // length field cannot drive an over-allocation.
   if (len > max_payload) {
     return Status::Corruption("oversized wire frame");
   }
-  const uint8_t type_byte = header[4];
-  const uint8_t version_bits = type_byte & kChecksumMarker;
-  if (version_bits != 0 && version_bits != kChecksumMarker) {
-    return Status::Corruption("corrupt frame version bits");
+  if ((type_byte & kChecksumMarker) != kChecksumMarker) {
+    return Status::Corruption("bad frame marker bits");
   }
-  const bool checksummed = version_bits == kChecksumMarker;
   const uint8_t raw_type = type_byte & static_cast<uint8_t>(~kChecksumMarker);
   if (raw_type == 0 || raw_type > kMaxMessageType) {
     return Status::Corruption("unknown wire message type");
   }
 
+  uint8_t sum[4];
+  VR_RETURN_NOT_OK(RecvAll(transport, sum, sizeof(sum), deadline, &any));
   uint32_t expected_checksum = 0;
-  if (checksummed) {
-    uint8_t sum[4];
-    VR_RETURN_NOT_OK(RecvAll(transport, sum, sizeof(sum), deadline, &any));
-    for (size_t i = 0; i < 4; ++i) {
-      expected_checksum |= static_cast<uint32_t>(sum[i]) << (8 * i);
-    }
-  }
+  (void)ByteReader(sum, sizeof(sum)).ReadU32(&expected_checksum);
 
   Frame frame;
   frame.type = static_cast<MessageType>(raw_type);
@@ -476,12 +390,9 @@ Result<Frame> RecvFrame(Transport* transport, TransportDeadline deadline,
     VR_RETURN_NOT_OK(
         RecvAll(transport, frame.payload.data(), len, deadline, &any));
   }
-  if (checksummed) {
-    const uint32_t actual = FrameChecksum(frame.type, frame.payload.data(),
-                                          frame.payload.size());
-    if (actual != expected_checksum) {
-      return Status::Corruption("frame checksum mismatch");
-    }
+  if (FrameChecksum(frame.type, frame.payload.data(), frame.payload.size()) !=
+      expected_checksum) {
+    return Status::Corruption("frame checksum mismatch");
   }
   return frame;
 }

@@ -2,20 +2,18 @@
 /// \brief Length-prefixed, checksummed binary wire protocol for
 /// VrServer/VrClient.
 ///
-/// Frame layout (all integers little-endian):
+/// Frame layout (all integers little-endian, written and read through
+/// util/byte_io.h):
 ///
-///   u32 payload_length | u8 type_byte | [u32 checksum] | payload bytes
+///   u32 payload_length | u8 type_byte | u32 checksum | payload bytes
 ///
 /// The type byte packs the MessageType in its low 6 bits; the two high
-/// bits are the *checksummed* marker (both set = checksummed frame,
-/// both clear = legacy frame, mixed = corruption — two bits so no
-/// single bit flip can disguise a checksummed frame as a legacy one).
-/// When the marker is set, a u32 frame checksum (a folded 64-bit
-/// FNV-1a over the message type then the payload) precedes the
-/// payload, and the receiver verifies it — a mismatch is kCorruption,
-/// never a silently-accepted frame. Decoding is version-tolerant: the
-/// encoder always writes checksummed frames, but a legacy frame from
-/// an older peer is still accepted.
+/// bits are the frame marker and must both be set (0xC0). Any other
+/// marker value is kCorruption — two bits, so no single bit flip can
+/// produce a valid marker. The u32 frame checksum (a folded 64-bit
+/// FNV-1a over the message type then the payload) is verified on every
+/// frame; a mismatch is kCorruption, never a silently-accepted frame.
+/// There is one frame format and no unchecksummed variant.
 ///
 /// Message payloads:
 ///   kQueryRequest:   u64 request_id | u8 mode | u8 feature | u32 k |
@@ -44,11 +42,10 @@
 ///                    cache_misses, two_stage_queries,
 ///                    coarse_candidates) |
 ///                    3 * f64 query times (extract, select, rank ms) |
-///                    optional tail: 2 * u64 (two_stage_fallbacks,
-///                    margin_kept) — absent from peers predating the
-///                    code-space coarse kernels; decoders leave the
-///                    counters zero when the payload ends early, and
-///                    reject a partial tail as corruption
+///                    2 * u64 (two_stage_fallbacks, margin_kept)
+///                    One fixed layout: n_extractors must equal
+///                    kNumFeatureKinds, and a short, long or
+///                    miscounted payload is kCorruption.
 ///   kShutdownRequest: (empty)
 ///   kShutdownResponse: u8 status_code=0
 ///   kErrorResponse:  u8 status_code | u32 msg_len | msg bytes

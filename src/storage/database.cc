@@ -16,13 +16,6 @@ Database::~Database() {
   }
 }
 
-Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
-                                                 bool create_if_missing) {
-  DatabaseOptions options;
-  options.create_if_missing = create_if_missing;
-  return Open(dir, options);
-}
-
 Result<std::unique_ptr<Database>> Database::Open(
     const std::string& dir, const DatabaseOptions& options) {
   Env* env = options.env != nullptr ? options.env : Env::Default();

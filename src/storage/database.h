@@ -60,10 +60,6 @@ class Database {
   static Result<std::unique_ptr<Database>> Open(const std::string& dir,
                                                 const DatabaseOptions& options);
 
-  /// Back-compat shorthand for Open with default (paranoid) options.
-  static Result<std::unique_ptr<Database>> Open(const std::string& dir,
-                                                bool create_if_missing);
-
   /// Creates a table and persists the catalog.
   Result<Table*> CreateTable(const std::string& name, const Schema& schema);
 

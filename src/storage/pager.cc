@@ -12,8 +12,7 @@ namespace vr {
 
 namespace {
 constexpr uint32_t kMetaMagic = 0x56504746;  // "VPGF"
-// Meta-page offset of the format version. Reads as 0 in v1 files,
-// which never wrote this field.
+// Meta-page offset of the format version.
 constexpr size_t kVersionOffset = 32;
 }  // namespace
 
@@ -50,7 +49,6 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
   if (exists) {
     VR_RETURN_NOT_OK(pager->LoadMeta());
   } else {
-    pager->format_version_ = kPagerFormatCurrent;
     pager->meta_dirty_ = true;
     VR_RETURN_NOT_OK(pager->StoreMeta());
     // A fresh file must be recoverable immediately: make the meta page
@@ -61,33 +59,15 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
 }
 
 Status Pager::LoadMeta() {
-  // Manual read: the slot size depends on the version field inside the
-  // very page being read, so bootstrap from the bare page bytes first.
   Page meta;
-  VR_ASSIGN_OR_RETURN(size_t got, file_->ReadAt(0, meta.data(), kPageSize));
-  if (got != kPageSize) {
-    return Status::Corruption("short meta page read from " + path_);
-  }
+  VR_RETURN_NOT_OK(ReadPageFromDisk(0, &meta));
   if (meta.ReadAt<uint32_t>(8) != kMetaMagic) {
     return Status::Corruption("bad page-file magic: " + path_);
   }
   const uint32_t version = meta.ReadAt<uint32_t>(kVersionOffset);
-  format_version_ = version == 0 ? kPagerFormatLegacy : version;
-  if (format_version_ > kPagerFormatCurrent) {
+  if (version != kPagerFormatCurrent) {
     return Status::Corruption(StringPrintf(
-        "unsupported page-file format v%u in %s", format_version_,
-        path_.c_str()));
-  }
-  if (format_version_ >= 2) {
-    uint64_t stored = 0;
-    VR_ASSIGN_OR_RETURN(size_t cs_got,
-                        file_->ReadAt(kPageSize, &stored, kChecksumSize));
-    if (cs_got != kChecksumSize) {
-      return Status::Corruption("short meta checksum read from " + path_);
-    }
-    if (stored != Fnv1a64(meta.data(), kPageSize)) {
-      return Status::Corruption("meta page checksum mismatch in " + path_);
-    }
+        "unsupported page-file format v%u in %s", version, path_.c_str()));
   }
   page_count_ = meta.ReadAt<uint32_t>(12);
   free_head_ = meta.ReadAt<uint32_t>(16);
@@ -105,47 +85,39 @@ Status Pager::StoreMeta() {
   meta.WriteAt<uint32_t>(16, free_head_);
   meta.WriteAt<uint32_t>(20, user_root_);
   meta.WriteAt<uint64_t>(24, user_counter_);
-  if (format_version_ >= 2) {
-    meta.WriteAt<uint32_t>(kVersionOffset, format_version_);
-  }
+  meta.WriteAt<uint32_t>(kVersionOffset, kPagerFormatCurrent);
   VR_RETURN_NOT_OK(WritePageToDisk(0, meta));
   meta_dirty_ = false;
   return Status::OK();
 }
 
 Status Pager::ReadPageFromDisk(uint32_t page_id, Page* out) {
-  const size_t slot = SlotSize();
-  std::vector<uint8_t> buf(slot);
-  VR_ASSIGN_OR_RETURN(
-      size_t got,
-      file_->ReadAt(static_cast<uint64_t>(page_id) * slot, buf.data(), slot));
-  if (got != slot) {
+  std::vector<uint8_t> buf(kSlotSize);
+  VR_ASSIGN_OR_RETURN(size_t got,
+                      file_->ReadAt(static_cast<uint64_t>(page_id) * kSlotSize,
+                                    buf.data(), kSlotSize));
+  if (got != kSlotSize) {
     return Status::Corruption(StringPrintf(
         "short page read (page %u) from %s", page_id, path_.c_str()));
   }
-  if (format_version_ >= 2) {
-    uint64_t stored = 0;
-    std::memcpy(&stored, buf.data() + kPageSize, kChecksumSize);
-    if (stored != Fnv1a64(buf.data(), kPageSize)) {
-      ++stats_.checksum_failures;
-      return Status::Corruption(StringPrintf(
-          "page checksum mismatch (page %u) in %s", page_id, path_.c_str()));
-    }
+  uint64_t stored = 0;
+  std::memcpy(&stored, buf.data() + kPageSize, kChecksumSize);
+  if (stored != Fnv1a64(buf.data(), kPageSize)) {
+    ++stats_.checksum_failures;
+    return Status::Corruption(StringPrintf(
+        "page checksum mismatch (page %u) in %s", page_id, path_.c_str()));
   }
   std::memcpy(out->data(), buf.data(), kPageSize);
   return Status::OK();
 }
 
 Status Pager::WritePageToDisk(uint32_t page_id, const Page& page) {
-  const size_t slot = SlotSize();
-  std::vector<uint8_t> buf(slot);
+  std::vector<uint8_t> buf(kSlotSize);
   std::memcpy(buf.data(), page.data(), kPageSize);
-  if (format_version_ >= 2) {
-    const uint64_t checksum = Fnv1a64(page.data(), kPageSize);
-    std::memcpy(buf.data() + kPageSize, &checksum, kChecksumSize);
-  }
-  return file_->WriteAt(static_cast<uint64_t>(page_id) * slot, buf.data(),
-                        slot);
+  const uint64_t checksum = Fnv1a64(page.data(), kPageSize);
+  std::memcpy(buf.data() + kPageSize, &checksum, kChecksumSize);
+  return file_->WriteAt(static_cast<uint64_t>(page_id) * kSlotSize,
+                        buf.data(), kSlotSize);
 }
 
 Status Pager::VerifyAllPages() {

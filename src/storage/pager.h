@@ -6,12 +6,13 @@
 /// free-list head, and two user fields (root page and a monotonic
 /// counter) that the structures above store their anchors in.
 ///
-/// On-disk format v2 appends a 64-bit FNV-1a checksum to every page,
-/// so each on-disk slot is kPageSize + 8 bytes. The checksum covers
-/// the kPageSize in-memory page bytes and is verified on every read,
-/// turning silent media corruption into a Corruption status at Fetch
-/// time. v1 files (no version field, no trailers) are still readable;
-/// new files are always created as v2.
+/// There is one on-disk format, v2: every page is followed by a 64-bit
+/// FNV-1a checksum, so each on-disk slot is kPageSize + 8 bytes. The
+/// checksum covers the kPageSize in-memory page bytes and is verified
+/// on every read, the meta page included, turning silent media
+/// corruption into a Corruption status at Open or Fetch time. A meta
+/// page whose version field is anything but kPagerFormatCurrent is
+/// Corruption too; no other format is read or written.
 
 #pragma once
 
@@ -34,7 +35,7 @@ struct PagerStats {
   uint64_t hits = 0;               ///< served from the buffer pool
   uint64_t misses = 0;             ///< required a disk read
   uint64_t evictions = 0;          ///< pages written out of / dropped from the pool
-  uint64_t checksum_failures = 0;  ///< v2 page reads that failed verification
+  uint64_t checksum_failures = 0;  ///< page reads that failed verification
 
   PagerStats& operator+=(const PagerStats& other) {
     fetches += other.fetches;
@@ -46,10 +47,8 @@ struct PagerStats {
   }
 };
 
-/// Page-file format versions. v1 (the legacy format, identified by a
-/// zero version field in the meta page) has bare kPageSize slots; v2
-/// adds a u64 FNV-1a checksum trailer to every slot.
-constexpr uint32_t kPagerFormatLegacy = 1;
+/// The page-file format version stored in every meta page (docs/FORMAT.md
+/// §1). Any other value fails Pager::Open with Corruption.
 constexpr uint32_t kPagerFormatCurrent = 2;
 
 /// \brief Owns a page file: allocation, caching, write-back.
@@ -77,7 +76,7 @@ class Pager {
                                              Env* env = nullptr);
 
   /// Fetches a page through the buffer pool, verifying its checksum on
-  /// the way in (v2 files). The returned pointer stays valid while the
+  /// the way in. The returned pointer stays valid while the
   /// shared_ptr is held, even across eviction.
   Result<std::shared_ptr<Page>> Fetch(uint32_t page_id) EXCLUDES(mutex_);
 
@@ -101,8 +100,7 @@ class Pager {
 
   /// Re-reads every page (including the meta page) from the file and
   /// verifies its checksum; first failure wins. Reads the on-disk
-  /// state, so call it on a freshly opened or flushed pager. On v1
-  /// files only page readability is checked.
+  /// state, so call it on a freshly opened or flushed pager.
   Status VerifyAllPages() EXCLUDES(mutex_);
 
   uint32_t page_count() const EXCLUDES(mutex_) {
@@ -110,12 +108,6 @@ class Pager {
     return page_count_;
   }
   const std::string& path() const { return path_; }
-  uint32_t format_version() const { return format_version_; }
-
-  /// On-disk bytes per page slot for this file's format version.
-  size_t SlotSize() const {
-    return format_version_ >= 2 ? kPageSize + kChecksumSize : kPageSize;
-  }
 
   /// \name User anchors persisted in the meta page.
   /// @{
@@ -134,13 +126,9 @@ class Pager {
   /// Snapshot of the cumulative buffer-pool statistics. Thread-safe.
   PagerStats GetStats() const EXCLUDES(mutex_);
 
-  /// \name Legacy stat accessors (storage microbenches). Thread-safe.
-  /// @{
-  uint64_t cache_hits() const { return GetStats().hits; }
-  uint64_t cache_misses() const { return GetStats().misses; }
-  /// @}
-
   static constexpr size_t kChecksumSize = 8;
+  /// On-disk bytes per page: the page image then its checksum.
+  static constexpr size_t kSlotSize = kPageSize + kChecksumSize;
 
  private:
   Pager() = default;
@@ -167,13 +155,12 @@ class Pager {
   /// @}
 
   /// Serializes the buffer pool, the LRU list, the meta fields and the
-  /// counters. path_, cache_capacity_ and format_version_ are set once
-  /// in Open (before the pager is shared) and immutable afterwards, so
-  /// they stay unguarded.
+  /// counters. path_ and cache_capacity_ are set once in Open (before
+  /// the pager is shared) and immutable afterwards, so they stay
+  /// unguarded.
   mutable Mutex mutex_{LockLevel::kPager, "pager"};
   std::string path_;
   std::unique_ptr<EnvFile> file_ GUARDED_BY(mutex_);
-  uint32_t format_version_ = kPagerFormatCurrent;
   uint32_t page_count_ GUARDED_BY(mutex_) = 1;  // meta page
   uint32_t free_head_ GUARDED_BY(mutex_) = kInvalidPageId;
   uint32_t user_root_ GUARDED_BY(mutex_) = kInvalidPageId;

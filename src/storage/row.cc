@@ -1,86 +1,31 @@
 #include "storage/row.h"
 
-#include <cstring>
-
+#include "util/byte_io.h"
 #include "util/string_util.h"
 
 namespace vr {
 
 namespace {
 
-void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-class ByteReader {
- public:
-  explicit ByteReader(const std::vector<uint8_t>& bytes) : bytes_(bytes) {}
-
-  Result<uint8_t> U8() {
-    if (pos_ + 1 > bytes_.size()) return Truncated();
-    return bytes_[pos_++];
-  }
-  Result<uint32_t> U32() {
-    if (pos_ + 4 > bytes_.size()) return Truncated();
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(bytes_[pos_ + static_cast<size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  Result<uint64_t> U64() {
-    if (pos_ + 8 > bytes_.size()) return Truncated();
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(bytes_[pos_ + static_cast<size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  Result<std::vector<uint8_t>> Bytes(size_t n) {
-    if (pos_ + n > bytes_.size()) return Truncated();
-    std::vector<uint8_t> out(bytes_.begin() + static_cast<ptrdiff_t>(pos_),
-                             bytes_.begin() + static_cast<ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return out;
-  }
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
- private:
-  Status Truncated() const { return Status::Corruption("truncated row"); }
-  const std::vector<uint8_t>& bytes_;
-  size_t pos_ = 0;
-};
+Status Truncated() { return Status::Corruption("truncated row"); }
 
 void PutValue(std::vector<uint8_t>* out, const Value& v) {
   if (v.is_null()) {
     PutU8(out, 0);
   } else if (v.is_int64()) {
     PutU8(out, static_cast<uint8_t>(ColumnType::kInt64) + 1);
-    PutU64(out, static_cast<uint64_t>(v.AsInt64()));
+    PutI64(out, v.AsInt64());
   } else if (v.is_double()) {
     PutU8(out, static_cast<uint8_t>(ColumnType::kDouble) + 1);
-    uint64_t bits = 0;
-    const double d = v.AsDouble();
-    std::memcpy(&bits, &d, sizeof(bits));
-    PutU64(out, bits);
+    PutF64(out, v.AsDouble());
   } else if (v.is_text()) {
     PutU8(out, static_cast<uint8_t>(ColumnType::kText) + 1);
     PutU32(out, static_cast<uint32_t>(v.AsText().size()));
-    out->insert(out->end(), v.AsText().begin(), v.AsText().end());
+    PutBytes(out, v.AsText().data(), v.AsText().size());
   } else {
     PutU8(out, static_cast<uint8_t>(ColumnType::kBlob) + 1);
     PutU32(out, static_cast<uint32_t>(v.AsBlob().size()));
-    out->insert(out->end(), v.AsBlob().begin(), v.AsBlob().end());
+    PutBytes(out, v.AsBlob().data(), v.AsBlob().size());
   }
 }
 
@@ -120,13 +65,15 @@ Result<DecodedRow> DeserializeRow(const Schema& schema,
   out.values.reserve(schema.num_columns());
   out.blob_refs.assign(schema.num_columns(), std::nullopt);
   for (size_t i = 0; i < schema.num_columns(); ++i) {
-    VR_ASSIGN_OR_RETURN(uint8_t tag, reader.U8());
+    uint8_t tag = 0;
+    if (!reader.ReadU8(&tag)) return Truncated();
     if (tag == 0) {
       out.values.push_back(Value::Null());
     } else if (tag == kBlobRefTag) {
       BlobRef ref;
-      VR_ASSIGN_OR_RETURN(ref.first_page, reader.U32());
-      VR_ASSIGN_OR_RETURN(ref.size, reader.U64());
+      if (!reader.ReadU32(&ref.first_page) || !reader.ReadU64(&ref.size)) {
+        return Truncated();
+      }
       out.blob_refs[i] = ref;
       out.values.push_back(Value::Null());  // resolved later by the Table
     } else {
@@ -137,27 +84,33 @@ Result<DecodedRow> DeserializeRow(const Schema& schema,
       }
       switch (static_cast<ColumnType>(type_raw)) {
         case ColumnType::kInt64: {
-          VR_ASSIGN_OR_RETURN(uint64_t v, reader.U64());
-          out.values.push_back(Value(static_cast<int64_t>(v)));
+          int64_t v = 0;
+          if (!reader.ReadI64(&v)) return Truncated();
+          out.values.push_back(Value(v));
           break;
         }
         case ColumnType::kDouble: {
-          VR_ASSIGN_OR_RETURN(uint64_t bits, reader.U64());
           double d = 0.0;
-          std::memcpy(&d, &bits, sizeof(d));
+          if (!reader.ReadF64(&d)) return Truncated();
           out.values.push_back(Value(d));
           break;
         }
         case ColumnType::kText: {
-          VR_ASSIGN_OR_RETURN(uint32_t n, reader.U32());
-          VR_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, reader.Bytes(n));
+          uint32_t n = 0;
+          const uint8_t* raw = nullptr;
+          if (!reader.ReadU32(&n) || !reader.ReadSpan(&raw, n)) {
+            return Truncated();
+          }
           out.values.push_back(
-              Value(std::string(raw.begin(), raw.end())));
+              Value(std::string(reinterpret_cast<const char*>(raw), n)));
           break;
         }
         case ColumnType::kBlob: {
-          VR_ASSIGN_OR_RETURN(uint32_t n, reader.U32());
-          VR_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, reader.Bytes(n));
+          uint32_t n = 0;
+          std::vector<uint8_t> raw;
+          if (!reader.ReadU32(&n) || !reader.ReadBytes(&raw, n)) {
+            return Truncated();
+          }
           out.values.push_back(Value::Blob(std::move(raw)));
           break;
         }

@@ -1,7 +1,6 @@
 #include "storage/wal.h"
 
-#include <cstring>
-
+#include "util/byte_io.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -19,27 +18,6 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path, Env* env) {
   return wal;
 }
 
-namespace {
-
-void PutU16(std::vector<uint8_t>* out, uint16_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-}
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-}  // namespace
-
 Status Wal::Append(WalOp op, const std::string& table, int64_t pk,
                    const std::vector<uint8_t>& payload) {
   if (table.size() > UINT16_MAX) {
@@ -47,12 +25,12 @@ Status Wal::Append(WalOp op, const std::string& table, int64_t pk,
   }
   std::vector<uint8_t> record;
   record.reserve(payload.size() + table.size() + 32);
-  record.push_back(static_cast<uint8_t>(op));
+  PutU8(&record, static_cast<uint8_t>(op));
   PutU16(&record, static_cast<uint16_t>(table.size()));
-  record.insert(record.end(), table.begin(), table.end());
-  PutU64(&record, static_cast<uint64_t>(pk));
+  PutBytes(&record, table.data(), table.size());
+  PutI64(&record, pk);
   PutU32(&record, static_cast<uint32_t>(payload.size()));
-  record.insert(record.end(), payload.begin(), payload.end());
+  PutBytes(&record, payload.data(), payload.size());
   PutU64(&record, Fnv1a64(record.data(), record.size()));
   return file_->Append(record.data(), record.size());
 }
@@ -75,34 +53,28 @@ Status Wal::Replay(const std::function<Status(const WalRecord&)>& cb) {
   if (!contents.ok()) return Status::OK();  // no journal yet
   const uint8_t* data =
       reinterpret_cast<const uint8_t*>(contents.value().data());
-  const size_t size = contents.value().size();
-  size_t pos = 0;
+  ByteReader reader(data, contents.value().size());
   size_t replayed = 0;
   while (true) {
-    const size_t start = pos;
-    // Fixed-size prefix: op(1) + name_len(2).
-    if (size - pos < 3) break;
-    const uint8_t op_raw = data[pos];
-    const uint16_t name_len =
-        static_cast<uint16_t>(data[pos + 1] | (data[pos + 2] << 8));
-    pos += 3;
-    if (size - pos < static_cast<size_t>(name_len) + 12) break;
-    std::string table(reinterpret_cast<const char*>(data + pos), name_len);
-    pos += name_len;
-    const uint64_t pk_bits = GetU64(data + pos);
-    pos += 8;
+    // Any short read is a torn final record: stop replay there.
+    const size_t start = reader.position();
+    uint8_t op_raw = 0;
+    uint16_t name_len = 0;
+    const uint8_t* name = nullptr;
+    int64_t pk = 0;
     uint32_t payload_len = 0;
-    for (int i = 0; i < 4; ++i) {
-      payload_len |= static_cast<uint32_t>(data[pos + i]) << (8 * i);
+    const uint8_t* payload = nullptr;
+    if (!reader.ReadU8(&op_raw) || !reader.ReadU16(&name_len) ||
+        !reader.ReadSpan(&name, name_len) || !reader.ReadI64(&pk) ||
+        !reader.ReadU32(&payload_len) ||
+        !reader.ReadSpan(&payload, payload_len)) {
+      break;
     }
-    pos += 4;
-    if (size - pos < static_cast<size_t>(payload_len) + 8) break;
-    const uint8_t* payload_begin = data + pos;
-    pos += payload_len;
-    const uint64_t expect = GetU64(data + pos);
-    pos += 8;
+    const size_t body_size = reader.position() - start;
+    uint64_t expect = 0;
+    if (!reader.ReadU64(&expect)) break;
 
-    if (Fnv1a64(data + start, pos - start - 8) != expect) {
+    if (Fnv1a64(data + start, body_size) != expect) {
       VR_LOG(Warn) << "journal: checksum mismatch after " << replayed
                    << " records; discarding tail";
       break;
@@ -115,9 +87,9 @@ Status Wal::Replay(const std::function<Status(const WalRecord&)>& cb) {
     }
     WalRecord record;
     record.op = static_cast<WalOp>(op_raw);
-    record.table = std::move(table);
-    record.pk = static_cast<int64_t>(pk_bits);
-    record.payload.assign(payload_begin, payload_begin + payload_len);
+    record.table.assign(reinterpret_cast<const char*>(name), name_len);
+    record.pk = pk;
+    record.payload.assign(payload, payload + payload_len);
     VR_RETURN_NOT_OK(cb(record));
     ++replayed;
   }

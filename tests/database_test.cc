@@ -15,6 +15,8 @@ Database* g_crashed_db = nullptr;
 
 namespace {
 
+const DatabaseOptions kCreate{.create_if_missing = true};
+
 std::string FreshDir(const char* name) {
   const std::string dir = testing::TempDir() + "/" + name;
   RemoveDirRecursive(dir);
@@ -39,7 +41,7 @@ Row MakeRow(int64_t id, const std::string& name,
 
 TEST(DatabaseTest, CreateInsertGet) {
   const std::string dir = FreshDir("db_basic");
-  auto db = Database::Open(dir, true).value();
+  auto db = Database::Open(dir, kCreate).value();
   ASSERT_TRUE(db->CreateTable("t", TestSchema()).ok());
   ASSERT_TRUE(db->Insert("t", MakeRow(1, "one")).ok());
   Table* t = db->GetTable("t").value();
@@ -47,11 +49,11 @@ TEST(DatabaseTest, CreateInsertGet) {
 }
 
 TEST(DatabaseTest, OpenMissingWithoutCreateFails) {
-  EXPECT_FALSE(Database::Open(FreshDir("db_missing"), false).ok());
+  EXPECT_FALSE(Database::Open(FreshDir("db_missing"), DatabaseOptions{}).ok());
 }
 
 TEST(DatabaseTest, DuplicateTableRejected) {
-  auto db = Database::Open(FreshDir("db_dup"), true).value();
+  auto db = Database::Open(FreshDir("db_dup"), kCreate).value();
   ASSERT_TRUE(db->CreateTable("t", TestSchema()).ok());
   EXPECT_TRUE(db->CreateTable("t", TestSchema()).status().IsAlreadyExists());
 }
@@ -59,7 +61,7 @@ TEST(DatabaseTest, DuplicateTableRejected) {
 TEST(DatabaseTest, CatalogPersistsTablesAndIndexes) {
   const std::string dir = FreshDir("db_catalog");
   {
-    auto db = Database::Open(dir, true).value();
+    auto db = Database::Open(dir, kCreate).value();
     ASSERT_TRUE(db->CreateTable("t", TestSchema()).ok());
     IndexSpec spec;
     spec.name = "by_id_low";
@@ -70,7 +72,7 @@ TEST(DatabaseTest, CatalogPersistsTablesAndIndexes) {
     ASSERT_TRUE(db->Close().ok());
   }
   {
-    auto db = Database::Open(dir, false).value();
+    auto db = Database::Open(dir, DatabaseOptions{}).value();
     Table* t = db->GetTable("t").value();
     EXPECT_EQ(t->Count().value(), 1u);
     ASSERT_EQ(t->indexes().size(), 1u);
@@ -87,7 +89,7 @@ TEST(DatabaseTest, CatalogPersistsTablesAndIndexes) {
 }
 
 TEST(DatabaseTest, DeleteAndUpdate) {
-  auto db = Database::Open(FreshDir("db_mut"), true).value();
+  auto db = Database::Open(FreshDir("db_mut"), kCreate).value();
   ASSERT_TRUE(db->CreateTable("t", TestSchema()).ok());
   ASSERT_TRUE(db->Insert("t", MakeRow(1, "v1")).ok());
   ASSERT_TRUE(db->Update("t", MakeRow(1, "v2")).ok());
@@ -99,7 +101,7 @@ TEST(DatabaseTest, DeleteAndUpdate) {
 }
 
 TEST(DatabaseTest, JournalGrowsAndCheckpointTruncates) {
-  auto db = Database::Open(FreshDir("db_wal"), true).value();
+  auto db = Database::Open(FreshDir("db_wal"), kCreate).value();
   ASSERT_TRUE(db->CreateTable("t", TestSchema()).ok());
   ASSERT_TRUE(db->Insert("t", MakeRow(1, "a")).ok());
   EXPECT_GT(db->JournalBytes().value(), 0u);
@@ -115,7 +117,7 @@ TEST(DatabaseTest, CrashRecoveryReplaysJournal) {
   const std::string dir = FreshDir("db_crash");
   const Schema schema = TestSchema();
   {
-    auto db = Database::Open(dir, true).value();
+    auto db = Database::Open(dir, kCreate).value();
     ASSERT_TRUE(db->CreateTable("t", schema).ok());
     ASSERT_TRUE(db->Insert("t", MakeRow(1, "to be deleted")).ok());
     ASSERT_TRUE(db->Close().ok());  // checkpoint: journal empty
@@ -130,7 +132,7 @@ TEST(DatabaseTest, CrashRecoveryReplaysJournal) {
     ASSERT_TRUE(wal->Sync().ok());
   }
   {
-    auto db = Database::Open(dir, true).value();
+    auto db = Database::Open(dir, kCreate).value();
     Table* t = db->GetTable("t").value();
     EXPECT_FALSE(t->Exists(1));  // delete replayed
     ASSERT_TRUE(t->Exists(2));   // insert replayed
@@ -147,7 +149,7 @@ TEST(DatabaseTest, RecoveryIsIdempotent) {
   const std::string dir = FreshDir("db_idem");
   const Schema schema = TestSchema();
   {
-    auto db = Database::Open(dir, true).value();
+    auto db = Database::Open(dir, kCreate).value();
     ASSERT_TRUE(db->CreateTable("t", schema).ok());
     ASSERT_TRUE(db->Insert("t", MakeRow(5, "five")).ok());
     // Flush the tables but do NOT checkpoint: the journal still holds
@@ -156,7 +158,7 @@ TEST(DatabaseTest, RecoveryIsIdempotent) {
     g_crashed_db = db.release();  // skip Close() so the journal survives
   }
   for (int round = 0; round < 3; ++round) {
-    auto db = Database::Open(dir, true).value();
+    auto db = Database::Open(dir, kCreate).value();
     Table* t = db->GetTable("t").value();
     EXPECT_EQ(t->Count().value(), 1u) << "round " << round;
     EXPECT_EQ(t->Get(5).value()[1].AsText(), "five");
@@ -169,7 +171,7 @@ TEST(DatabaseTest, BlobsSurviveRecovery) {
   const Schema schema = TestSchema();
   std::vector<uint8_t> big(100000, 0x77);
   {
-    auto db = Database::Open(dir, true).value();
+    auto db = Database::Open(dir, kCreate).value();
     ASSERT_TRUE(db->CreateTable("t", schema).ok());
     ASSERT_TRUE(db->Close().ok());
   }
@@ -181,14 +183,14 @@ TEST(DatabaseTest, BlobsSurviveRecovery) {
     ASSERT_TRUE(wal->Sync().ok());
   }
   {
-    auto db = Database::Open(dir, true).value();
+    auto db = Database::Open(dir, kCreate).value();
     Table* t = db->GetTable("t").value();
     EXPECT_EQ(t->Get(1).value()[2].AsBlob(), big);
   }
 }
 
 TEST(DatabaseTest, GetTableNotFound) {
-  auto db = Database::Open(FreshDir("db_nf"), true).value();
+  auto db = Database::Open(FreshDir("db_nf"), kCreate).value();
   EXPECT_TRUE(db->GetTable("nope").status().IsNotFound());
   EXPECT_TRUE(db->Insert("nope", MakeRow(1, "")).status().IsNotFound());
 }

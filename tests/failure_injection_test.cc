@@ -17,6 +17,8 @@
 namespace vr {
 namespace {
 
+const DatabaseOptions kCreate{.create_if_missing = true};
+
 std::string FreshDir(const char* name) {
   const std::string dir = testing::TempDir() + "/" + name;
   RemoveDirRecursive(dir);
@@ -33,8 +35,8 @@ Schema TestSchema() {
       .value();
 }
 
-/// On-disk bytes per page slot in the current (v2) format.
-constexpr long kSlot = kPageSize + Pager::kChecksumSize;
+/// On-disk bytes per page slot.
+constexpr long kSlot = Pager::kSlotSize;
 
 /// Overwrites \p count bytes at \p offset of \p path with 0xEE.
 void CorruptFile(const std::string& path, long offset, size_t count) {
@@ -62,19 +64,19 @@ void FlipBit(const std::string& path, long offset, int bit) {
 TEST(FailureInjectionTest, CorruptHeapMetaPageDetected) {
   const std::string dir = FreshDir("fi_meta");
   {
-    auto db = Database::Open(dir, true).value();
+    auto db = Database::Open(dir, kCreate).value();
     ASSERT_TRUE(db->CreateTable("t", TestSchema()).ok());
     ASSERT_TRUE(db->Insert("t", {Value(int64_t{1}), Value("x")}).ok());
     ASSERT_TRUE(db->Close().ok());
   }
   CorruptFile(dir + "/t.heap", 8, 8);  // smash the meta magic
-  EXPECT_FALSE(Database::Open(dir, true).ok());
+  EXPECT_FALSE(Database::Open(dir, kCreate).ok());
 }
 
 TEST(FailureInjectionTest, TruncatedPageFileDetected) {
   const std::string dir = FreshDir("fi_trunc");
   {
-    auto db = Database::Open(dir, true).value();
+    auto db = Database::Open(dir, kCreate).value();
     ASSERT_TRUE(db->CreateTable("t", TestSchema()).ok());
     for (int64_t i = 0; i < 50; ++i) {
       ASSERT_TRUE(
@@ -87,7 +89,7 @@ TEST(FailureInjectionTest, TruncatedPageFileDetected) {
   struct stat st {};
   ASSERT_EQ(stat((dir + "/t.heap").c_str(), &st), 0);
   ASSERT_EQ(truncate((dir + "/t.heap").c_str(), st.st_size / 2), 0);
-  auto reopened = Database::Open(dir, true);
+  auto reopened = Database::Open(dir, kCreate);
   if (reopened.ok()) {
     // Open may succeed (the chain head is intact); the scan must not.
     Table* t = (*reopened)->GetTable("t").value();
@@ -103,21 +105,21 @@ TEST(FailureInjectionTest, TruncatedPageFileDetected) {
 TEST(FailureInjectionTest, CorruptCatalogDetected) {
   const std::string dir = FreshDir("fi_catalog");
   {
-    auto db = Database::Open(dir, true).value();
+    auto db = Database::Open(dir, kCreate).value();
     ASSERT_TRUE(db->CreateTable("t", TestSchema()).ok());
     ASSERT_TRUE(db->Close().ok());
   }
   std::ofstream f(dir + "/catalog.vcat", std::ios::trunc);
   f << "TABLE broken this-is-not-a-schema\n";
   f.close();
-  EXPECT_FALSE(Database::Open(dir, true).ok());
+  EXPECT_FALSE(Database::Open(dir, kCreate).ok());
 }
 
 TEST(FailureInjectionTest, CorruptRowPayloadSurfacesOnRead) {
   const std::string dir = FreshDir("fi_row");
   int64_t pk = 1;
   {
-    auto db = Database::Open(dir, true).value();
+    auto db = Database::Open(dir, kCreate).value();
     ASSERT_TRUE(db->CreateTable("t", TestSchema()).ok());
     ASSERT_TRUE(
         db->Insert("t", {Value(pk), Value(std::string(200, 'y'))}).ok());
@@ -129,7 +131,7 @@ TEST(FailureInjectionTest, CorruptRowPayloadSurfacesOnRead) {
   // The page checksum no longer matches, so the damage must surface as
   // Corruption — at open time (the heap chain walk touches page 1) or,
   // at the latest, on the read.
-  auto db = Database::Open(dir, true);
+  auto db = Database::Open(dir, kCreate);
   if (!db.ok()) {
     EXPECT_TRUE(db.status().IsCorruption()) << db.status();
     return;
@@ -150,7 +152,7 @@ TEST(FailureInjectionTest, CorruptBlobChainDetected) {
           "ID")
           .value();
   {
-    auto db = Database::Open(dir, true).value();
+    auto db = Database::Open(dir, kCreate).value();
     ASSERT_TRUE(db->CreateTable("b", schema).ok());
     ASSERT_TRUE(db->Insert("b", {Value(int64_t{1}),
                                  Value::Blob(std::vector<uint8_t>(60000, 7))})
@@ -159,7 +161,7 @@ TEST(FailureInjectionTest, CorruptBlobChainDetected) {
   }
   // Smash a middle blob chain page's header (type byte + next pointer).
   CorruptFile(dir + "/b.blobs", 3 * kSlot, 16);
-  auto db = Database::Open(dir, true).value();
+  auto db = Database::Open(dir, kCreate).value();
   Table* t = db->GetTable("b").value();
   Result<Row> row = t->Get(1);
   ASSERT_FALSE(row.ok());
@@ -169,7 +171,7 @@ TEST(FailureInjectionTest, CorruptBlobChainDetected) {
 TEST(FailureInjectionTest, BTreeInteriorPageCorruptionDetected) {
   const std::string dir = FreshDir("fi_btree_interior");
   {
-    auto db = Database::Open(dir, true).value();
+    auto db = Database::Open(dir, kCreate).value();
     ASSERT_TRUE(db->CreateTable("t", TestSchema()).ok());
     // A leaf holds ~511 entries; 600 rows force a height-2 tree whose
     // root is an interior page.
@@ -188,7 +190,7 @@ TEST(FailureInjectionTest, BTreeInteriorPageCorruptionDetected) {
   // One flipped bit in the interior page's key area must fail every
   // point lookup that descends through it.
   FlipBit(dir + "/t.pk.btree", static_cast<long>(root) * kSlot + 100, 3);
-  auto db = Database::Open(dir, true).value();
+  auto db = Database::Open(dir, kCreate).value();
   Table* t = db->GetTable("t").value();
   Result<Row> row = t->Get(42);
   ASSERT_FALSE(row.ok());
@@ -198,7 +200,7 @@ TEST(FailureInjectionTest, BTreeInteriorPageCorruptionDetected) {
 TEST(FailureInjectionTest, RandomSingleBitFlipsAlwaysDetected) {
   const std::string dir = FreshDir("fi_bitflip");
   {
-    auto db = Database::Open(dir, true).value();
+    auto db = Database::Open(dir, kCreate).value();
     Schema schema = Schema::Create(
                         {
                             {"ID", ColumnType::kInt64, false},
@@ -246,7 +248,7 @@ TEST(FailureInjectionTest, RandomSingleBitFlipsAlwaysDetected) {
 TEST(FailureInjectionTest, DegradedOpenQuarantinesDamagedTable) {
   const std::string dir = FreshDir("fi_degraded");
   {
-    auto db = Database::Open(dir, true).value();
+    auto db = Database::Open(dir, kCreate).value();
     ASSERT_TRUE(db->CreateTable("good", TestSchema()).ok());
     ASSERT_TRUE(db->CreateTable("bad", TestSchema()).ok());
     for (int64_t i = 0; i < 20; ++i) {

@@ -3,9 +3,38 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <vector>
+
+#include "util/hash.h"
 
 namespace vr {
 namespace {
+
+/// Meta-page offset of the format version (docs/FORMAT.md §1.2).
+constexpr size_t kMetaVersionOffset = 32;
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  std::vector<uint8_t> bytes;
+  if (f == nullptr) return bytes;
+  uint8_t buf[4096];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    bytes.insert(bytes.end(), buf, buf + n);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+void WriteFileBytes(const std::string& path,
+                    const std::vector<uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr) << path;
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
 
 std::string TempPath(const char* name) {
   const std::string path = testing::TempDir() + "/" + name;
@@ -98,7 +127,7 @@ TEST(PagerTest, EvictionWritesDirtyPages) {
       auto page = pager->Fetch(ids[static_cast<size_t>(i)]).value();
       EXPECT_EQ(page->ReadAt<uint32_t>(32), static_cast<uint32_t>(i));
     }
-    EXPECT_GT(pager->cache_misses(), 0u);
+    EXPECT_GT(pager->GetStats().misses, 0u);
   }
   {
     auto pager = Pager::Open(path, false).value();
@@ -153,55 +182,75 @@ TEST(PagerTest, RejectsCorruptMeta) {
 
 TEST(PagerTest, NewFilesUseChecksummedFormat) {
   const std::string path = TempPath("pager_v2.vpg");
-  auto pager = Pager::Open(path, true).value();
-  EXPECT_EQ(pager->format_version(), kPagerFormatCurrent);
-  ASSERT_TRUE(pager->VerifyAllPages().ok());
-}
-
-TEST(PagerTest, ReadsLegacyV1FilesWithoutChecksums) {
-  // Hand-craft a version-1 file: bare 8192-byte slots, no version field
-  // in the meta page (reads as zero) and no checksum trailers.
-  const std::string path = TempPath("pager_v1.vpg");
   {
-    Page meta;
-    meta.set_type(PageType::kMeta);
-    meta.WriteAt<uint32_t>(8, 0x56504746);  // "FGPV"
-    meta.WriteAt<uint32_t>(12, 2);          // page_count
-    meta.WriteAt<uint32_t>(16, 0);          // free list head
-    meta.WriteAt<uint32_t>(20, 1);          // user_root
-    meta.WriteAt<uint64_t>(24, 99);         // user_counter
-    Page data;
-    data.set_type(PageType::kSlotted);
-    data.WriteAt<uint64_t>(64, 0xABCDEF01ULL);
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(meta.data(), 1, kPageSize, f), kPageSize);
-    ASSERT_EQ(std::fwrite(data.data(), 1, kPageSize, f), kPageSize);
-    std::fclose(f);
-  }
-  {
-    auto pager = Pager::Open(path, false).value();
-    EXPECT_EQ(pager->format_version(), kPagerFormatLegacy);
-    EXPECT_EQ(pager->user_root(), 1u);
-    EXPECT_EQ(pager->user_counter(), 99u);
-    auto page = pager->Fetch(1).value();
-    EXPECT_EQ(page->ReadAt<uint64_t>(64), 0xABCDEF01ULL);
-    // Legacy files stay writable — in their own format.
-    page->WriteAt<uint64_t>(64, 0x11223344ULL);
-    ASSERT_TRUE(pager->MarkDirty(1).ok());
-    ASSERT_TRUE(pager->Flush().ok());
+    auto pager = Pager::Open(path, true).value();
     ASSERT_TRUE(pager->VerifyAllPages().ok());
   }
+  // One slot: the meta page stamped with the current version, then its
+  // FNV-1a trailer.
+  const std::vector<uint8_t> bytes = ReadFileBytes(path);
+  ASSERT_EQ(bytes.size(), Pager::kSlotSize);
+  uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + kMetaVersionOffset, sizeof(version));
+  EXPECT_EQ(version, kPagerFormatCurrent);
+  uint64_t trailer = 0;
+  std::memcpy(&trailer, bytes.data() + kPageSize, sizeof(trailer));
+  EXPECT_EQ(trailer, Fnv1a64(bytes.data(), kPageSize));
+}
+
+TEST(PagerTest, MetaVersionBitFlipIsCorruption) {
+  // Bit 1 of meta byte 32 turns version 2 into 0. The flip must not
+  // switch the file into some checksum-free reading mode.
+  const std::string path = TempPath("pager_flip.vpg");
   {
-    auto pager = Pager::Open(path, false).value();
-    EXPECT_EQ(pager->format_version(), kPagerFormatLegacy);
-    EXPECT_EQ(pager->Fetch(1).value()->ReadAt<uint64_t>(64), 0x11223344ULL);
+    auto pager = Pager::Open(path, true).value();
+    const uint32_t id = pager->Allocate(PageType::kSlotted).value();
+    pager->Fetch(id).value()->WriteAt<uint64_t>(64, 0xABCDEF01ULL);
+    ASSERT_TRUE(pager->MarkDirty(id).ok());
+    ASSERT_TRUE(pager->Flush().ok());
   }
-  // The file kept its v1 geometry: bare pages, no trailers.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  std::fseek(f, 0, SEEK_END);
-  EXPECT_EQ(std::ftell(f), 2L * kPageSize);
-  std::fclose(f);
+  std::vector<uint8_t> bytes = ReadFileBytes(path);
+  bytes[kMetaVersionOffset] ^= 0x02;
+  WriteFileBytes(path, bytes);
+  Result<std::unique_ptr<Pager>> reopened = Pager::Open(path, false);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption()) << reopened.status();
+}
+
+TEST(PagerTest, RejectsEveryFormatVersionButCurrent) {
+  // A version-0 file as the pre-checksum format wrote it: bare
+  // 8192-byte slots, no version field, no trailers.
+  const std::string path = TempPath("pager_v0.vpg");
+  Page meta;
+  meta.set_type(PageType::kMeta);
+  meta.WriteAt<uint32_t>(8, 0x56504746);  // "FGPV"
+  meta.WriteAt<uint32_t>(12, 2);          // page_count
+  meta.WriteAt<uint32_t>(20, 1);          // user_root
+  Page data;
+  data.set_type(PageType::kSlotted);
+  std::vector<uint8_t> bare(meta.data(), meta.data() + kPageSize);
+  bare.insert(bare.end(), data.data(), data.data() + kPageSize);
+  WriteFileBytes(path, bare);
+  EXPECT_TRUE(Pager::Open(path, false).status().IsCorruption());
+
+  // Correctly checksummed slots whose meta names another version.
+  for (uint32_t version : {0u, 1u, kPagerFormatCurrent + 1}) {
+    meta.WriteAt<uint32_t>(kMetaVersionOffset, version);
+    std::vector<uint8_t> slotted;
+    for (const Page* page : {&meta, &data}) {
+      slotted.insert(slotted.end(), page->data(), page->data() + kPageSize);
+      const uint64_t sum = Fnv1a64(page->data(), kPageSize);
+      const auto* sum_bytes = reinterpret_cast<const uint8_t*>(&sum);
+      slotted.insert(slotted.end(), sum_bytes, sum_bytes + sizeof(sum));
+    }
+    WriteFileBytes(path, slotted);
+    Result<std::unique_ptr<Pager>> pager = Pager::Open(path, false);
+    ASSERT_FALSE(pager.ok()) << "version " << version;
+    EXPECT_TRUE(pager.status().IsCorruption()) << pager.status();
+    EXPECT_NE(pager.status().message().find("unsupported page-file format"),
+              std::string::npos)
+        << pager.status();
+  }
 }
 
 TEST(PagerTest, MarkDirtyOnUnknownPageFails) {
@@ -213,9 +262,9 @@ TEST(PagerTest, CacheHitsTracked) {
   auto pager = Pager::Open(TempPath("pager_stats.vpg"), true).value();
   const uint32_t id = pager->Allocate(PageType::kSlotted).value();
   (void)pager->Fetch(id).value();
-  const uint64_t hits_before = pager->cache_hits();
+  const uint64_t hits_before = pager->GetStats().hits;
   (void)pager->Fetch(id).value();
-  EXPECT_EQ(pager->cache_hits(), hits_before + 1);
+  EXPECT_EQ(pager->GetStats().hits, hits_before + 1);
 }
 
 }  // namespace

@@ -231,31 +231,37 @@ TEST(WireTest, StatsResponseRoundTrip) {
   EXPECT_DOUBLE_EQ(decoded->query.rank_ms, 31.0);
 }
 
-TEST(WireTest, StatsResponseToleratesLegacyPayloadWithoutTwoStageTail) {
+TEST(WireTest, StatsResponseRejectsTruncation) {
   ServiceStatsSnapshot stats;
   stats.query.two_stage_queries = 7;
   stats.query.two_stage_fallbacks = 3;
   stats.query.margin_kept = 17;
-  std::vector<uint8_t> payload = EncodeStatsResponse(stats);
-  // A peer predating the code-space coarse kernels ends the payload
-  // right before the 16-byte (fallbacks, margin_kept) tail.
-  payload.resize(payload.size() - 16);
-  auto decoded = DecodeStatsResponse(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->query.two_stage_queries, 7u);
-  EXPECT_EQ(decoded->query.two_stage_fallbacks, 0u);
-  EXPECT_EQ(decoded->query.margin_kept, 0u);
-
-  // A half tail is no version skew — it is corruption.
-  std::vector<uint8_t> half = EncodeStatsResponse(stats);
-  half.resize(half.size() - 8);
-  EXPECT_FALSE(DecodeStatsResponse(half).ok());
-}
-
-TEST(WireTest, StatsResponseRejectsTruncation) {
-  std::vector<uint8_t> payload = EncodeStatsResponse(ServiceStatsSnapshot{});
-  payload.pop_back();
-  EXPECT_FALSE(DecodeStatsResponse(payload).ok());
+  const std::vector<uint8_t> full = EncodeStatsResponse(stats);
+  ASSERT_TRUE(DecodeStatsResponse(full).ok());
+  // One byte, one counter, or both trailing counters missing: the
+  // layout has no optional tail, so each cut is corruption.
+  for (size_t cut : {1, 8, 16}) {
+    std::vector<uint8_t> payload(full.begin(), full.end() - cut);
+    Result<ServiceStatsSnapshot> decoded = DecodeStatsResponse(payload);
+    ASSERT_FALSE(decoded.ok()) << "cut " << cut;
+    EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status();
+  }
+  // An extractor count other than kNumFeatureKinds is corruption even
+  // when the payload length matches the count.
+  const size_t count_offset = 1 + 8 * 8 + 3 * 8 + 5 * 8 + 3 * 8 + 3 * 8;
+  ASSERT_EQ(full[count_offset], kNumFeatureKinds);
+  std::vector<uint8_t> fewer = full;
+  fewer[count_offset] -= 1;
+  fewer.erase(fewer.begin() + count_offset + 4,
+              fewer.begin() + count_offset + 12);
+  std::vector<uint8_t> more = full;
+  more[count_offset] += 1;
+  more.insert(more.begin() + count_offset + 4, 8, 0);
+  for (const std::vector<uint8_t>& payload : {fewer, more}) {
+    Result<ServiceStatsSnapshot> decoded = DecodeStatsResponse(payload);
+    ASSERT_FALSE(decoded.ok()) << "payload of " << payload.size() << " bytes";
+    EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status();
+  }
 }
 
 TEST(WireTest, StatsResponseCarriesDegradedCounter) {
@@ -363,8 +369,9 @@ TEST(WireFrameTest, EveryBitFlipIsRejected) {
   }
 }
 
-TEST(WireFrameTest, UncheckedV1FrameStillDecodes) {
-  // A frame from an older peer: no checksum flag, no checksum word.
+TEST(WireFrameTest, UncheckedFrameIsRejected) {
+  // Both marker bits clear and no checksum word: the pre-checksum frame
+  // layout, which no peer may send.
   std::vector<uint8_t> payload = {9, 8, 7};
   std::vector<uint8_t> wire;
   wire.push_back(static_cast<uint8_t>(payload.size()));
@@ -375,9 +382,8 @@ TEST(WireFrameTest, UncheckedV1FrameStillDecodes) {
   wire.insert(wire.end(), payload.begin(), payload.end());
   BufferTransport in(wire);
   auto frame = RecvFrame(&in);
-  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  EXPECT_EQ(frame->type, MessageType::kQueryRequest);
-  EXPECT_EQ(frame->payload, payload);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_TRUE(frame.status().IsCorruption()) << frame.status();
 }
 
 TEST(WireFrameTest, OversizedLengthRejectedWithoutAllocation) {
