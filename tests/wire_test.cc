@@ -231,19 +231,33 @@ TEST(WireTest, StatsResponseRoundTrip) {
   EXPECT_DOUBLE_EQ(decoded->query.rank_ms, 31.0);
 }
 
-TEST(WireTest, StatsResponseRejectsTruncation) {
+TEST(WireTest, StatsResponseRejectsPayloadWithoutTwoStageTail) {
   ServiceStatsSnapshot stats;
   stats.query.two_stage_queries = 7;
   stats.query.two_stage_fallbacks = 3;
   stats.query.margin_kept = 17;
   const std::vector<uint8_t> full = EncodeStatsResponse(stats);
   ASSERT_TRUE(DecodeStatsResponse(full).ok());
-  // One byte, one counter, or both trailing counters missing: the
-  // layout has no optional tail, so each cut is corruption.
-  for (size_t cut : {1, 8, 16}) {
+  // A payload that ends before the 16-byte (fallbacks, margin_kept)
+  // pair, or halfway through it: the layout has no optional tail, so
+  // both cuts are corruption.
+  for (size_t cut : {8, 16}) {
     std::vector<uint8_t> payload(full.begin(), full.end() - cut);
     Result<ServiceStatsSnapshot> decoded = DecodeStatsResponse(payload);
     ASSERT_FALSE(decoded.ok()) << "cut " << cut;
+    EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status();
+  }
+}
+
+TEST(WireTest, StatsResponseRejectsTruncation) {
+  ServiceStatsSnapshot stats;
+  stats.query.two_stage_queries = 7;
+  const std::vector<uint8_t> full = EncodeStatsResponse(stats);
+  ASSERT_TRUE(DecodeStatsResponse(full).ok());
+  {
+    std::vector<uint8_t> payload(full.begin(), full.end() - 1);
+    Result<ServiceStatsSnapshot> decoded = DecodeStatsResponse(payload);
+    ASSERT_FALSE(decoded.ok());
     EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status();
   }
   // An extractor count other than kNumFeatureKinds is corruption even
