@@ -188,9 +188,10 @@ Result<RetrievalEngine::ExtractedQuery> RetrievalEngine::ExtractWithPlan(
 
 Status RetrievalEngine::RemoveVideo(int64_t v_id) {
   WriterMutexLock lock(mutex_);
-  VR_ASSIGN_OR_RETURN(std::vector<int64_t> ids,
-                      store_->KeyFrameIdsOfVideo(v_id));
-  VR_RETURN_NOT_OK(store_->DeleteVideo(v_id));
+  // The store commits first (one journal batch); memory changes only
+  // after that succeeded, so a failed remove leaves both serving the
+  // whole video.
+  VR_ASSIGN_OR_RETURN(std::vector<int64_t> ids, store_->DeleteVideo(v_id));
   for (int64_t i_id : ids) {
     auto it = cache_by_id_.find(i_id);
     if (it == cache_by_id_.end()) continue;

@@ -176,9 +176,11 @@ using QueryCheckpoint = std::function<Status()>;
 ///
 /// Thread-safety: the engine uses a reader/writer discipline over one
 /// writer-preferring vr::SharedMutex. The query methods (QueryByImage,
-/// QueryByImageSingleFeature, QueryByVideo, last_candidate_stats,
+/// QueryByImageSingleFeature, QueryByVideo, QueryByStoredId,
 /// indexed_key_frames) take the lock shared and may run concurrently
-/// with each other from any number of threads. The mutating methods
+/// with each other from any number of threads; the image and video
+/// queries extract their features first and hold it only for select,
+/// coarse, rank and fuse/top-k. The mutating methods
 /// (IngestFrames, IngestVideoFile, RemoveVideo, CommitPrepared — and
 /// ApplyRelevanceFeedback, which rewrites the scorer weights) take it
 /// exclusive, while the ingest *preparation* methods (ExtractKeyFrames,
@@ -215,7 +217,9 @@ class RetrievalEngine {
   /// Ingests a .vsv file.
   Result<int64_t> IngestVideoFile(const std::string& path,
                                   const std::string& name);
-  /// Removes a video and all of its key frames.
+  /// Removes a video and all of its key frames under the exclusive
+  /// lock: one journal batch (one sync, all or nothing across a crash),
+  /// and memory drops the rows only after it succeeded.
   Status RemoveVideo(int64_t v_id);
   /// @}
 
@@ -235,19 +239,21 @@ class RetrievalEngine {
   /// Stage 1: key-frame detection (§4.1) over an ordered frame list.
   /// Counts the frames and detection time in ingest_stats().
   Result<std::vector<KeyFrame>> ExtractKeyFrames(
-      const std::vector<Image>& frames) const;
+      const std::vector<Image>& frames) const EXCLUDES(mutex_);
   /// Stage 2: per-key-frame feature extraction, range bucketing and
   /// image encoding. Independent per key frame — fan this out.
   Result<PreparedKeyFrame> PrepareKeyFrame(const std::string& video_name,
-                                           const KeyFrame& key) const;
+                                           const KeyFrame& key) const
+      EXCLUDES(mutex_);
   /// Stage 1b: re-encode the frames into the .vsv blob stored in the
   /// VIDEO column. Returns an empty blob when store_video_blob is off.
   Result<std::vector<uint8_t>> EncodeVideoBlob(
-      const std::vector<Image>& frames) const;
+      const std::vector<Image>& frames) const EXCLUDES(mutex_);
   /// Stage 3: assign ids, persist the KEY_FRAMES rows (one batched
   /// journal sync) and the VIDEO_STORE row, and publish to the range
   /// index and feature cache. Holds the writer-exclusive lock for the
-  /// whole persist + publish sequence; returns the new v_id.
+  /// whole persist + publish sequence, feature text formatting
+  /// included; returns the new v_id.
   Result<int64_t> CommitPrepared(PreparedVideo video);
   /// @}
 
@@ -267,7 +273,9 @@ class RetrievalEngine {
   }
 
   /// \name Querying (the User role). Safe to call concurrently from
-  /// many threads, including concurrently with ingest.
+  /// many threads, including concurrently with ingest. The image and
+  /// video queries extract before taking the shared lock, which then
+  /// covers only select -> coarse -> rank -> fuse/top-k.
   /// @{
   /// Combined multi-feature ranking of the top \p k key frames. The
   /// optional \p checkpoint runs between pipeline stages; a non-OK
@@ -399,11 +407,14 @@ class RetrievalEngine {
   };
   /// Extracts every enabled feature through the fused extraction plan,
   /// consulting the content-addressed cache first and inserting on a
-  /// miss. Lock-free: plans come from the internal pool, the cache is
-  /// internally synchronized. Optional \p timings receives the
-  /// per-extractor / per-intermediate breakdown of a miss.
+  /// miss. Runs outside the engine lock (EXCLUDES lets Clang's
+  /// thread-safety pass reject a call made under it): plans come from
+  /// the internal pool, the cache is internally synchronized. Optional
+  /// \p timings receives the per-extractor / per-intermediate breakdown
+  /// of a miss.
   Result<ExtractedQuery> ExtractWithPlan(
-      const Image& img, ExtractionPlan::FrameTimings* timings = nullptr) const;
+      const Image& img, ExtractionPlan::FrameTimings* timings = nullptr) const
+      EXCLUDES(mutex_);
   /// Checks a fused plan out of the pool (creating one over the enabled
   /// extractors when the pool is empty). Plans hold per-thread scratch,
   /// so a plan is used by exactly one extraction at a time.

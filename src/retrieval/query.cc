@@ -419,12 +419,12 @@ Result<std::vector<QueryResult>> RetrievalEngine::RankExact(
 Result<std::vector<QueryResult>> RetrievalEngine::QueryByImage(
     const Image& query, size_t k, const QueryCheckpoint& checkpoint) {
   if (query.empty()) return Status::InvalidArgument("empty query image");
-  ReaderMutexLock lock(mutex_);
   VR_RETURN_NOT_OK(RunCheckpoint(checkpoint));
   Stopwatch extract_timer;
   VR_ASSIGN_OR_RETURN(ExtractedQuery extracted, ExtractWithPlan(query));
   query_counters_.extract_ns.fetch_add(ToNanos(extract_timer.ElapsedMillis()),
                                        std::memory_order_relaxed);
+  ReaderMutexLock lock(mutex_);
   VR_RETURN_NOT_OK(RunCheckpoint(checkpoint));
   Stopwatch select_timer;
   VR_ASSIGN_OR_RETURN(std::vector<uint32_t> candidates,
@@ -451,7 +451,6 @@ Result<std::vector<QueryResult>> RetrievalEngine::QueryByImageSingleFeature(
     return Status::InvalidArgument(std::string("feature not enabled: ") +
                                    FeatureKindName(kind));
   }
-  ReaderMutexLock lock(mutex_);
   VR_RETURN_NOT_OK(RunCheckpoint(checkpoint));
   Stopwatch extract_timer;
   // A full cached bank serves single-feature queries too; a miss runs
@@ -480,6 +479,7 @@ Result<std::vector<QueryResult>> RetrievalEngine::QueryByImageSingleFeature(
   }
   query_counters_.extract_ns.fetch_add(ToNanos(extract_timer.ElapsedMillis()),
                                        std::memory_order_relaxed);
+  ReaderMutexLock lock(mutex_);
   VR_RETURN_NOT_OK(RunCheckpoint(checkpoint));
   Stopwatch select_timer;
   VR_ASSIGN_OR_RETURN(std::vector<uint32_t> candidates,
@@ -551,7 +551,6 @@ Result<std::vector<VideoQueryResult>> RetrievalEngine::QueryByVideo(
   if (query_frames.empty()) {
     return Status::InvalidArgument("empty query video");
   }
-  ReaderMutexLock lock(mutex_);
   VR_RETURN_NOT_OK(RunCheckpoint(checkpoint));
   // Key frames + features of the query sequence.
   Stopwatch extract_timer;
@@ -565,6 +564,7 @@ Result<std::vector<VideoQueryResult>> RetrievalEngine::QueryByVideo(
   }
   query_counters_.extract_ns.fetch_add(ToNanos(extract_timer.ElapsedMillis()),
                                        std::memory_order_relaxed);
+  ReaderMutexLock lock(mutex_);
   VR_RETURN_NOT_OK(RunCheckpoint(checkpoint));
 
   // Group stored key frames per video, in id (i.e. temporal) order.

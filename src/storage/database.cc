@@ -226,13 +226,33 @@ Status Database::InsertBatch(const std::string& table,
 }
 
 Status Database::Delete(const std::string& table, int64_t pk) {
-  VR_ASSIGN_OR_RETURN(Table * t, GetTable(table));
-  if (!t->Exists(pk)) {
-    return Status::NotFound(table + ": no pk " + std::to_string(pk));
+  return DeleteBatch({RowKey{table, pk}});
+}
+
+Status Database::DeleteBatch(const std::vector<RowKey>& keys) {
+  if (keys.empty()) return Status::OK();
+  // Check every row before journaling anything, so a missing row
+  // cannot leave a half-journaled batch.
+  std::vector<Table*> tables;
+  tables.reserve(keys.size());
+  for (const auto& [table, pk] : keys) {
+    VR_ASSIGN_OR_RETURN(Table * t, GetTable(table));
+    if (!t->Exists(pk)) {
+      return Status::NotFound(table + ": no pk " + std::to_string(pk));
+    }
+    tables.push_back(t);
   }
-  VR_RETURN_NOT_OK(wal_->AppendDelete(table, pk));
+
+  // Journal the whole batch, then one sync covers every delete.
+  for (const auto& [table, pk] : keys) {
+    VR_RETURN_NOT_OK(wal_->AppendDelete(table, pk));
+  }
   VR_RETURN_NOT_OK(wal_->Sync());
-  return t->Delete(pk);
+
+  for (size_t i = 0; i < keys.size(); ++i) {
+    VR_RETURN_NOT_OK(tables[i]->Delete(keys[i].second));
+  }
+  return Status::OK();
 }
 
 Status Database::Update(const std::string& table, const Row& row) {

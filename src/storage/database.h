@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "storage/catalog.h"
@@ -84,6 +85,16 @@ class Database {
 
   /// Journaled delete by primary key.
   Status Delete(const std::string& table, int64_t pk);
+
+  /// One (table, primary key) pair of a DeleteBatch.
+  using RowKey = std::pair<std::string, int64_t>;
+
+  /// Journaled batch delete, possibly across tables: checks that every
+  /// row exists (NotFound otherwise) before journaling anything,
+  /// journals every delete under a single fsync, then applies them in
+  /// order. Once this returns OK the whole
+  /// batch survives a crash; on a journaling error nothing was applied.
+  Status DeleteBatch(const std::vector<RowKey>& keys);
 
   /// Journaled update (delete + insert under the same pk).
   Status Update(const std::string& table, const Row& row);

@@ -169,13 +169,15 @@ Result<VideoRecord> VideoStore::GetVideo(int64_t v_id) const {
   return out;
 }
 
-Status VideoStore::DeleteVideo(int64_t v_id) {
+Result<std::vector<int64_t>> VideoStore::DeleteVideo(int64_t v_id) {
   VR_ASSIGN_OR_RETURN(std::vector<int64_t> frame_ids,
                       KeyFrameIdsOfVideo(v_id));
-  for (int64_t i_id : frame_ids) {
-    VR_RETURN_NOT_OK(db_->Delete(kKeyFrameTable, i_id));
-  }
-  return db_->Delete(kVideoTable, v_id);
+  std::vector<Database::RowKey> keys;
+  keys.reserve(frame_ids.size() + 1);
+  for (int64_t i_id : frame_ids) keys.emplace_back(kKeyFrameTable, i_id);
+  keys.emplace_back(kVideoTable, v_id);
+  VR_RETURN_NOT_OK(db_->DeleteBatch(keys));
+  return frame_ids;
 }
 
 Result<std::vector<VideoRecord>> VideoStore::ListVideos() const {

@@ -62,7 +62,10 @@ class VideoStore {
   /// @{
   Result<int64_t> PutVideo(const VideoRecord& record);
   Result<VideoRecord> GetVideo(int64_t v_id) const;
-  Status DeleteVideo(int64_t v_id);  ///< cascades to key frames
+  /// Deletes the video row and all of its key frames as one journal
+  /// batch (one fsync; all or nothing across a crash). Returns the
+  /// deleted key-frame ids.
+  Result<std::vector<int64_t>> DeleteVideo(int64_t v_id);
   /// Lists v_id/v_name/dostore without materializing video blobs.
   Result<std::vector<VideoRecord>> ListVideos() const;
   /// Metadata search (the paper's "query ... as well on metadata"):

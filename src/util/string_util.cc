@@ -95,17 +95,11 @@ Result<double> ParseDouble(std::string_view s) {
 }
 
 std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Try shorter representations that still round-trip.
-  for (int prec = 1; prec <= 16; ++prec) {
-    char shorter[64];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-    double parsed = 0.0;
-    std::sscanf(shorter, "%lf", &parsed);
-    if (parsed == v) return shorter;
-  }
-  return buf;
+  // Shortest spelling that from_chars (ParseDouble) reads back to the
+  // same double.
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, r.ptr);
 }
 
 std::string StringPrintf(const char* fmt, ...) {

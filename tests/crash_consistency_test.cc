@@ -10,6 +10,10 @@
 /// tolerated divergence is the single operation in flight at the sync:
 /// it may be fully present (its journal record was durable) or fully
 /// absent, never half-applied.
+///
+/// The engine-level tests hold RetrievalEngine::RemoveVideo to the same
+/// standard: a killed or failed remove leaves the video whole or gone,
+/// in the store and in every stored-id query answer alike.
 
 #include <gtest/gtest.h>
 
@@ -18,8 +22,11 @@
 #include <string>
 #include <vector>
 
+#include "retrieval/engine.h"
 #include "storage/database.h"
 #include "util/fault_injection_env.h"
+#include "util/string_util.h"
+#include "video/synth/generator.h"
 
 namespace vr {
 namespace {
@@ -264,6 +271,167 @@ TEST(CrashConsistencyTest, InjectedWriteFailureSurfaces) {
   const Status st =
       db->Insert(kTable, MakeRow(1, ModelRow{"x", {}})).status();
   EXPECT_TRUE(st.IsIOError()) << st;
+}
+
+/// A store of two small videos: the keep_ids video stays, victim goes.
+struct TwoVideos {
+  std::unique_ptr<RetrievalEngine> engine;
+  int64_t victim = 0;
+  std::vector<int64_t> keep_ids;
+  std::vector<int64_t> victim_ids;
+};
+
+/// QueryByStoredId answers keyed by key-frame id; an answer is the hit
+/// list spelled exactly (hex-float scores) or the status text.
+using Answers = std::map<int64_t, std::string>;
+
+EngineOptions RemoveTestOptions(Env* env) {
+  EngineOptions options;
+  options.enabled_features = {FeatureKind::kColorHistogram,
+                              FeatureKind::kGlcm};
+  options.store_video_blob = false;
+  options.env = env;
+  return options;
+}
+
+std::vector<Image> TinyVideo(VideoCategory category, uint64_t seed) {
+  SyntheticVideoSpec spec;
+  spec.category = category;
+  spec.width = 64;
+  spec.height = 48;
+  spec.num_scenes = 3;
+  spec.frames_per_scene = 6;
+  spec.seed = seed;
+  return GenerateVideoFrames(spec).value();
+}
+
+void OpenTwoVideos(Env* env, const std::string& dir, TwoVideos* out) {
+  out->engine = RetrievalEngine::Open(dir, RemoveTestOptions(env)).value();
+  const int64_t keep =
+      out->engine->IngestFrames(TinyVideo(VideoCategory::kSports, 3), "keep")
+          .value();
+  out->victim =
+      out->engine->IngestFrames(TinyVideo(VideoCategory::kCartoon, 4), "victim")
+          .value();
+  out->keep_ids = out->engine->store()->KeyFrameIdsOfVideo(keep).value();
+  out->victim_ids =
+      out->engine->store()->KeyFrameIdsOfVideo(out->victim).value();
+  // A partial remove is only visible with more than one key frame.
+  ASSERT_GE(out->victim_ids.size(), 2u);
+}
+
+std::string AnswerOf(RetrievalEngine* engine, int64_t i_id) {
+  Result<std::vector<QueryResult>> hits = engine->QueryByStoredId(i_id, 50);
+  if (!hits.ok()) return hits.status().ToString();
+  std::string out;
+  for (const QueryResult& hit : *hits) {
+    out += StringPrintf("%lld/%lld/%a ", static_cast<long long>(hit.i_id),
+                        static_cast<long long>(hit.v_id), hit.score);
+  }
+  return out;
+}
+
+Answers AnswersOf(RetrievalEngine* engine, const TwoVideos& videos) {
+  Answers out;
+  for (const auto* ids : {&videos.keep_ids, &videos.victim_ids}) {
+    for (int64_t i_id : *ids) out[i_id] = AnswerOf(engine, i_id);
+  }
+  return out;
+}
+
+/// The victim video is either whole — its VIDEO_STORE row, every
+/// KEY_FRAMES row and every answer as before the remove — or gone from
+/// all three, with every answer as after the remove.
+void ExpectAllOrNothing(RetrievalEngine* engine, const TwoVideos& videos,
+                        const Answers& before, const Answers& after) {
+  VideoStore* store = engine->store();
+  const bool present = store->GetVideo(videos.victim).ok();
+  size_t rows = 0;
+  for (int64_t i_id : videos.victim_ids) {
+    if (store->GetKeyFrame(i_id).ok()) ++rows;
+  }
+  EXPECT_EQ(rows, present ? videos.victim_ids.size() : 0u)
+      << "video row " << (present ? "present" : "gone") << " but " << rows
+      << " of " << videos.victim_ids.size() << " key-frame rows remain";
+  EXPECT_EQ(engine->indexed_key_frames(),
+            videos.keep_ids.size() +
+                (present ? videos.victim_ids.size() : 0u));
+  const Answers& want = present ? before : after;
+  for (const auto& [i_id, answer] : want) {
+    EXPECT_EQ(AnswerOf(engine, i_id), answer)
+        << "key frame " << i_id << (present ? " (video whole)" : " (removed)");
+  }
+}
+
+TEST(CrashConsistencyTest, RemoveVideoKillAtEverySyncPoint) {
+  const std::string dir = "remove_torture_db";
+  FaultInjectionEnv env;
+  bool recording = false;
+  std::vector<FaultInjectionEnv::Snapshot> points;
+  env.SetSyncObserver([&] {
+    if (recording) points.push_back(env.DurableSnapshot());
+  });
+  TwoVideos videos;
+  OpenTwoVideos(&env, dir, &videos);
+  const Answers before = AnswersOf(videos.engine.get(), videos);
+
+  // The disk just before the remove is a kill point too.
+  points.push_back(env.DurableSnapshot());
+  recording = true;
+  ASSERT_TRUE(videos.engine->RemoveVideo(videos.victim).ok());
+  recording = false;
+  ASSERT_GE(points.size(), 2u);
+  const Answers after = AnswersOf(videos.engine.get(), videos);
+  for (int64_t i_id : videos.victim_ids) {
+    ASSERT_TRUE(after.at(i_id).rfind("NotFound", 0) == 0) << after.at(i_id);
+  }
+  videos.engine.reset();
+
+  for (size_t i = 0; i < points.size(); ++i) {
+    SCOPED_TRACE("sync point " + std::to_string(i));
+    FaultInjectionEnv crashed(points[i]);
+    Result<std::unique_ptr<RetrievalEngine>> reopened =
+        RetrievalEngine::Open(dir, RemoveTestOptions(&crashed));
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    ExpectAllOrNothing(reopened->get(), videos, before, after);
+  }
+}
+
+TEST(CrashConsistencyTest, RemoveVideoSyncFailureKeepsStoreAndMemory) {
+  // Count the syncs of a healthy remove on the same workload.
+  uint64_t remove_syncs = 0;
+  Answers before;
+  Answers after;
+  {
+    FaultInjectionEnv env;
+    TwoVideos videos;
+    OpenTwoVideos(&env, "remove_fail_dry_db", &videos);
+    before = AnswersOf(videos.engine.get(), videos);
+    const uint64_t start = env.sync_count();
+    ASSERT_TRUE(videos.engine->RemoveVideo(videos.victim).ok());
+    remove_syncs = env.sync_count() - start;
+    after = AnswersOf(videos.engine.get(), videos);
+  }
+  ASSERT_GT(remove_syncs, 0u);
+
+  // Fail each of those syncs in turn. A failed remove must leave the
+  // store and memory serving every key frame of the video; a remove
+  // that reports OK must have dropped it from both.
+  for (uint64_t n = 1; n <= remove_syncs; ++n) {
+    SCOPED_TRACE("failing sync " + std::to_string(n) + " of " +
+                 std::to_string(remove_syncs));
+    FaultInjectionEnv env;
+    TwoVideos videos;
+    OpenTwoVideos(&env, "remove_fail_db", &videos);
+    env.FailNthSync(n);
+    const Status removed = videos.engine->RemoveVideo(videos.victim);
+    if (n == 1) {
+      // The first sync is the journal's: nothing may be applied.
+      EXPECT_TRUE(removed.IsIOError()) << removed;
+      EXPECT_TRUE(videos.engine->store()->GetVideo(videos.victim).ok());
+    }
+    ExpectAllOrNothing(videos.engine.get(), videos, before, after);
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -269,6 +270,80 @@ TEST_F(EngineConcurrencyTest, ShardedQueriesRaceIngest) {
   for (size_t i = 0; i < a->size(); ++i) {
     EXPECT_EQ((*a)[i].i_id, (*b)[i].i_id);
     EXPECT_EQ((*a)[i].score, (*b)[i].score);
+  }
+}
+
+/// Runs \p query on a second thread while this thread holds the engine
+/// lock exclusive. Sets \p extracted when query_stats().extract_ms grew
+/// before the wait's deadline, i.e. the query extracted while locked
+/// out; the lock is released either way, so the query always finishes.
+template <typename Query>
+auto RunWhileWriterHolds(RetrievalEngine* engine, Query query,
+                         bool* extracted) {
+  std::optional<decltype(query())> reply;
+  const double before = engine->query_stats().extract_ms;
+  std::thread reader;
+  {
+    WriterMutexLock lock(engine->rw_lock());
+    reader = std::thread([&] { reply.emplace(query()); });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (engine->query_stats().extract_ms <= before &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    *extracted = engine->query_stats().extract_ms > before;
+  }
+  reader.join();
+  return std::move(*reply);
+}
+
+TEST_F(EngineConcurrencyTest, QueryExtractsOutsideEngineLock) {
+  // Each query uses frames this engine has never seen, so extraction is
+  // cold (no extraction-cache hit) and takes measurable time.
+  const std::vector<Image> clip = TinyVideo(VideoCategory::kNews, 700);
+  bool extracted = false;
+
+  auto image = RunWhileWriterHolds(
+      engine_.get(), [&] { return engine_->QueryByImage(clip[1], 5); },
+      &extracted);
+  EXPECT_TRUE(extracted) << "QueryByImage extracted only after the lock";
+  const auto image_serial = engine_->QueryByImage(clip[1], 5);
+  ASSERT_TRUE(image.ok() && image_serial.ok());
+  ASSERT_EQ(image->size(), image_serial->size());
+  for (size_t i = 0; i < image->size(); ++i) {
+    EXPECT_EQ((*image)[i].i_id, (*image_serial)[i].i_id);
+    EXPECT_EQ((*image)[i].score, (*image_serial)[i].score);
+  }
+
+  auto single = RunWhileWriterHolds(
+      engine_.get(),
+      [&] {
+        return engine_->QueryByImageSingleFeature(clip[4], FeatureKind::kGlcm,
+                                                  5);
+      },
+      &extracted);
+  EXPECT_TRUE(extracted)
+      << "QueryByImageSingleFeature extracted only after the lock";
+  const auto single_serial =
+      engine_->QueryByImageSingleFeature(clip[4], FeatureKind::kGlcm, 5);
+  ASSERT_TRUE(single.ok() && single_serial.ok());
+  ASSERT_EQ(single->size(), single_serial->size());
+  for (size_t i = 0; i < single->size(); ++i) {
+    EXPECT_EQ((*single)[i].i_id, (*single_serial)[i].i_id);
+    EXPECT_EQ((*single)[i].score, (*single_serial)[i].score);
+  }
+
+  auto video = RunWhileWriterHolds(
+      engine_.get(), [&] { return engine_->QueryByVideo(clip, 2); },
+      &extracted);
+  EXPECT_TRUE(extracted) << "QueryByVideo extracted only after the lock";
+  const auto video_serial = engine_->QueryByVideo(clip, 2);
+  ASSERT_TRUE(video.ok() && video_serial.ok());
+  ASSERT_EQ(video->size(), video_serial->size());
+  for (size_t i = 0; i < video->size(); ++i) {
+    EXPECT_EQ((*video)[i].v_id, (*video_serial)[i].v_id);
+    EXPECT_EQ((*video)[i].score, (*video_serial)[i].score);
   }
 }
 

@@ -19,6 +19,17 @@ TEST(FeatureVectorTest, StringFormatMatchesPaperStyle) {
   EXPECT_EQ(fv.ToString(), "gabor 2 1 2");
 }
 
+TEST(FeatureVectorTest, FromStringReadsFixedAndScientificSpellings) {
+  // Rows written before the shortest-round-trip formatter spell small
+  // values in fixed notation; both spellings must parse identically.
+  Result<FeatureVector> fixed = FeatureVector::FromString("gabor 2 0.0001 1");
+  Result<FeatureVector> sci = FeatureVector::FromString("gabor 2 1e-04 1");
+  ASSERT_TRUE(fixed.ok()) << fixed.status();
+  ASSERT_TRUE(sci.ok()) << sci.status();
+  EXPECT_EQ((*fixed)[0], 0.0001);
+  EXPECT_EQ(*fixed, *sci);
+}
+
 TEST(FeatureVectorTest, FromStringRejectsBadCounts) {
   EXPECT_FALSE(FeatureVector::FromString("glcm 3 1 2").ok());
   EXPECT_FALSE(FeatureVector::FromString("glcm 1 1 2").ok());

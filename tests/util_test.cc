@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "util/rng.h"
@@ -57,10 +62,24 @@ TEST(ParseDoubleTest, ValidAndInvalid) {
 }
 
 TEST(FormatDoubleTest, RoundTrips) {
-  for (double v : {0.0, 1.0, -3.25, 0.1, 1e-9, 12345678.9, 2.274446602930954e-4}) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double v : {0.0, 1.0, -3.25, 0.1, 1e-9, 12345678.9,
+                   2.274446602930954e-4, -0.0, 5e-324, DBL_MAX, kInf, -kInf}) {
     const std::string s = FormatDouble(v);
-    EXPECT_DOUBLE_EQ(ParseDouble(s).value(), v) << s;
+    Result<double> parsed = ParseDouble(s);
+    ASSERT_TRUE(parsed.ok()) << s << ": " << parsed.status();
+    EXPECT_EQ(std::bit_cast<uint64_t>(*parsed), std::bit_cast<uint64_t>(v))
+        << s;
   }
+  const std::string nan = FormatDouble(std::numeric_limits<double>::quiet_NaN());
+  Result<double> parsed = ParseDouble(nan);
+  ASSERT_TRUE(parsed.ok()) << nan << ": " << parsed.status();
+  EXPECT_TRUE(std::isnan(*parsed)) << nan;
+}
+
+TEST(FormatDoubleTest, ShortestSpellings) {
+  EXPECT_EQ(FormatDouble(0.1), "0.1");
+  EXPECT_EQ(FormatDouble(1.0), "1");
 }
 
 TEST(StringPrintfTest, FormatsLikePrintf) {
