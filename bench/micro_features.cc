@@ -14,12 +14,16 @@
 ///    extract_ms actually pays.
 ///
 /// Every run first checks that the plan reproduces the golden-feature
-/// fixture (tests/data/golden_features.txt) bit for bit. `--smoke`
+/// fixture (tests/data/golden_features.txt) bit for bit, and that the
+/// check rejects a fixture with one Gabor bit flipped. `--smoke`
 /// keeps that gate on a seconds-scale pass and skips the JSON;
 /// scripts/check_all.sh uses it as a regression gate.
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -49,16 +53,12 @@ std::vector<const vr::FeatureExtractor*> Raw(
   return raw;
 }
 
-/// Dies loudly unless a plan over each golden extractor set reproduces
-/// the fixture bit for bit on every golden frame — the contract the
-/// ctest suite pins, re-checked here so the bench numbers are
-/// meaningful.
-void AssertGolden() {
-  const auto fixture = vr::golden::LoadFixture(VR_GOLDEN_FEATURES);
-  if (!fixture.ok()) {
-    std::fprintf(stderr, "%s\n", fixture.status().ToString().c_str());
-    std::exit(1);
-  }
+using Fixture = std::map<std::string, vr::FeatureVector>;
+
+/// Empty when a plan over each golden extractor set reproduces
+/// \p fixture bit for bit on every golden frame, else the first
+/// mismatch as "<frame> <label>: <difference>".
+std::string FirstGoldenMismatch(const Fixture& fixture) {
   const auto frames = vr::golden::Frames();
   for (const auto& set : vr::golden::ExtractorSets()) {
     vr::ExtractionPlan plan(vr::golden::Extractors(set));
@@ -66,19 +66,47 @@ void AssertGolden() {
       const vr::FeatureMap fused = plan.ExtractAll(frame.image).value();
       for (const auto& c : set) {
         const std::string key = vr::golden::Key(frame.name, c.label);
-        const auto want = fixture->find(key);
+        const auto want = fixture.find(key);
         const std::string diff =
-            want == fixture->end()
+            want == fixture.end()
                 ? "missing from the fixture"
                 : vr::golden::Mismatch(want->second,
                                        fused.at(c.extractor->kind()));
-        if (!diff.empty()) {
-          std::fprintf(stderr, "GOLDEN FAILURE: %s: %s\n", key.c_str(),
-                       diff.c_str());
-          std::exit(1);
-        }
+        if (!diff.empty()) return key + ": " + diff;
       }
     }
+  }
+  return "";
+}
+
+/// Dies loudly unless the plan reproduces the golden-feature fixture
+/// bit for bit — the contract the ctest suite pins, re-checked here so
+/// the bench numbers are meaningful. A must-fail probe then flips the
+/// lowest bit of one Gabor value in the fixture and dies unless the
+/// same comparison rejects it, so a gate that cannot fail cannot pass.
+void AssertGolden() {
+  auto fixture = vr::golden::LoadFixture(VR_GOLDEN_FEATURES);
+  if (!fixture.ok()) {
+    std::fprintf(stderr, "%s\n", fixture.status().ToString().c_str());
+    std::exit(1);
+  }
+  const std::string diff = FirstGoldenMismatch(*fixture);
+  if (!diff.empty()) {
+    std::fprintf(stderr, "GOLDEN FAILURE: %s\n", diff.c_str());
+    std::exit(1);
+  }
+  const std::string probe_key = vr::golden::Key("noise_120x90", "gabor");
+  double& probed = fixture->at(probe_key).values().at(0);
+  probed = std::bit_cast<double>(std::bit_cast<uint64_t>(probed) ^ 1);
+  const std::string probe = FirstGoldenMismatch(*fixture);
+  if (probe.rfind(probe_key + ": dim 0:", 0) != 0) {
+    const std::string verdict =
+        probe.empty() ? "accepted" : "reported as " + probe;
+    std::fprintf(stderr,
+                 "GOLDEN PROBE DID NOT FIRE: a one-bit flip in %s dim 0 "
+                 "was %s\n",
+                 probe_key.c_str(), verdict.c_str());
+    std::exit(1);
   }
 }
 
@@ -104,7 +132,9 @@ int main(int argc, char** argv) {
   }
 
   AssertGolden();
-  std::printf("golden: plan output bit-identical to the fixture\n");
+  std::printf(
+      "golden: plan output bit-identical to the fixture; one-bit probe "
+      "rejected\n");
 
   // Warm the plan's scratch (FFT plan, filter bank, arena) so the timed
   // loop measures the steady state.

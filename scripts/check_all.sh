@@ -5,7 +5,8 @@
 # static analysis (Clang thread-safety + clang-tidy; skips itself on
 # machines without clang), the plain build + full test suite, the
 # query-bench smoke run (its built-in serial-vs-sharded parity assert),
-# the feature-bench smoke run (plan output vs the golden-feature fixture),
+# the feature-bench smoke run (plan output vs the golden-feature fixture,
+# plus a one-bit must-fail probe of that comparison),
 # the scale-bench smoke run (warm-open gate + two-stage-vs-exact
 # parity + the two-stage p50 <= exact p50 speed gate at its largest
 # smoke corpus),

@@ -31,6 +31,7 @@ struct GaborScratch : PlanContext::Scratch {
   FloatImage f;
   ComplexImage spectrum;
   ComplexImage response;
+  std::vector<Complex> transposed;  ///< Fft2DPlan::Run's scratch block
   std::vector<float> mags;  ///< |response| per pixel, reused per filter
 };
 
@@ -110,7 +111,8 @@ Result<FeatureVector> GaborTexture::ExtractShared(const Image& img,
   for (size_t i = 0; i < pixels; ++i) {
     spectrum.data[i] = Complex(f.data()[i], 0.0f);
   }
-  VR_RETURN_NOT_OK(scratch->fft->Run(&spectrum, /*inverse=*/false));
+  VR_RETURN_NOT_OK(scratch->fft->Run(&spectrum, /*inverse=*/false,
+                                      &scratch->transposed));
 
   std::vector<double> feature;
   feature.reserve(dimensions());
@@ -122,10 +124,11 @@ Result<FeatureVector> GaborTexture::ExtractShared(const Image& img,
     for (size_t i = 0; i < pixels; ++i) {
       response.data[i] = spectrum.data[i] * filter[i];
     }
-    VR_RETURN_NOT_OK(scratch->fft->Run(&response, /*inverse=*/true));
+    VR_RETURN_NOT_OK(scratch->fft->Run(&response, /*inverse=*/true,
+                                        &scratch->transposed));
     // One |.| pass feeds both the mean and the variance loop.
     for (size_t i = 0; i < pixels; ++i) {
-      mags[i] = std::abs(response.data[i]);
+      mags[i] = Magnitude(response.data[i]);
     }
     double mag_mean = 0.0;
     for (size_t i = 0; i < pixels; ++i) mag_mean += mags[i];

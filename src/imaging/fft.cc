@@ -1,7 +1,6 @@
 #include "imaging/fft.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 namespace vr {
@@ -12,65 +11,6 @@ size_t NextPowerOfTwo(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
   return p;
-}
-
-Status Fft1D(std::vector<Complex>* data, bool inverse) {
-  const size_t n = data->size();
-  if (!IsPowerOfTwo(n)) {
-    return Status::InvalidArgument("FFT size must be a power of two");
-  }
-  auto& a = *data;
-  // Bit-reversal permutation.
-  for (size_t i = 1, j = 0; i < n; ++i) {
-    size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(a[i], a[j]);
-  }
-  for (size_t len = 2; len <= n; len <<= 1) {
-    const float ang =
-        2.0f * static_cast<float>(M_PI) / len * (inverse ? 1.0f : -1.0f);
-    const Complex wlen(std::cos(ang), std::sin(ang));
-    for (size_t i = 0; i < n; i += len) {
-      Complex w(1.0f, 0.0f);
-      for (size_t k = 0; k < len / 2; ++k) {
-        const Complex u = a[i + k];
-        const Complex v = a[i + k + len / 2] * w;
-        a[i + k] = u + v;
-        a[i + k + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
-  }
-  if (inverse) {
-    const float inv_n = 1.0f / static_cast<float>(n);
-    for (auto& c : a) c *= inv_n;
-  }
-  return Status::OK();
-}
-
-Status Fft2D(ComplexImage* img, bool inverse) {
-  const int w = img->width;
-  const int h = img->height;
-  if (!IsPowerOfTwo(static_cast<size_t>(w)) ||
-      !IsPowerOfTwo(static_cast<size_t>(h))) {
-    return Status::InvalidArgument("2-D FFT dimensions must be powers of two");
-  }
-  // Rows.
-  std::vector<Complex> row(static_cast<size_t>(w));
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) row[static_cast<size_t>(x)] = img->At(x, y);
-    VR_RETURN_NOT_OK(Fft1D(&row, inverse));
-    for (int x = 0; x < w; ++x) img->At(x, y) = row[static_cast<size_t>(x)];
-  }
-  // Columns.
-  std::vector<Complex> col(static_cast<size_t>(h));
-  for (int x = 0; x < w; ++x) {
-    for (int y = 0; y < h; ++y) col[static_cast<size_t>(y)] = img->At(x, y);
-    VR_RETURN_NOT_OK(Fft1D(&col, inverse));
-    for (int y = 0; y < h; ++y) img->At(x, y) = col[static_cast<size_t>(y)];
-  }
-  return Status::OK();
 }
 
 FftPlan::FftPlan(size_t n) : n_(n) {
@@ -88,9 +28,6 @@ FftPlan::FftPlan(size_t n) : n_(n) {
   for (int dir = 0; dir < 2; ++dir) {
     auto& tables = dir ? inv_ : fwd_;
     for (size_t len = 2; len <= n; len <<= 1) {
-      // The identical recurrence Fft1D runs inside its butterfly loop;
-      // the table entry for step k is therefore bitwise equal to the w
-      // the direct loop would hold.
       const float ang =
           2.0f * static_cast<float>(M_PI) / len * (dir ? 1.0f : -1.0f);
       const Complex wlen(std::cos(ang), std::sin(ang));
@@ -98,77 +35,38 @@ FftPlan::FftPlan(size_t n) : n_(n) {
       Complex w(1.0f, 0.0f);
       for (size_t k = 0; k < len / 2; ++k) {
         table[k] = w;
-        w *= wlen;
+        w = ComplexMul(w, wlen);
       }
       tables.push_back(std::move(table));
     }
   }
 }
 
-Status FftPlan::Run(Complex* a, bool inverse) const {
+Status FftPlan::Run(Complex* d, size_t columns, bool inverse) const {
   const size_t n = n_;
   if (n == 0) {
     return Status::InvalidArgument("FFT size must be a power of two");
   }
   for (size_t i = 1; i < n; ++i) {
     const size_t j = bitrev_[i];
-    if (i < j) std::swap(a[i], a[j]);
+    if (i < j) {
+      std::swap_ranges(d + i * columns, d + (i + 1) * columns,
+                       d + j * columns);
+    }
   }
   const auto& tables = inverse ? inv_ : fwd_;
   size_t level = 0;
   for (size_t len = 2; len <= n; len <<= 1, ++level) {
     const Complex* table = tables[level].data();
+    const size_t half = len / 2;
     for (size_t i = 0; i < n; i += len) {
-      for (size_t k = 0; k < len / 2; ++k) {
-        const Complex u = a[i + k];
-        const Complex v = a[i + k + len / 2] * table[k];
-        a[i + k] = u + v;
-        a[i + k + len / 2] = u - v;
-      }
-    }
-  }
-  if (inverse) {
-    const float inv_n = 1.0f / static_cast<float>(n);
-    for (size_t i = 0; i < n; ++i) a[i] *= inv_n;
-  }
-  return Status::OK();
-}
-
-Fft2DPlan::Fft2DPlan(int width, int height)
-    : row_(static_cast<size_t>(width)), col_(static_cast<size_t>(height)) {}
-
-Status Fft2DPlan::Run(ComplexImage* img, bool inverse) const {
-  const int w = img->width;
-  const int h = img->height;
-  if (static_cast<size_t>(w) != row_.size() ||
-      static_cast<size_t>(h) != col_.size() || row_.size() == 0 ||
-      col_.size() == 0) {
-    return Status::InvalidArgument("2-D FFT plan/image size mismatch");
-  }
-  Complex* d = img->data.data();
-  for (int y = 0; y < h; ++y) {
-    VR_RETURN_NOT_OK(row_.Run(d + static_cast<size_t>(y) * w, inverse));
-  }
-  // Column pass across all x at once: the bit-reversal permutation
-  // becomes whole-row swaps and each butterfly a unit-stride sweep.
-  const auto& bitrev = col_.bitrev();
-  for (size_t i = 1; i < static_cast<size_t>(h); ++i) {
-    const size_t j = bitrev[i];
-    if (i < j) {
-      std::swap_ranges(d + i * w, d + (i + 1) * w, d + j * w);
-    }
-  }
-  size_t level = 0;
-  for (size_t len = 2; len <= static_cast<size_t>(h); len <<= 1, ++level) {
-    const std::vector<Complex>& table = col_.twiddles(level, inverse);
-    for (size_t i = 0; i < static_cast<size_t>(h); i += len) {
-      for (size_t k = 0; k < len / 2; ++k) {
-        Complex* ra = d + (i + k) * w;
-        Complex* rb = d + (i + k + len / 2) * w;
+      for (size_t k = 0; k < half; ++k) {
+        Complex* ra = d + (i + k) * columns;
+        Complex* rb = ra + half * columns;
         const Complex wk = table[k];
-        for (int x = 0; x < w; ++x) {
+        for (size_t x = 0; x < columns; ++x) {
           const Complex u = ra[x];
-          const Complex v = rb[x] * wk;
+          const Complex v = ComplexMul(rb[x], wk);
           ra[x] = u + v;
           rb[x] = u - v;
         }
@@ -176,25 +74,49 @@ Status Fft2DPlan::Run(ComplexImage* img, bool inverse) const {
     }
   }
   if (inverse) {
-    const float inv_n = 1.0f / static_cast<float>(h);
-    const size_t total = static_cast<size_t>(w) * h;
-    for (size_t i = 0; i < total; ++i) d[i] *= inv_n;
+    const float inv_n = 1.0f / static_cast<float>(n);
+    for (size_t i = 0; i < n * columns; ++i) d[i] *= inv_n;
   }
   return Status::OK();
 }
 
-ComplexImage ToComplexPadded(const FloatImage& img, int min_w, int min_h) {
-  const int w = static_cast<int>(
-      NextPowerOfTwo(static_cast<size_t>(std::max(img.width(), min_w))));
-  const int h = static_cast<int>(
-      NextPowerOfTwo(static_cast<size_t>(std::max(img.height(), min_h))));
-  ComplexImage out(w, h);
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < img.width(); ++x) {
-      out.At(x, y) = Complex(img.At(x, y), 0.f);
+namespace {
+
+/// out[x * rows + y] = in[y * cols + x], in 16 x 16 tiles so the
+/// strided side stays in cache.
+void Transpose(const Complex* in, size_t rows, size_t cols, Complex* out) {
+  constexpr size_t kTile = 16;
+  for (size_t y0 = 0; y0 < rows; y0 += kTile) {
+    const size_t y1 = std::min(rows, y0 + kTile);
+    for (size_t x0 = 0; x0 < cols; x0 += kTile) {
+      const size_t x1 = std::min(cols, x0 + kTile);
+      for (size_t y = y0; y < y1; ++y) {
+        for (size_t x = x0; x < x1; ++x) out[x * rows + y] = in[y * cols + x];
+      }
     }
   }
-  return out;
+}
+
+}  // namespace
+
+Fft2DPlan::Fft2DPlan(int width, int height)
+    : row_(static_cast<size_t>(width)), col_(static_cast<size_t>(height)) {}
+
+Status Fft2DPlan::Run(ComplexImage* img, bool inverse,
+                      std::vector<Complex>* scratch) const {
+  const size_t w = row_.size();
+  const size_t h = col_.size();
+  if (static_cast<size_t>(img->width) != w ||
+      static_cast<size_t>(img->height) != h || w == 0 || h == 0) {
+    return Status::InvalidArgument("2-D FFT plan/image size mismatch");
+  }
+  Complex* d = img->data.data();
+  scratch->resize(w * h);
+  // Rows of the image are columns of its transpose.
+  Transpose(d, h, w, scratch->data());
+  VR_RETURN_NOT_OK(row_.Run(scratch->data(), h, inverse));
+  Transpose(scratch->data(), w, h, d);
+  return col_.Run(d, w, inverse);
 }
 
 }  // namespace vr

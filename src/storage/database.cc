@@ -182,8 +182,8 @@ Result<int64_t> Database::Insert(const std::string& table, const Row& row) {
   // Journal first (blobs inline), then apply.
   VR_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                       SerializeRow(t->schema(), row));
-  VR_RETURN_NOT_OK(wal_->AppendInsert(table, pk, payload));
-  VR_RETURN_NOT_OK(wal_->Sync());
+  VR_RETURN_NOT_OK(
+      JournalBatch([&] { return wal_->AppendInsert(table, pk, payload); }));
   return t->Insert(row);
 }
 
@@ -214,15 +214,31 @@ Status Database::InsertBatch(const std::string& table,
   }
 
   // Journal the whole batch, then one sync covers every row.
-  for (size_t i = 0; i < rows.size(); ++i) {
-    VR_RETURN_NOT_OK(wal_->AppendInsert(table, pks[i], payloads[i]));
-  }
-  VR_RETURN_NOT_OK(wal_->Sync());
+  VR_RETURN_NOT_OK(JournalBatch([&]() -> Status {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      VR_RETURN_NOT_OK(wal_->AppendInsert(table, pks[i], payloads[i]));
+    }
+    return Status::OK();
+  }));
 
   for (const Row& row : rows) {
     VR_RETURN_NOT_OK(t->Insert(row).status());
   }
   return Status::OK();
+}
+
+Status Database::JournalBatch(const std::function<Status()>& append) {
+  VR_ASSIGN_OR_RETURN(const uint64_t before, wal_->SizeBytes());
+  Status st = append();
+  if (st.ok()) st = wal_->Sync();
+  if (!st.ok()) {
+    const Status undo = wal_->Truncate(before);
+    if (!undo.ok()) {
+      VR_LOG(Error) << "journal rollback to " << before
+                    << " bytes failed: " << undo.ToString();
+    }
+  }
+  return st;
 }
 
 Status Database::Delete(const std::string& table, int64_t pk) {
@@ -244,10 +260,12 @@ Status Database::DeleteBatch(const std::vector<RowKey>& keys) {
   }
 
   // Journal the whole batch, then one sync covers every delete.
-  for (const auto& [table, pk] : keys) {
-    VR_RETURN_NOT_OK(wal_->AppendDelete(table, pk));
-  }
-  VR_RETURN_NOT_OK(wal_->Sync());
+  VR_RETURN_NOT_OK(JournalBatch([&]() -> Status {
+    for (const auto& [table, pk] : keys) {
+      VR_RETURN_NOT_OK(wal_->AppendDelete(table, pk));
+    }
+    return Status::OK();
+  }));
 
   for (size_t i = 0; i < keys.size(); ++i) {
     VR_RETURN_NOT_OK(tables[i]->Delete(keys[i].second));

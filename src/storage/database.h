@@ -19,6 +19,7 @@
 
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -79,8 +80,9 @@ class Database {
   /// journals all rows under a single fsync, then applies them in
   /// order. The WAL-first contract is unchanged — once this returns OK
   /// the whole batch survives a crash; on a journaling error nothing
-  /// was applied. The one sync per batch (instead of one per row) is
-  /// what makes bulk ingest commit at memory speed.
+  /// was applied and the journal is rolled back. The one sync per
+  /// batch (instead of one per row) is what makes bulk ingest commit at
+  /// memory speed.
   Status InsertBatch(const std::string& table, const std::vector<Row>& rows);
 
   /// Journaled delete by primary key.
@@ -92,8 +94,9 @@ class Database {
   /// Journaled batch delete, possibly across tables: checks that every
   /// row exists (NotFound otherwise) before journaling anything,
   /// journals every delete under a single fsync, then applies them in
-  /// order. Once this returns OK the whole
-  /// batch survives a crash; on a journaling error nothing was applied.
+  /// order. Once this returns OK the whole batch survives a crash; on
+  /// a journaling error nothing was applied and the journal is rolled
+  /// back.
   Status DeleteBatch(const std::vector<RowKey>& keys);
 
   /// Journaled update (delete + insert under the same pk).
@@ -124,6 +127,11 @@ class Database {
   explicit Database(std::string dir) : dir_(std::move(dir)) {}
 
   Status ReplayJournal();
+  /// Journals one batch: runs \p append (the batch's Wal appends), then
+  /// one sync. On any failure the journal is cut back to its size
+  /// before the batch, so a later successful sync cannot make durable
+  /// a write that returned an error.
+  Status JournalBatch(const std::function<Status()>& append);
   bool IsQuarantined(const std::string& table) const;
 
   std::string dir_;

@@ -96,8 +96,8 @@ Status Wal::Replay(const std::function<Status(const WalRecord&)>& cb) {
   return Status::OK();
 }
 
-Status Wal::Truncate() {
-  VR_RETURN_NOT_OK(file_->Truncate(0));
+Status Wal::Truncate(uint64_t size) {
+  VR_RETURN_NOT_OK(file_->Truncate(size));
   return Sync();
 }
 

@@ -63,8 +63,10 @@ class Wal {
   /// Replays every intact record from the start of the journal.
   Status Replay(const std::function<Status(const WalRecord&)>& cb);
 
-  /// Empties the journal (after a checkpoint).
-  Status Truncate();
+  /// Cuts the journal back to its first \p size bytes and syncs: 0
+  /// empties it after a checkpoint, a batch's starting size rolls back
+  /// a batch that failed to journal.
+  Status Truncate(uint64_t size = 0);
 
   /// Current journal size in bytes.
   Result<uint64_t> SizeBytes() const;

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -271,6 +272,98 @@ TEST(CrashConsistencyTest, InjectedWriteFailureSurfaces) {
   const Status st =
       db->Insert(kTable, MakeRow(1, ModelRow{"x", {}})).status();
   EXPECT_TRUE(st.IsIOError()) << st;
+}
+
+/// Commits rows 1 and 2, arms \p fault, runs \p failing (which must
+/// report IOError), commits row 100, then cuts the power before any
+/// checkpoint and reopens the disk it left, so recovery replays the
+/// journal. Returns which of rows 1..5 and 100 came back. Row 100's
+/// successful sync is what would make durable any record the failed
+/// write left in the journal.
+std::vector<int64_t> RowsAfterFailedWrite(
+    const std::string& dir,
+    const std::function<void(FaultInjectionEnv*)>& fault,
+    const std::function<Status(Database*)>& failing) {
+  FaultInjectionEnv::Snapshot disk;
+  {
+    FaultInjectionEnv env;
+    DatabaseOptions options;
+    options.create_if_missing = true;
+    options.env = &env;
+    auto db = Database::Open(dir, options).value();
+    EXPECT_TRUE(db->CreateTable(kTable, TortureSchema()).ok());
+    for (int64_t pk : {1, 2}) {
+      EXPECT_TRUE(db->Insert(kTable, MakeRow(pk, ModelRow{"kept", {1}})).ok());
+    }
+    fault(&env);
+    const Status st = failing(db.get());
+    EXPECT_TRUE(st.IsIOError()) << st;
+    EXPECT_TRUE(db->Insert(kTable, MakeRow(100, ModelRow{"after", {2}})).ok());
+    disk = env.DurableSnapshot();
+  }
+  FaultInjectionEnv env(disk);
+  DatabaseOptions options;
+  options.create_if_missing = true;  // snapshots omit directories
+  options.env = &env;
+  auto db = Database::Open(dir, options).value();
+  Table* t = db->GetTable(kTable).value();
+  std::vector<int64_t> present;
+  for (int64_t pk : {1, 2, 3, 4, 5, 100}) {
+    if (t->Exists(pk)) present.push_back(pk);
+  }
+  return present;
+}
+
+std::vector<Row> ThreeNewRows() {
+  return {MakeRow(3, ModelRow{"doomed", {3}}),
+          MakeRow(4, ModelRow{"doomed", {4}}),
+          MakeRow(5, ModelRow{"doomed", {5}})};
+}
+
+TEST(CrashConsistencyTest, FailedJournalSyncIsRolledBack) {
+  const auto fail_sync = [](FaultInjectionEnv* env) { env->FailNthSync(1); };
+  const std::vector<int64_t> untouched = {1, 2, 100};
+  EXPECT_EQ(RowsAfterFailedWrite("rollback_insert_db", fail_sync,
+                                 [](Database* db) {
+                                   return db
+                                       ->Insert(kTable,
+                                                MakeRow(3, ModelRow{"x", {}}))
+                                       .status();
+                                 }),
+            untouched);
+  EXPECT_EQ(RowsAfterFailedWrite("rollback_insert_batch_db", fail_sync,
+                                 [](Database* db) {
+                                   return db->InsertBatch(kTable,
+                                                          ThreeNewRows());
+                                 }),
+            untouched);
+  EXPECT_EQ(RowsAfterFailedWrite("rollback_delete_batch_db", fail_sync,
+                                 [](Database* db) {
+                                   return db->DeleteBatch(
+                                       {{kTable, 1}, {kTable, 2}});
+                                 }),
+            untouched);
+}
+
+TEST(CrashConsistencyTest, BatchAppendFailurePartwayIsRolledBack) {
+  // The first record of the batch reaches the journal; the second
+  // append fails.
+  const auto fail_second = [](FaultInjectionEnv* env) {
+    env->FailNthWrite(2);
+  };
+  const std::vector<int64_t> untouched = {1, 2, 100};
+  EXPECT_EQ(RowsAfterFailedWrite("partial_insert_batch_db", fail_second,
+                                 [](Database* db) {
+                                   return db->InsertBatch(kTable,
+                                                          ThreeNewRows());
+                                 }),
+            untouched);
+  EXPECT_EQ(RowsAfterFailedWrite("partial_delete_batch_db", fail_second,
+                                 [](Database* db) {
+                                   return db->DeleteBatch(
+                                       {{kTable, 1}, {kTable, 2}});
+                                 }),
+            untouched);
 }
 
 /// A store of two small videos: the keep_ids video stays, victim goes.
