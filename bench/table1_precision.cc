@@ -8,23 +8,165 @@
 /// category (the simulated user study).
 ///
 ///   ./table1_precision [videos_per_category] [queries_per_category] [seed]
+///   ./table1_precision --record [BENCH_quality.json]
+///   ./table1_precision --gate [BENCH_quality.json]
+///
+/// `--record` and `--gate` run the default corpus (8 videos and 8
+/// queries per category, seed 2012). `--record` writes every method's
+/// precision per cutoff to the JSON file. `--gate` exits 1 when the
+/// Combined precision drops more than 0.01 below the recorded value at
+/// any cutoff; a must-fail probe then raises each recorded value by
+/// 0.011 in turn and exits 1 unless the comparison rejects it, so a
+/// gate that cannot fail cannot pass. scripts/check_all.sh runs it.
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "eval/table1_runner.h"
+#include "util/env.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
+namespace {
+
+/// The largest drop below the recorded Combined precision the gate
+/// accepts at any cutoff.
+constexpr double kMaxDrop = 0.01;
+
+std::string QualityJson(const vr::Table1Options& options,
+                        const vr::Table1Result& result) {
+  std::string out = vr::StringPrintf(
+      "{\n  \"benchmark\": \"table1_precision\",\n"
+      "  \"corpus\": {\"videos_per_category\": %d, "
+      "\"queries_per_category\": %d, \"seed\": %llu, \"videos\": %zu, "
+      "\"key_frames\": %zu},\n  \"cutoffs\": [",
+      options.corpus.videos_per_category, options.study.queries_per_category,
+      static_cast<unsigned long long>(options.corpus.seed), result.videos,
+      result.key_frames);
+  for (size_t i = 0; i < options.study.cutoffs.size(); ++i) {
+    out += vr::StringPrintf("%s%zu", i > 0 ? ", " : "",
+                            options.study.cutoffs[i]);
+  }
+  out += "],\n  \"methods\": [\n";
+  for (size_t m = 0; m < result.methods.size(); ++m) {
+    const vr::MethodEvaluation& method = result.methods[m];
+    out += vr::StringPrintf("    {\"method\": \"%s\", \"precision\": [",
+                            method.method.c_str());
+    for (size_t i = 0; i < method.precision_at.size(); ++i) {
+      out += vr::StringPrintf("%s%.6f", i > 0 ? ", " : "",
+                              method.precision_at[i]);
+    }
+    out += m + 1 < result.methods.size() ? "]},\n" : "]}\n";
+  }
+  out += "  ]\n}\n";
+  return out;
+}
+
+/// The recorded Combined precision per cutoff from a QualityJson file.
+vr::Result<std::vector<double>> RecordedCombined(const std::string& path) {
+  VR_ASSIGN_OR_RETURN(std::string json,
+                      vr::Env::Default()->ReadFileToString(path));
+  const size_t method = json.find("\"method\": \"combined\"");
+  const size_t open = json.find('[', method);
+  const size_t close = json.find(']', open);
+  if (method == std::string::npos || open == std::string::npos ||
+      close == std::string::npos) {
+    return vr::Status::Corruption(path + " has no combined precision row");
+  }
+  std::vector<double> values;
+  const char* cursor = json.c_str() + open + 1;
+  const char* const end = json.c_str() + close;
+  while (cursor < end) {
+    char* next = nullptr;
+    values.push_back(std::strtod(cursor, &next));
+    if (next == cursor) {
+      return vr::Status::Corruption(path + " has a malformed combined row");
+    }
+    cursor = next + std::strspn(next, ", ");
+  }
+  return values;
+}
+
+/// Empty when \p measured stays within kMaxDrop of \p recorded at
+/// every cutoff, else the first cutoff that dropped further.
+std::string FirstDrop(const std::vector<size_t>& cutoffs,
+                      const std::vector<double>& recorded,
+                      const std::vector<double>& measured) {
+  if (recorded.size() != cutoffs.size() || measured.size() != cutoffs.size()) {
+    return vr::StringPrintf("%zu recorded and %zu measured values for %zu "
+                            "cutoffs",
+                            recorded.size(), measured.size(), cutoffs.size());
+  }
+  for (size_t i = 0; i < cutoffs.size(); ++i) {
+    if (measured[i] < recorded[i] - kMaxDrop) {
+      return vr::StringPrintf("combined P@%zu %.6f is more than %.2f below "
+                              "the recorded %.6f",
+                              cutoffs[i], measured[i], kMaxDrop, recorded[i]);
+    }
+  }
+  return "";
+}
+
+/// The --gate mode: 0 when Combined holds and the probe fires, else 1.
+int Gate(const std::string& path, const std::vector<size_t>& cutoffs,
+         const vr::Table1Result& result) {
+  const vr::Result<std::vector<double>> recorded = RecordedCombined(path);
+  if (!recorded.ok()) {
+    std::fprintf(stderr, "QUALITY FAILURE: %s\n",
+                 recorded.status().ToString().c_str());
+    return 1;
+  }
+  std::vector<double> measured;
+  for (const vr::MethodEvaluation& m : result.methods) {
+    if (m.method == "combined") measured = m.precision_at;
+  }
+  const std::string drop = FirstDrop(cutoffs, *recorded, measured);
+  if (!drop.empty()) {
+    std::fprintf(stderr, "QUALITY FAILURE: %s\n", drop.c_str());
+    return 1;
+  }
+  for (size_t i = 0; i < cutoffs.size(); ++i) {
+    std::vector<double> raised = *recorded;
+    raised[i] += 0.011;
+    if (FirstDrop(cutoffs, raised, measured).empty()) {
+      std::fprintf(stderr,
+                   "QUALITY PROBE DID NOT FIRE: the recorded combined P@%zu "
+                   "raised by 0.011 was accepted (if precision rose, "
+                   "re-record with --record)\n",
+                   cutoffs[i]);
+      return 1;
+    }
+  }
+  std::printf("\nquality gate: combined within %.2f of %s at every cutoff; "
+              "+0.011 probe rejected at every cutoff\n",
+              kMaxDrop, path.c_str());
+  return 0;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
+  const bool record = argc > 1 && std::strcmp(argv[1], "--record") == 0;
+  const bool gate = argc > 1 && std::strcmp(argv[1], "--gate") == 0;
+  const std::string json_path =
+      (record || gate) && argc > 2 ? argv[2] : "BENCH_quality.json";
+  // --record and --gate always use the default corpus.
+  const int positional = record || gate ? 1 : argc;
   vr::Table1Options options;
   options.db_dir = "/tmp/vretrieve_table1_bench";
   options.corpus.videos_per_category =
-      argc > 1 ? static_cast<int>(vr::ParseInt64(argv[1]).ValueOr(8)) : 8;
+      positional > 1 ? static_cast<int>(vr::ParseInt64(argv[1]).ValueOr(8))
+                     : 8;
   options.study.queries_per_category =
-      argc > 2 ? static_cast<int>(vr::ParseInt64(argv[2]).ValueOr(8)) : 8;
+      positional > 2 ? static_cast<int>(vr::ParseInt64(argv[2]).ValueOr(8))
+                     : 8;
   options.corpus.seed =
-      argc > 3 ? static_cast<uint64_t>(vr::ParseInt64(argv[3]).ValueOr(2012))
-               : 2012;
+      positional > 3
+          ? static_cast<uint64_t>(vr::ParseInt64(argv[3]).ValueOr(2012))
+          : 2012;
   options.corpus.width = 128;
   options.corpus.height = 96;
   options.corpus.scenes_per_video = 8;
@@ -56,6 +198,17 @@ int main(int argc, char** argv) {
   std::printf("%s\n", result->ToTableString(options.study.cutoffs).c_str());
   std::printf("(%zu videos, %zu key frames, %.1f s)\n", result->videos,
               result->key_frames, timer.ElapsedSeconds());
+  if (gate) return Gate(json_path, options.study.cutoffs, *result);
+  if (record) {
+    const vr::Status written = vr::Env::Default()->WriteFileAtomic(
+        json_path, QualityJson(options, *result));
+    if (!written.ok()) {
+      std::fprintf(stderr, "cannot write %s: %s\n", json_path.c_str(),
+                   written.ToString().c_str());
+      return 1;
+    }
+    std::printf("wrote %s\n", json_path.c_str());
+  }
   if (!result->fitted_weights.empty()) {
     std::printf("\nfitted fusion weights (extension; paper uses equal "
                 "weights):\n");

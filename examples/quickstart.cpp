@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
   spec.category = vr::VideoCategory::kCartoon;
   spec.seed = 33;
   const vr::Image query = vr::GenerateVideoFrames(spec).value()[5];
-  const auto results = engine->QueryByImage(query, 5).value();
+  vr::CandidateStats stats;
+  const auto results = engine->QueryByImage(query, 5, {}, &stats).value();
 
   std::printf("\ntop results for a cartoon query frame:\n");
   std::printf("%-6s %-6s %-10s\n", "rank", "v_id", "score");
@@ -63,7 +64,6 @@ int main(int argc, char** argv) {
     std::printf("%-6zu %-6lld %-10.4f\n", i + 1,
                 static_cast<long long>(results[i].v_id), results[i].score);
   }
-  const vr::CandidateStats stats = engine->last_candidate_stats();
   std::printf("\nindex pruned search to %zu of %zu key frames\n",
               stats.candidates, stats.total);
   if (!results.empty() && results[0].v_id == cartoon_id) {

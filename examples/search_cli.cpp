@@ -81,11 +81,6 @@ void PrintResultRows(const std::vector<vr::QueryResult>& results,
               stats.total);
 }
 
-void PrintResults(const std::vector<vr::QueryResult>& results,
-                  vr::RetrievalEngine* engine) {
-  PrintResultRows(results, engine->last_candidate_stats());
-}
-
 void PrintRemoteResponse(const vr::ServiceResponse& response) {
   if (response.status.IsPartialResult()) {
     // Degraded store: the ranked results are real, just incomplete —
@@ -365,12 +360,13 @@ int main(int argc, char** argv) {
                  damage.table.c_str(), damage.reason.ToString().c_str());
   }
   if (query_id_given) {
-    auto results = engine->QueryByStoredId(query_id, query_id_k);
+    vr::CandidateStats stats;
+    auto results = engine->QueryByStoredId(query_id, query_id_k, {}, &stats);
     if (!results.ok()) {
       std::fprintf(stderr, "%s\n", results.status().ToString().c_str());
       return 1;
     }
-    PrintResults(*results, engine.get());
+    PrintResultRows(*results, stats);
     return 0;
   }
   std::printf("vretrieve search console — %zu key frames indexed in %s\n",
@@ -483,13 +479,14 @@ int main(int argc, char** argv) {
                                  vr::ParseInt64(args[2]).ValueOr(10))
                            : 10;
       const vr::Image query = FreshFrame(*category, ++query_counter);
-      auto results = engine->QueryByImage(query, k);
+      vr::CandidateStats stats;
+      auto results = engine->QueryByImage(query, k, {}, &stats);
       if (!results.ok()) {
         std::printf("%s\n", results.status().ToString().c_str());
         continue;
       }
       last_results = *results;
-      PrintResults(*results, engine.get());
+      PrintResultRows(*results, stats);
     } else if (cmd == "queryfile" && args.size() >= 2) {
       auto img = vr::ReadPnm(args[1]);
       if (!img.ok()) {
@@ -500,13 +497,14 @@ int main(int argc, char** argv) {
                            ? static_cast<size_t>(
                                  vr::ParseInt64(args[2]).ValueOr(10))
                            : 10;
-      auto results = engine->QueryByImage(*img, k);
+      vr::CandidateStats stats;
+      auto results = engine->QueryByImage(*img, k, {}, &stats);
       if (!results.ok()) {
         std::printf("%s\n", results.status().ToString().c_str());
         continue;
       }
       last_results = *results;
-      PrintResults(*results, engine.get());
+      PrintResultRows(*results, stats);
     } else if (cmd == "single" && args.size() >= 3) {
       auto kind = vr::FeatureKindFromName(args[1]);
       auto category = ParseCategory(args[2]);
@@ -519,13 +517,15 @@ int main(int argc, char** argv) {
                                  vr::ParseInt64(args[3]).ValueOr(10))
                            : 10;
       const vr::Image query = FreshFrame(*category, ++query_counter);
-      auto results = engine->QueryByImageSingleFeature(query, *kind, k);
+      vr::CandidateStats stats;
+      auto results =
+          engine->QueryByImageSingleFeature(query, *kind, k, {}, &stats);
       if (!results.ok()) {
         std::printf("%s\n", results.status().ToString().c_str());
         continue;
       }
       last_results = *results;
-      PrintResults(*results, engine.get());
+      PrintResultRows(*results, stats);
     } else if (cmd == "video" && args.size() >= 2) {
       auto v_id = vr::ParseInt64(args[1]);
       if (!v_id.ok()) {

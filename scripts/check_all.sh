@@ -4,12 +4,13 @@
 # compiler-agnostic, degrades gracefully without python3),
 # static analysis (Clang thread-safety + clang-tidy; skips itself on
 # machines without clang), the plain build + full test suite, the
-# query-bench smoke run (its built-in serial-vs-sharded parity assert),
-# the feature-bench smoke run (plan output vs the golden-feature fixture,
+# feature-bench smoke run (plan output vs the golden-feature fixture,
 # plus a one-bit must-fail probe of that comparison),
 # the scale-bench smoke run (warm-open gate + two-stage-vs-exact
 # parity + the two-stage p50 <= exact p50 speed gate at its largest
 # smoke corpus),
+# the Table 1 quality gate (Combined precision at every cutoff within
+# 0.01 of BENCH_quality.json, plus a must-fail probe of that comparison),
 # the network chaos sweep (seeded fault injection + wire fuzzing),
 # then the sanitizer passes (ASan/UBSan over everything, TSan over the
 # concurrency suites — check_sanitizers.sh chains into check_tsan.sh
@@ -29,9 +30,9 @@ cmake -B "$BUILD_DIR" -S . -G Ninja -DVR_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
 
-"$BUILD_DIR"/bench/micro_query --smoke
 "$BUILD_DIR"/bench/micro_features --smoke
 "$BUILD_DIR"/bench/micro_scale --smoke
+"$BUILD_DIR"/bench/table1_precision --gate BENCH_quality.json
 
 scripts/check_chaos.sh "$BUILD_DIR"
 scripts/check_sanitizers.sh

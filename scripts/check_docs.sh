@@ -155,12 +155,19 @@ if [[ -f BENCH_features.json ]]; then
            "BENCH_features.json (expected ~$(awk -v v="$fused" \
            'BEGIN{printf "%.2f", v}') ms)"
 fi
-if [[ -f BENCH_query.json ]]; then
-  p50=$(grep -oE '"config": "shards=1", "p50_ms": [0-9.]+' BENCH_query.json \
-        | grep -oE '[0-9.]+$')
-  quoted_2dp "$p50" \
-    || err "EXPERIMENTS.md serial query p50 drifted from BENCH_query.json" \
-           "(expected ~$(awk -v v="$p50" 'BEGIN{printf "%.2f", v}') ms)"
+if [[ -f BENCH_quality.json ]]; then
+  # Table 1's equal-weight Combined row quotes the recorded precision
+  # to 3 decimals at every cutoff.
+  combined_row=$(grep -F '**Combined (equal weights)**' EXPERIMENTS.md || true)
+  for v in $(grep -F '"method": "combined"' BENCH_quality.json \
+             | grep -oE '[0-9]+\.[0-9]+'); do
+    lo=$(awk -v v="$v" 'BEGIN{printf "%.3f", int(v*1000)/1000}')
+    hi=$(awk -v v="$v" 'BEGIN{printf "%.3f", (int(v*1000)+1)/1000}')
+    grep -qE "$(echo "$lo" | sed 's/\./\\./')|$(echo "$hi" | sed 's/\./\\./')" \
+      <<<"$combined_row" \
+      || err "EXPERIMENTS.md Table 1 Combined row does not quote $v" \
+             "from BENCH_quality.json"
+  done
 fi
 if [[ -f BENCH_scale.json ]]; then
   warm=$(grep -oE '"warm_open_ms": [0-9.]+' BENCH_scale.json | tail -1 \

@@ -75,12 +75,4 @@ double EdgeHistogram::DistanceSpan(const double* a, size_t na, const double* b,
   return L1Distance(a, na, b, nb);
 }
 
-void EdgeHistogram::BatchDistance(const double* query, size_t qn,
-                                  const double* rows, size_t stride,
-                                  const uint32_t* lengths,
-                                  const uint32_t* indices, size_t count,
-                                  double* out) const {
-  BatchL1Distance(query, qn, rows, stride, lengths, indices, count, out);
-}
-
 }  // namespace vr

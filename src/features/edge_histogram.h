@@ -33,11 +33,6 @@ class EdgeHistogram : public FeatureExtractor {
   CodeMetricSpec code_metric() const override {
     return {.family = CodeMetricFamily::kL1};
   }
-  /// L1 is covered by a batch kernel; dispatch the whole column there.
-  void BatchDistance(const double* query, size_t qn, const double* rows,
-                     size_t stride, const uint32_t* lengths,
-                     const uint32_t* indices, size_t count,
-                     double* out) const override;
 
   static constexpr int kEdgeTypes = 5;
   size_t dimensions() const {

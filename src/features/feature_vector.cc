@@ -110,16 +110,4 @@ double FeatureExtractor::DistanceSpan(const double* a, size_t na,
   return std::sqrt(acc);
 }
 
-void FeatureExtractor::BatchDistance(const double* query, size_t qn,
-                                     const double* rows, size_t stride,
-                                     const uint32_t* lengths,
-                                     const uint32_t* indices, size_t count,
-                                     double* out) const {
-  for (size_t i = 0; i < count; ++i) {
-    const uint32_t r = indices[i];
-    out[i] = DistanceSpan(query, qn, rows + static_cast<size_t>(r) * stride,
-                          lengths[r]);
-  }
-}
-
 }  // namespace vr

@@ -144,17 +144,6 @@ class FeatureExtractor {
   /// The default (CodeMetricFamily::kNone) opts the kind out of the
   /// coarse stage; queries touching it fall back to the exact scan.
   virtual CodeMetricSpec code_metric() const { return {}; }
-
-  /// Batch form over a strided column: for each i in [0, count),
-  /// out[i] = DistanceSpan(query, row indices[i]) where row j starts at
-  /// rows + j * stride and holds lengths[j] values. The default loops
-  /// DistanceSpan; extractors whose metric matches a batch kernel in
-  /// similarity/metrics.h override this to dispatch there. Must stay
-  /// bit-identical to the per-candidate loop.
-  virtual void BatchDistance(const double* query, size_t qn,
-                             const double* rows, size_t stride,
-                             const uint32_t* lengths, const uint32_t* indices,
-                             size_t count, double* out) const;
 };
 
 }  // namespace vr

@@ -104,7 +104,6 @@ Result<std::unique_ptr<RetrievalEngine>> RetrievalEngine::Open(
 Status RetrievalEngine::WarmCache() {
   matrix_.Clear();
   cache_by_id_.clear();
-  Status inner = Status::OK();
   const Status scanned =
       store_->ScanKeyFrames([&](const KeyFrameRecord& record) {
     const GrayRange range{static_cast<int>(record.min),
@@ -124,7 +123,6 @@ Status RetrievalEngine::WarmCache() {
     }
     return scanned;
   }
-  VR_RETURN_NOT_OK(inner);
   if (!matrix_.empty()) {
     VR_LOG(Info) << "warmed retrieval cache with " << matrix_.rows()
                  << " key frames";
@@ -160,27 +158,37 @@ void RetrievalEngine::ReleasePlan(std::unique_ptr<ExtractionPlan> plan) const {
 }
 
 Result<RetrievalEngine::ExtractedQuery> RetrievalEngine::ExtractWithPlan(
-    const Image& img, ExtractionPlan::FrameTimings* timings) const {
+    const Image& img, const std::vector<FeatureKind>& kinds) const {
   ExtractedQuery out;
-  if (extraction_cache_ != nullptr) {
-    ExtractionCache::Entry entry;
-    if (extraction_cache_->Lookup(img, &entry)) {
-      out.features = std::move(entry.features);
-      out.histogram = entry.histogram;
-      out.cache_hit = true;
-      return out;
+  ExtractionCache::Entry entry;
+  if (extraction_cache_ != nullptr && extraction_cache_->Lookup(img, &entry)) {
+    // Only full enabled banks are cached and callers ask only for
+    // enabled kinds, so every requested kind is in the entry.
+    for (FeatureKind kind : kinds) {
+      out.features.emplace(kind, std::move(entry.features.at(kind)));
+    }
+    out.range = FindRange(entry.histogram, options_.range);
+    return out;
+  }
+  const bool full_bank = kinds == options_.enabled_features;
+  std::unique_ptr<ExtractionPlan> plan = AcquirePlan();
+  if (full_bank) {
+    Result<FeatureMap> features = plan->ExtractAll(img);
+    if (!features.ok()) return features.status();
+    out.features = std::move(*features);
+  } else {
+    for (FeatureKind kind : kinds) {
+      Result<FeatureVector> fv = plan->ExtractOne(img, kind);
+      if (!fv.ok()) return fv.status();
+      out.features.emplace(kind, std::move(*fv));
     }
   }
-  std::unique_ptr<ExtractionPlan> plan = AcquirePlan();
-  Result<FeatureMap> features = plan->ExtractAll(img, timings);
-  if (!features.ok()) return features.status();
-  out.features = std::move(*features);
-  out.histogram = plan->histogram();
+  const GrayHistogram histogram = plan->histogram();
   ReleasePlan(std::move(plan));
-  if (extraction_cache_ != nullptr) {
-    ExtractionCache::Entry entry;
+  out.range = FindRange(histogram, options_.range);
+  if (full_bank && extraction_cache_ != nullptr) {
     entry.features = out.features;
-    entry.histogram = out.histogram;
+    entry.histogram = histogram;
     extraction_cache_->Insert(img, entry);
   }
   return out;

@@ -80,9 +80,9 @@ struct EngineOptions {
   size_t rank_workers = 0;
   /// By default the resolved rank worker count is capped at
   /// hardware_concurrency(): on a 1-CPU box, oversubscribed shards are
-  /// strictly slower than a serial rank (BENCH_query.json measured
-  /// shards=4 at ~1.4x the serial latency). Benchmarks that must
-  /// exercise the sharded path regardless set this to true.
+  /// strictly slower than a serial rank (4 shards measured at ~1.4x
+  /// the serial latency). Tests that must exercise the sharded path
+  /// regardless set this to true.
   bool rank_oversubscribe = false;
   /// Entry capacity of the content-addressed extraction cache keyed on
   /// query-frame pixel bytes (see features/plan/extraction_cache.h);
@@ -132,7 +132,8 @@ struct VideoQueryResult {
   double score = 0.0;
 };
 
-/// Candidate-pruning statistics of the last query.
+/// Candidate-pruning statistics of one query, filled through the
+/// query methods' optional \p stats out-parameter.
 struct CandidateStats {
   size_t candidates = 0;  ///< key frames scored
   size_t total = 0;       ///< key frames in the store
@@ -180,7 +181,9 @@ using QueryCheckpoint = std::function<Status()>;
 /// indexed_key_frames) take the lock shared and may run concurrently
 /// with each other from any number of threads; the image and video
 /// queries extract their features first and hold it only for select,
-/// coarse, rank and fuse/top-k. The mutating methods
+/// coarse, rank and fuse/top-k. Each query reports its own pruning
+/// numbers through its optional CandidateStats out-parameter, so
+/// concurrent queries never see each other's. The mutating methods
 /// (IngestFrames, IngestVideoFile, RemoveVideo, CommitPrepared — and
 /// ApplyRelevanceFeedback, which rewrites the scorer weights) take it
 /// exclusive, while the ingest *preparation* methods (ExtractKeyFrames,
@@ -281,38 +284,31 @@ class RetrievalEngine {
   /// optional \p checkpoint runs between pipeline stages; a non-OK
   /// return (e.g. DeadlineExceeded) aborts the query before the next
   /// stage — in particular, ranking never runs after an expired
-  /// deadline.
+  /// deadline. A non-null \p stats receives this call's pruning
+  /// numbers once selection has run.
   Result<std::vector<QueryResult>> QueryByImage(
-      const Image& query, size_t k, const QueryCheckpoint& checkpoint = {});
+      const Image& query, size_t k, const QueryCheckpoint& checkpoint = {},
+      CandidateStats* stats = nullptr);
   /// Ranking by a single feature (the per-feature columns of Table 1).
   Result<std::vector<QueryResult>> QueryByImageSingleFeature(
       const Image& query, FeatureKind kind, size_t k,
-      const QueryCheckpoint& checkpoint = {});
+      const QueryCheckpoint& checkpoint = {}, CandidateStats* stats = nullptr);
   /// Video-to-video search: DTW over key-frame sequences with fused
   /// per-pair feature costs. The checkpoint additionally runs between
-  /// per-video DTW alignments.
+  /// per-video DTW alignments. The \p stats counts accumulate across
+  /// the whole clip — every (query key frame x stored frame) scoring
+  /// counts, and nothing is pruned.
   Result<std::vector<VideoQueryResult>> QueryByVideo(
       const std::vector<Image>& query_frames, size_t k,
-      const QueryCheckpoint& checkpoint = {});
+      const QueryCheckpoint& checkpoint = {}, CandidateStats* stats = nullptr);
   /// Query-by-stored-id fast path: ranks against the features already
   /// in the columnar cache for key frame \p i_id — no pixel decode, no
   /// extraction. Selection reuses the frame's stored range bucket.
   /// NotFound when the id is not indexed.
   Result<std::vector<QueryResult>> QueryByStoredId(
-      int64_t i_id, size_t k, const QueryCheckpoint& checkpoint = {});
+      int64_t i_id, size_t k, const QueryCheckpoint& checkpoint = {},
+      CandidateStats* stats = nullptr);
   /// @}
-
-  /// Pruning statistics of the most recent query (a snapshot; under
-  /// concurrent queries it reflects whichever query finished last).
-  /// For a video query the counts accumulate across the whole clip —
-  /// every (query key frame x stored frame) scoring counts — so
-  /// service metrics stay honest for multi-frame queries.
-  CandidateStats last_candidate_stats() const {
-    CandidateStats stats;
-    stats.candidates = last_candidates_.load(std::memory_order_relaxed);
-    stats.total = last_total_.load(std::memory_order_relaxed);
-    return stats;
-  }
 
   /// Mutable fusion weights (defaults: all 1). Requires holding
   /// rw_lock() exclusive — take a WriterMutexLock on rw_lock() around
@@ -396,24 +392,22 @@ class RetrievalEngine {
   /// contract (Open is single-threaded).
   Status WarmCache() REQUIRES(mutex_);
 
-  /// A query frame after fused extraction: the feature bank, the gray
-  /// histogram (the range finder's input — recomputing it from pixels
-  /// would redo work the plan already did) and whether the extraction
-  /// cache served it.
+  /// A query frame after extraction: the requested features and the
+  /// frame's range-finder bucket (derived from the gray histogram the
+  /// plan or the cache already holds, not recomputed from pixels).
   struct ExtractedQuery {
     FeatureMap features;
-    GrayHistogram histogram;
-    bool cache_hit = false;
+    GrayRange range;
   };
-  /// Extracts every enabled feature through the fused extraction plan,
-  /// consulting the content-addressed cache first and inserting on a
-  /// miss. Runs outside the engine lock (EXCLUDES lets Clang's
-  /// thread-safety pass reject a call made under it): plans come from
-  /// the internal pool, the cache is internally synchronized. Optional
-  /// \p timings receives the per-extractor / per-intermediate breakdown
-  /// of a miss.
+  /// Extracts \p kinds from \p img. A cached full bank serves any
+  /// subset of it. On a miss, the enabled bank runs the fused plan and
+  /// is inserted into the cache; any other subset runs ExtractOne per
+  /// kind and is never cached (a partial bank could not serve a later
+  /// full query). Runs outside the engine lock (EXCLUDES lets
+  /// Clang's thread-safety pass reject a call made under it): plans
+  /// come from the internal pool, the cache is internally synchronized.
   Result<ExtractedQuery> ExtractWithPlan(
-      const Image& img, ExtractionPlan::FrameTimings* timings = nullptr) const
+      const Image& img, const std::vector<FeatureKind>& kinds) const
       EXCLUDES(mutex_);
   /// Checks a fused plan out of the pool (creating one over the enabled
   /// extractors when the pool is empty). Plans hold per-thread scratch,
@@ -423,14 +417,17 @@ class RetrievalEngine {
   void ReleasePlan(std::unique_ptr<ExtractionPlan> plan) const
       EXCLUDES(plan_mutex_);
 
-  /// Bucket-pruned candidate rows of matrix_ for a query histogram (the
-  /// fused extraction path computes it); updates the last-query
-  /// pruning stats.
-  Result<std::vector<uint32_t>> SelectCandidatesByHistogram(
-      const GrayHistogram& hist) REQUIRES_SHARED(mutex_);
-  /// Same pruning from a precomputed bucket (the query-by-stored-id
-  /// path, which has no pixels at all).
-  Result<std::vector<uint32_t>> SelectCandidatesByRange(const GrayRange& range)
+  /// The shared tail of the single-frame queries: checkpoint -> select
+  /// (timed) -> checkpoint -> Rank (timed). Fills \p stats (when
+  /// non-null) with this call's candidate and total counts.
+  Result<std::vector<QueryResult>> SelectAndRank(
+      const FeatureMap& features, const GrayRange& range,
+      const std::vector<FeatureKind>& kinds, size_t k,
+      const QueryCheckpoint& checkpoint, CandidateStats* stats)
+      REQUIRES_SHARED(mutex_);
+  /// Candidate rows of matrix_ for a query bucket: the range index's
+  /// lookup per lookup_mode, or every row when use_index is off.
+  std::vector<uint32_t> SelectCandidatesByRange(const GrayRange& range)
       REQUIRES_SHARED(mutex_);
   /// Shard count for ranking \p candidates rows (1 = serial).
   size_t NumRankShards(size_t candidates) const;
@@ -526,8 +523,6 @@ class RetrievalEngine {
   /// Content-addressed feature cache for query frames; internally
   /// synchronized (also a leaf). Null when capacity is 0.
   std::unique_ptr<ExtractionCache> extraction_cache_;
-  std::atomic<size_t> last_candidates_{0};
-  std::atomic<size_t> last_total_{0};
   mutable IngestCounters ingest_counters_;
   mutable QueryCounters query_counters_;
 };

@@ -7,9 +7,9 @@
 /// stores the same data columnar: one contiguous `double` block per
 /// FeatureKind holding every row's values at a fixed stride, plus a
 /// parallel row array with the (i_id, v_id, range) metadata. A distance
-/// column over N candidates is then a tight loop over flat memory that
-/// `FeatureExtractor::BatchDistance` (and the batch kernels in
-/// similarity/metrics.h) can chew through without chasing pointers.
+/// column over N candidates is then a tight loop of
+/// `FeatureExtractor::DistanceSpan` calls over flat memory, without
+/// chasing pointers.
 
 #pragma once
 

@@ -23,7 +23,7 @@ Status RunCheckpoint(const QueryCheckpoint& checkpoint) {
 uint64_t ToNanos(double ms) { return static_cast<uint64_t>(ms * 1e6); }
 
 /// An all-missing column has an empty values block whose data() may be
-/// null; hand BatchDistance/DistanceSpan a dereferenceable dummy
+/// null; hand DistanceSpan a dereferenceable dummy
 /// instead (every such row has length 0, so it is never read).
 constexpr double kEmptyColumn = 0.0;
 
@@ -33,19 +33,11 @@ const double* ColumnBase(const FeatureMatrix::Column& col) {
 
 }  // namespace
 
-Result<std::vector<uint32_t>> RetrievalEngine::SelectCandidatesByHistogram(
-    const GrayHistogram& hist) {
-  return SelectCandidatesByRange(
-      options_.use_index ? FindRange(hist, options_.range) : GrayRange{});
-}
-
-Result<std::vector<uint32_t>> RetrievalEngine::SelectCandidatesByRange(
+std::vector<uint32_t> RetrievalEngine::SelectCandidatesByRange(
     const GrayRange& query_range) {
   std::vector<uint32_t> out;
-  const size_t total = matrix_.rows();
-  last_total_.store(total, std::memory_order_relaxed);
   if (!options_.use_index) {
-    out.resize(total);
+    out.resize(matrix_.rows());
     std::iota(out.begin(), out.end(), 0u);
   } else {
     // Bucket lookup instead of the historical O(N) cache scan: the
@@ -62,11 +54,29 @@ Result<std::vector<uint32_t>> RetrievalEngine::SelectCandidatesByRange(
       }
     }
   }
-  last_candidates_.store(out.size(), std::memory_order_relaxed);
-  query_counters_.candidates_scored.fetch_add(out.size(),
+  return out;
+}
+
+Result<std::vector<QueryResult>> RetrievalEngine::SelectAndRank(
+    const FeatureMap& features, const GrayRange& range,
+    const std::vector<FeatureKind>& kinds, size_t k,
+    const QueryCheckpoint& checkpoint, CandidateStats* stats) {
+  VR_RETURN_NOT_OK(RunCheckpoint(checkpoint));
+  Stopwatch select_timer;
+  const std::vector<uint32_t> candidates = SelectCandidatesByRange(range);
+  const size_t total = matrix_.rows();
+  query_counters_.select_ns.fetch_add(ToNanos(select_timer.ElapsedMillis()),
+                                      std::memory_order_relaxed);
+  query_counters_.candidates_scored.fetch_add(candidates.size(),
                                               std::memory_order_relaxed);
   query_counters_.candidates_total.fetch_add(total, std::memory_order_relaxed);
-  return out;
+  if (stats != nullptr) *stats = CandidateStats{candidates.size(), total};
+  VR_RETURN_NOT_OK(RunCheckpoint(checkpoint));
+  Stopwatch rank_timer;
+  Result<std::vector<QueryResult>> ranked = Rank(features, candidates, kinds, k);
+  query_counters_.rank_ns.fetch_add(ToNanos(rank_timer.ElapsedMillis()),
+                                    std::memory_order_relaxed);
+  return ranked;
 }
 
 size_t RetrievalEngine::NumRankShards(size_t candidates) const {
@@ -188,7 +198,7 @@ RetrievalEngine::CoarseOutcome RetrievalEngine::CoarseSelect(
     return out;
   }
 
-  // Sharded exactly like RankExact's batch-distance stage: each shard
+  // Sharded exactly like RankExact's distance stage: each shard
   // writes a disjoint slice, so the result is independent of the shard
   // count (and of whether the pool ran anything inline).
   const size_t n = candidates.size();
@@ -329,15 +339,16 @@ Result<std::vector<QueryResult>> RetrievalEngine::RankExact(
     const size_t end = std::min(n, begin + chunk);
     if (begin >= end) return;
     for (const KindState& st : states) {
-      st.extractor->BatchDistance(
-          st.query->values().data(), st.query->size(), ColumnBase(*st.column),
-          st.column->stride, st.column->lengths.data(),
-          candidates.data() + begin, end - begin, st.out + begin);
+      const FeatureMatrix::Column& col = *st.column;
       for (size_t i = begin; i < end; ++i) {
+        const size_t row = candidates[i];
         // A key frame ingested without this feature ranks last for it.
-        if (!st.column->present[candidates[i]]) {
-          st.out[i] = std::numeric_limits<double>::max();
-        }
+        st.out[i] = col.present[row]
+                        ? st.extractor->DistanceSpan(
+                              st.query->values().data(), st.query->size(),
+                              ColumnBase(col) + row * col.stride,
+                              col.lengths[row])
+                        : std::numeric_limits<double>::max();
       }
     }
   });
@@ -417,86 +428,51 @@ Result<std::vector<QueryResult>> RetrievalEngine::RankExact(
 }
 
 Result<std::vector<QueryResult>> RetrievalEngine::QueryByImage(
-    const Image& query, size_t k, const QueryCheckpoint& checkpoint) {
+    const Image& query, size_t k, const QueryCheckpoint& checkpoint,
+    CandidateStats* stats) {
   if (query.empty()) return Status::InvalidArgument("empty query image");
   VR_RETURN_NOT_OK(RunCheckpoint(checkpoint));
   Stopwatch extract_timer;
-  VR_ASSIGN_OR_RETURN(ExtractedQuery extracted, ExtractWithPlan(query));
+  VR_ASSIGN_OR_RETURN(ExtractedQuery extracted,
+                      ExtractWithPlan(query, options_.enabled_features));
   query_counters_.extract_ns.fetch_add(ToNanos(extract_timer.ElapsedMillis()),
                                        std::memory_order_relaxed);
   ReaderMutexLock lock(mutex_);
-  VR_RETURN_NOT_OK(RunCheckpoint(checkpoint));
-  Stopwatch select_timer;
-  VR_ASSIGN_OR_RETURN(std::vector<uint32_t> candidates,
-                      SelectCandidatesByHistogram(extracted.histogram));
-  query_counters_.select_ns.fetch_add(ToNanos(select_timer.ElapsedMillis()),
-                                      std::memory_order_relaxed);
-  VR_RETURN_NOT_OK(RunCheckpoint(checkpoint));
-  Stopwatch rank_timer;
   Result<std::vector<QueryResult>> ranked =
-      Rank(extracted.features, candidates, options_.enabled_features, k);
-  query_counters_.rank_ns.fetch_add(ToNanos(rank_timer.ElapsedMillis()),
-                                    std::memory_order_relaxed);
-  query_counters_.image_queries.fetch_add(1, std::memory_order_relaxed);
+      SelectAndRank(extracted.features, extracted.range,
+                    options_.enabled_features, k, checkpoint, stats);
+  if (ranked.ok()) {
+    query_counters_.image_queries.fetch_add(1, std::memory_order_relaxed);
+  }
   return ranked;
 }
 
 Result<std::vector<QueryResult>> RetrievalEngine::QueryByImageSingleFeature(
     const Image& query, FeatureKind kind, size_t k,
-    const QueryCheckpoint& checkpoint) {
+    const QueryCheckpoint& checkpoint, CandidateStats* stats) {
   if (query.empty()) return Status::InvalidArgument("empty query image");
-  const FeatureExtractor* extractor =
-      extractors_[static_cast<size_t>(kind)].get();
-  if (extractor == nullptr) {
+  if (extractors_[static_cast<size_t>(kind)] == nullptr) {
     return Status::InvalidArgument(std::string("feature not enabled: ") +
                                    FeatureKindName(kind));
   }
   VR_RETURN_NOT_OK(RunCheckpoint(checkpoint));
   Stopwatch extract_timer;
-  // A full cached bank serves single-feature queries too; a miss runs
-  // just this extractor through a plan (partial banks are not cached).
-  FeatureMap features;
-  GrayHistogram query_hist;
-  bool served_from_cache = false;
-  if (extraction_cache_ != nullptr) {
-    ExtractionCache::Entry entry;
-    if (extraction_cache_->Lookup(query, &entry)) {
-      const auto cached = entry.features.find(kind);
-      if (cached != entry.features.end()) {
-        features.emplace(kind, std::move(cached->second));
-        query_hist = entry.histogram;
-        served_from_cache = true;
-      }
-    }
-  }
-  if (!served_from_cache) {
-    std::unique_ptr<ExtractionPlan> plan = AcquirePlan();
-    Result<FeatureVector> fv = plan->ExtractOne(query, kind);
-    VR_RETURN_NOT_OK(fv.status());
-    features.emplace(kind, std::move(*fv));
-    query_hist = plan->histogram();
-    ReleasePlan(std::move(plan));
-  }
+  const std::vector<FeatureKind> kinds = {kind};
+  VR_ASSIGN_OR_RETURN(ExtractedQuery extracted, ExtractWithPlan(query, kinds));
   query_counters_.extract_ns.fetch_add(ToNanos(extract_timer.ElapsedMillis()),
                                        std::memory_order_relaxed);
   ReaderMutexLock lock(mutex_);
-  VR_RETURN_NOT_OK(RunCheckpoint(checkpoint));
-  Stopwatch select_timer;
-  VR_ASSIGN_OR_RETURN(std::vector<uint32_t> candidates,
-                      SelectCandidatesByHistogram(query_hist));
-  query_counters_.select_ns.fetch_add(ToNanos(select_timer.ElapsedMillis()),
-                                      std::memory_order_relaxed);
-  VR_RETURN_NOT_OK(RunCheckpoint(checkpoint));
-  Stopwatch rank_timer;
-  Result<std::vector<QueryResult>> ranked = Rank(features, candidates, {kind}, k);
-  query_counters_.rank_ns.fetch_add(ToNanos(rank_timer.ElapsedMillis()),
-                                    std::memory_order_relaxed);
-  query_counters_.image_queries.fetch_add(1, std::memory_order_relaxed);
+  Result<std::vector<QueryResult>> ranked = SelectAndRank(
+      extracted.features, extracted.range, kinds, k, checkpoint, stats);
+  if (ranked.ok()) {
+    query_counters_.image_queries.fetch_add(1, std::memory_order_relaxed);
+  }
   return ranked;
 }
 
 Result<std::vector<QueryResult>> RetrievalEngine::QueryByStoredId(
-    int64_t i_id, size_t k, const QueryCheckpoint& checkpoint) {
+    int64_t i_id, size_t k, const QueryCheckpoint& checkpoint,
+    CandidateStats* stats) {
   ReaderMutexLock lock(mutex_);
   VR_RETURN_NOT_OK(RunCheckpoint(checkpoint));
   // "Extraction" is a columnar read: materialize the stored feature
@@ -528,26 +504,19 @@ Result<std::vector<QueryResult>> RetrievalEngine::QueryByStoredId(
   }
   query_counters_.extract_ns.fetch_add(ToNanos(extract_timer.ElapsedMillis()),
                                        std::memory_order_relaxed);
-  VR_RETURN_NOT_OK(RunCheckpoint(checkpoint));
   // Selection reuses the stored bucket (published at depth 0, which
   // the index comparator ignores — see RangeBucketIndex::Lookup).
-  Stopwatch select_timer;
-  VR_ASSIGN_OR_RETURN(std::vector<uint32_t> candidates,
-                      SelectCandidatesByRange(matrix_.row(row).range));
-  query_counters_.select_ns.fetch_add(ToNanos(select_timer.ElapsedMillis()),
-                                      std::memory_order_relaxed);
-  VR_RETURN_NOT_OK(RunCheckpoint(checkpoint));
-  Stopwatch rank_timer;
-  Result<std::vector<QueryResult>> ranked = Rank(features, candidates, kinds, k);
-  query_counters_.rank_ns.fetch_add(ToNanos(rank_timer.ElapsedMillis()),
-                                    std::memory_order_relaxed);
-  query_counters_.id_queries.fetch_add(1, std::memory_order_relaxed);
+  Result<std::vector<QueryResult>> ranked = SelectAndRank(
+      features, matrix_.row(row).range, kinds, k, checkpoint, stats);
+  if (ranked.ok()) {
+    query_counters_.id_queries.fetch_add(1, std::memory_order_relaxed);
+  }
   return ranked;
 }
 
 Result<std::vector<VideoQueryResult>> RetrievalEngine::QueryByVideo(
     const std::vector<Image>& query_frames, size_t k,
-    const QueryCheckpoint& checkpoint) {
+    const QueryCheckpoint& checkpoint, CandidateStats* stats) {
   if (query_frames.empty()) {
     return Status::InvalidArgument("empty query video");
   }
@@ -559,7 +528,8 @@ Result<std::vector<VideoQueryResult>> RetrievalEngine::QueryByVideo(
   std::vector<FeatureMap> query_features;
   query_features.reserve(query_keys.size());
   for (const KeyFrame& kf : query_keys) {
-    VR_ASSIGN_OR_RETURN(ExtractedQuery extracted, ExtractWithPlan(kf.image));
+    VR_ASSIGN_OR_RETURN(ExtractedQuery extracted,
+                        ExtractWithPlan(kf.image, options_.enabled_features));
     query_features.push_back(std::move(extracted.features));
   }
   query_counters_.extract_ns.fetch_add(ToNanos(extract_timer.ElapsedMillis()),
@@ -625,11 +595,9 @@ Result<std::vector<VideoQueryResult>> RetrievalEngine::QueryByVideo(
 
   // Honest clip-level pruning stats: video search scores every stored
   // frame once per query key frame (no bucket pruning applies), so the
-  // counts accumulate across the clip instead of reflecting whatever
-  // image query ran last.
+  // counts accumulate across the clip.
   const size_t scored = query_features.size() * matrix_.rows();
-  last_candidates_.store(scored, std::memory_order_relaxed);
-  last_total_.store(scored, std::memory_order_relaxed);
+  if (stats != nullptr) *stats = CandidateStats{scored, scored};
   query_counters_.candidates_scored.fetch_add(scored,
                                               std::memory_order_relaxed);
   query_counters_.candidates_total.fetch_add(scored,

@@ -103,18 +103,21 @@ void RetrievalService::Execute(
         return Status::OK();
       };
     }
+    CandidateStats stats;
     Result<std::vector<QueryResult>> ranked =
         request.mode == QueryMode::kById
             ? engine_->QueryByStoredId(request.frame_id, request.k,
-                                       checkpoint)
+                                       checkpoint, &stats)
             : request.mode == QueryMode::kSingleFeature
-                  ? engine_->QueryByImageSingleFeature(
-                        request.image, request.feature, request.k, checkpoint)
+                  ? engine_->QueryByImageSingleFeature(request.image,
+                                                       request.feature,
+                                                       request.k, checkpoint,
+                                                       &stats)
                   : engine_->QueryByImage(request.image, request.k,
-                                          checkpoint);
+                                          checkpoint, &stats);
     if (ranked.ok()) {
       response.results = std::move(ranked).value();
-      response.stats = engine_->last_candidate_stats();
+      response.stats = stats;
       if (!damage_summary_.empty()) {
         // Degraded read: the ranking succeeded, but over a store with
         // quarantined tables — surface that instead of implying a full

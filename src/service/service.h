@@ -84,7 +84,9 @@ struct ServiceResponse {
   /// kDeadlineExceeded, or an engine error.
   Status status;
   std::vector<QueryResult> results;
-  CandidateStats stats;  ///< pruning stats of this query's selection
+  /// Pruning stats of this request's own query, never another
+  /// request's; zero unless the query succeeded.
+  CandidateStats stats;
   uint64_t request_id = 0;  ///< echo of ServiceRequest::request_id
 };
 

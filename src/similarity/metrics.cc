@@ -19,10 +19,6 @@ double L1Distance(const double* a, size_t na, const double* b, size_t nb) {
   return acc;
 }
 
-double L1Distance(const std::vector<double>& a, const std::vector<double>& b) {
-  return L1Distance(a.data(), a.size(), b.data(), b.size());
-}
-
 double L2Distance(const double* a, size_t na, const double* b, size_t nb) {
   double acc = 0.0;
   for (size_t i = 0, n = std::min(na, nb); i < n; ++i) {
@@ -32,10 +28,6 @@ double L2Distance(const double* a, size_t na, const double* b, size_t nb) {
   return std::sqrt(acc);
 }
 
-double L2Distance(const std::vector<double>& a, const std::vector<double>& b) {
-  return L2Distance(a.data(), a.size(), b.data(), b.size());
-}
-
 double LInfDistance(const std::vector<double>& a,
                     const std::vector<double>& b) {
   double mx = 0.0;
@@ -43,34 +35,6 @@ double LInfDistance(const std::vector<double>& a,
     mx = std::max(mx, std::fabs(a[i] - b[i]));
   }
   return mx;
-}
-
-double CosineDistance(const std::vector<double>& a,
-                      const std::vector<double>& b) {
-  double dot = 0.0;
-  double na = 0.0;
-  double nb = 0.0;
-  for (size_t i = 0, n = CommonSize(a, b); i < n; ++i) {
-    dot += a[i] * b[i];
-    na += a[i] * a[i];
-    nb += b[i] * b[i];
-  }
-  if (na == 0.0 || nb == 0.0) return na == nb ? 0.0 : 1.0;
-  const double cosine = dot / (std::sqrt(na) * std::sqrt(nb));
-  return 1.0 - std::clamp(cosine, -1.0, 1.0);
-}
-
-double ChiSquareDistance(const std::vector<double>& a,
-                         const std::vector<double>& b) {
-  double acc = 0.0;
-  for (size_t i = 0, n = CommonSize(a, b); i < n; ++i) {
-    const double s = a[i] + b[i];
-    if (s > 0) {
-      const double d = a[i] - b[i];
-      acc += d * d / s;
-    }
-  }
-  return acc;
 }
 
 double HistogramIntersectionDistance(const double* a, size_t na,
@@ -91,27 +55,6 @@ double HistogramIntersectionDistance(const double* a, size_t na,
 double HistogramIntersectionDistance(const std::vector<double>& a,
                                      const std::vector<double>& b) {
   return HistogramIntersectionDistance(a.data(), a.size(), b.data(), b.size());
-}
-
-double JensenShannonDivergence(const std::vector<double>& a,
-                               const std::vector<double>& b) {
-  const size_t n = CommonSize(a, b);
-  double sa = 0.0;
-  double sb = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    sa += std::max(0.0, a[i]);
-    sb += std::max(0.0, b[i]);
-  }
-  if (sa <= 0 || sb <= 0) return sa == sb ? 0.0 : std::log(2.0);
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double p = std::max(0.0, a[i]) / sa;
-    const double q = std::max(0.0, b[i]) / sb;
-    const double m = 0.5 * (p + q);
-    if (p > 0) acc += 0.5 * p * std::log(p / m);
-    if (q > 0) acc += 0.5 * q * std::log(q / m);
-  }
-  return std::max(0.0, acc);
 }
 
 double EmdL1Distance(const std::vector<double>& a,
@@ -141,38 +84,6 @@ double CanberraDistance(const std::vector<double>& a,
     if (den > 0) acc += std::fabs(a[i] - b[i]) / den;
   }
   return acc;
-}
-
-void BatchL1Distance(const double* query, size_t qn, const double* rows,
-                     size_t stride, const uint32_t* lengths,
-                     const uint32_t* indices, size_t count, double* out) {
-  for (size_t i = 0; i < count; ++i) {
-    const uint32_t r = indices[i];
-    out[i] = L1Distance(query, qn, rows + static_cast<size_t>(r) * stride,
-                        lengths[r]);
-  }
-}
-
-void BatchL2Distance(const double* query, size_t qn, const double* rows,
-                     size_t stride, const uint32_t* lengths,
-                     const uint32_t* indices, size_t count, double* out) {
-  for (size_t i = 0; i < count; ++i) {
-    const uint32_t r = indices[i];
-    out[i] = L2Distance(query, qn, rows + static_cast<size_t>(r) * stride,
-                        lengths[r]);
-  }
-}
-
-void BatchHistogramIntersectionDistance(const double* query, size_t qn,
-                                        const double* rows, size_t stride,
-                                        const uint32_t* lengths,
-                                        const uint32_t* indices, size_t count,
-                                        double* out) {
-  for (size_t i = 0; i < count; ++i) {
-    const uint32_t r = indices[i];
-    out[i] = HistogramIntersectionDistance(
-        query, qn, rows + static_cast<size_t>(r) * stride, lengths[r]);
-  }
 }
 
 }  // namespace vr

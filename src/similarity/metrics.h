@@ -1,5 +1,5 @@
 /// \file metrics.h
-/// \brief Vector dissimilarity measures used across retrieval.
+/// \brief Vector dissimilarity measures.
 ///
 /// All functions treat the common prefix of the two vectors and are
 /// symmetric, non-negative and zero on identical inputs (a genuine
@@ -8,38 +8,18 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace vr {
-
-/// Manhattan (L1) distance.
-double L1Distance(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Euclidean (L2) distance.
-double L2Distance(const std::vector<double>& a, const std::vector<double>& b);
 
 /// Chebyshev (L-infinity) distance.
 double LInfDistance(const std::vector<double>& a,
                     const std::vector<double>& b);
 
-/// Cosine distance = 1 - cosine similarity (0 for parallel vectors).
-double CosineDistance(const std::vector<double>& a,
-                      const std::vector<double>& b);
-
-/// Symmetric chi-squared distance: sum (a-b)^2 / (a+b) over positive mass.
-double ChiSquareDistance(const std::vector<double>& a,
-                         const std::vector<double>& b);
-
 /// Histogram-intersection dissimilarity: 1 - sum min(a,b) / min(|a|,|b|).
 /// Inputs are interpreted as (possibly unnormalized) histograms.
 double HistogramIntersectionDistance(const std::vector<double>& a,
                                      const std::vector<double>& b);
-
-/// Jensen-Shannon divergence between L1-normalized distributions, in
-/// [0, ln 2].
-double JensenShannonDivergence(const std::vector<double>& a,
-                               const std::vector<double>& b);
 
 /// 1-D earth mover's distance between L1-normalized histograms whose bins
 /// are ordered: the L1 norm of the CDF difference.
@@ -50,41 +30,16 @@ double EmdL1Distance(const std::vector<double>& a,
 double CanberraDistance(const std::vector<double>& a,
                         const std::vector<double>& b);
 
-/// \name Span kernels.
-///
-/// Raw-pointer twins of the vector overloads above, for callers that
-/// keep feature values in flat columnar storage (FeatureMatrix). Each
-/// returns bit-identical results to its std::vector counterpart on the
-/// same values — the retrieval engine's serial-vs-columnar parity tests
-/// rely on that.
+/// \name Span kernels over raw value arrays (the FeatureMatrix column
+/// layout).
 /// @{
+/// Manhattan (L1) distance; the edge histogram's metric.
 double L1Distance(const double* a, size_t na, const double* b, size_t nb);
+/// Euclidean (L2) distance; the color signature's fallback metric.
 double L2Distance(const double* a, size_t na, const double* b, size_t nb);
+/// Bit-identical to the std::vector overload above on the same values.
 double HistogramIntersectionDistance(const double* a, size_t na,
                                      const double* b, size_t nb);
-/// @}
-
-/// \name Batch kernels over a strided column of rows.
-///
-/// The column stores one candidate row every \p stride doubles starting
-/// at \p rows; row j occupies its first lengths[j] values. For each
-/// i in [0, count), out[i] = distance(query, row indices[i]). The inner
-/// loops match the scalar kernels exactly (same accumulation order), so
-/// batch and scalar results are bit-identical. Extractors whose metric
-/// is one of these dispatch here from FeatureExtractor::BatchDistance;
-/// the gather-by-index layout is what candidate-pruned ranking produces.
-/// @{
-void BatchL1Distance(const double* query, size_t qn, const double* rows,
-                     size_t stride, const uint32_t* lengths,
-                     const uint32_t* indices, size_t count, double* out);
-void BatchL2Distance(const double* query, size_t qn, const double* rows,
-                     size_t stride, const uint32_t* lengths,
-                     const uint32_t* indices, size_t count, double* out);
-void BatchHistogramIntersectionDistance(const double* query, size_t qn,
-                                        const double* rows, size_t stride,
-                                        const uint32_t* lengths,
-                                        const uint32_t* indices, size_t count,
-                                        double* out);
 /// @}
 
 }  // namespace vr

@@ -168,14 +168,17 @@ TEST(EngineTest, ExtractionCacheStaysCorrectAcrossIngestAndRemove) {
   ASSERT_TRUE(
       engine->IngestFrames(SmallVideo(VideoCategory::kCartoon, 1), "a").ok());
   const Image query = SmallVideo(VideoCategory::kCartoon, 3)[0];
-  const auto before = engine->QueryByImage(query, 50).value();
-  const size_t total_before = engine->last_candidate_stats().total;
+  CandidateStats stats_before;
+  const auto before =
+      engine->QueryByImage(query, 50, {}, &stats_before).value();
 
   // Ingest more frames; the cached query must see the larger corpus.
   const int64_t v2 =
       engine->IngestFrames(SmallVideo(VideoCategory::kMovie, 2), "b").value();
-  const auto grown = engine->QueryByImage(query, 50).value();
-  EXPECT_GT(engine->last_candidate_stats().total, total_before);
+  CandidateStats stats_grown;
+  const auto grown =
+      engine->QueryByImage(query, 50, {}, &stats_grown).value();
+  EXPECT_GT(stats_grown.total, stats_before.total);
   EXPECT_GT(grown.size(), before.size());
   EXPECT_GE(engine->query_stats().cache_hits, 1u);
 
@@ -218,8 +221,8 @@ TEST(EngineTest, IndexPrunesCandidates) {
   ASSERT_TRUE(
       engine->IngestFrames(SmallVideo(VideoCategory::kELearning, 8), "e").ok());
   const auto query = SmallVideo(VideoCategory::kMovie, 9)[0];
-  ASSERT_TRUE(engine->QueryByImage(query, 10).ok());
-  const CandidateStats stats = engine->last_candidate_stats();
+  CandidateStats stats;
+  ASSERT_TRUE(engine->QueryByImage(query, 10, {}, &stats).ok());
   EXPECT_GT(stats.total, 0u);
   EXPECT_LT(stats.candidates, stats.total);  // something was pruned
 }
@@ -233,9 +236,9 @@ TEST(EngineTest, NoIndexScansEverything) {
   ASSERT_TRUE(
       engine->IngestFrames(SmallVideo(VideoCategory::kELearning, 8), "e").ok());
   const auto query = SmallVideo(VideoCategory::kMovie, 9)[0];
-  ASSERT_TRUE(engine->QueryByImage(query, 10).ok());
-  EXPECT_EQ(engine->last_candidate_stats().candidates,
-            engine->last_candidate_stats().total);
+  CandidateStats stats;
+  ASSERT_TRUE(engine->QueryByImage(query, 10, {}, &stats).ok());
+  EXPECT_EQ(stats.candidates, stats.total);
 }
 
 TEST(EngineTest, RemoveVideoDropsItsFrames) {
@@ -380,13 +383,12 @@ TEST(EngineTest, VideoQueryStatsCoverWholeClip) {
       engine->IngestFrames(SmallVideo(VideoCategory::kMovie, 42), "b").ok());
   const size_t rows = engine->indexed_key_frames();
 
-  // Seed the stats with an image query, then check the video query
-  // overwrites them with its own clip-wide accumulation instead of
-  // leaving the stale image numbers behind.
+  // Run an image query first, then check the video query reports its
+  // own clip-wide accumulation, not the image query's numbers.
   ASSERT_TRUE(engine->QueryByImage(video[0], 5).ok());
   const QueryStats before = engine->query_stats();
-  ASSERT_TRUE(engine->QueryByVideo(video, 2).ok());
-  const CandidateStats stats = engine->last_candidate_stats();
+  CandidateStats stats;
+  ASSERT_TRUE(engine->QueryByVideo(video, 2, {}, &stats).ok());
   // Video search scores every stored frame once per query key frame:
   // a whole multiple of the corpus, at least one clip's worth, and
   // honest (nothing pruned).

@@ -95,8 +95,9 @@ std::set<int64_t> ReferenceCandidates(const std::vector<StoredFrame>& frames,
 }
 
 /// Result ids of a query that is allowed to return every candidate.
-std::set<int64_t> QueryIds(RetrievalEngine* engine, const Image& query) {
-  auto results = engine->QueryByImage(query, 1000000);
+std::set<int64_t> QueryIds(RetrievalEngine* engine, const Image& query,
+                           CandidateStats* stats = nullptr) {
+  auto results = engine->QueryByImage(query, 1000000, {}, stats);
   EXPECT_TRUE(results.ok()) << results.status();
   std::set<int64_t> ids;
   for (const QueryResult& r : *results) ids.insert(r.i_id);
@@ -135,10 +136,11 @@ TEST_P(CandidateParityTest, BucketLookupMatchesScanPredicate) {
     const GrayRange query_range = FindRange(query, engine->options().range);
     const std::set<int64_t> expected =
         ReferenceCandidates(frames, query_range, GetParam());
-    const std::set<int64_t> actual = QueryIds(engine.get(), query);
+    CandidateStats stats;
+    const std::set<int64_t> actual = QueryIds(engine.get(), query, &stats);
     EXPECT_EQ(actual, expected) << "seed " << seed;
-    EXPECT_EQ(engine->last_candidate_stats().candidates, expected.size());
-    EXPECT_EQ(engine->last_candidate_stats().total, frames.size());
+    EXPECT_EQ(stats.candidates, expected.size());
+    EXPECT_EQ(stats.total, frames.size());
   }
 }
 
@@ -176,10 +178,11 @@ TEST(QueryParityTest, EmptyBucketYieldsNoCandidates) {
   const std::set<int64_t> expected = ReferenceCandidates(
       ScanStoredFrames(engine.get()), query_range, RangeLookupMode::kExact);
   ASSERT_TRUE(expected.empty()) << "corpus unexpectedly shares the bucket";
-  const std::set<int64_t> actual = QueryIds(engine.get(), query);
+  CandidateStats stats;
+  const std::set<int64_t> actual = QueryIds(engine.get(), query, &stats);
   EXPECT_TRUE(actual.empty());
-  EXPECT_EQ(engine->last_candidate_stats().candidates, 0u);
-  EXPECT_GT(engine->last_candidate_stats().total, 0u);
+  EXPECT_EQ(stats.candidates, 0u);
+  EXPECT_GT(stats.total, 0u);
 }
 
 TEST(QueryParityTest, SingleFrameCorpus) {

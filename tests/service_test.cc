@@ -10,7 +10,10 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <map>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "eval/table1_runner.h"  // RemoveDirRecursive
@@ -124,6 +127,57 @@ TEST_F(ServiceTest, ByIdModeMatchesDirectEngine) {
   for (size_t i = 0; i < direct->size(); ++i) {
     EXPECT_EQ(response.results[i].i_id, (*direct)[i].i_id);
     EXPECT_DOUBLE_EQ(response.results[i].score, (*direct)[i].score);
+  }
+}
+
+TEST_F(ServiceTest, ConcurrentResponsesCarryTheirOwnCandidateStats) {
+  // The other two categories widen the spread of range buckets, so the
+  // stored ids do not all select the same number of candidates.
+  for (int c = 3; c < kNumCategories; ++c) {
+    ASSERT_TRUE(engine_
+                    ->IngestFrames(TestVideo(static_cast<VideoCategory>(c),
+                                             40 + static_cast<uint64_t>(c)),
+                                   "svc_test")
+                    .ok());
+  }
+  std::vector<int64_t> ids;
+  std::map<int64_t, CandidateStats> expected;
+  std::set<size_t> distinct;
+  const std::vector<VideoRecord> videos =
+      engine_->store()->ListVideos().value();
+  for (const VideoRecord& video : videos) {
+    const std::vector<int64_t> video_ids =
+        engine_->store()->KeyFrameIdsOfVideo(video.v_id).value();
+    for (int64_t id : video_ids) {
+      CandidateStats stats;
+      ASSERT_TRUE(engine_->QueryByStoredId(id, 5, {}, &stats).ok());
+      ids.push_back(id);
+      expected[id] = stats;
+      distinct.insert(stats.candidates);
+    }
+  }
+  ASSERT_GE(distinct.size(), 2u)
+      << "every id selects as many candidates; mixed-up stats would pass";
+
+  RetrievalService service(engine_.get());  // default: 4 workers
+  for (size_t round = 0; round < 100; ++round) {
+    std::vector<std::pair<int64_t, std::future<ServiceResponse>>> pending;
+    for (size_t i = 0; i < 16; ++i) {
+      ServiceRequest request;
+      request.mode = QueryMode::kById;
+      request.frame_id = ids[(round * 16 + i) * 7 % ids.size()];
+      request.k = 5;
+      const int64_t id = request.frame_id;
+      pending.emplace_back(id, service.Submit(std::move(request)));
+    }
+    for (auto& [id, future] : pending) {
+      const ServiceResponse response = future.get();
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      ASSERT_EQ(response.stats.candidates, expected[id].candidates)
+          << "id " << id << " in round " << round;
+      ASSERT_EQ(response.stats.total, expected[id].total)
+          << "id " << id << " in round " << round;
+    }
   }
 }
 
