@@ -120,6 +120,32 @@ expect_version "newest §6.5 page-file version" \
   "$(echo "$compat_row" | awk -F'|' '{gsub(/ /, "", $3); print $3}')" \
   "$pager_version" "kPagerFormatCurrent (src/storage/pager.h)"
 
+# 3c. DESIGN.md's lock-level list (`kServer=10 < kEngineWriter=15 <
+#     ...`) is the LockLevel enum of src/util/lock_order.h, name for
+#     name and number for number. A must-fail probe renumbers one level
+#     in a temp copy of the header and expects the comparison to reject
+#     it.
+lock_levels() {  # lock_levels <header>: "kName=N ..." of the enum
+  sed -n '/^enum class LockLevel/,/^};/p' "$1" \
+    | grep -oE '^ *k[A-Za-z]+ = [0-9]+' | tr -d ' ' | grep -v '^kUnranked=' \
+    | paste -sd' ' -
+}
+doc_lock_levels() {  # doc_lock_levels: "kName=N ..." quoted in DESIGN.md
+  grep -oE 'k[A-Z][A-Za-z]+=[0-9]+' DESIGN.md | paste -sd' ' -
+}
+lock_levels_match() {  # lock_levels_match <header>
+  [[ -n "$(lock_levels "$1")" && "$(lock_levels "$1")" == "$(doc_lock_levels)" ]]
+}
+lock_levels_match src/util/lock_order.h \
+  || err "DESIGN.md lock levels ($(doc_lock_levels)) differ from the" \
+         "LockLevel enum in src/util/lock_order.h ($(lock_levels src/util/lock_order.h))"
+probe=$(mktemp)
+sed -E 's/^( *kPager = [0-9]+)/\11/' src/util/lock_order.h > "$probe"
+if lock_levels_match "$probe"; then
+  err "LOCK-LEVEL PROBE DID NOT FIRE: a renumbered kPager passed the check"
+fi
+rm -f "$probe"
+
 # 4. The CLIs the docs describe ship a --help handled by the shared
 #    flags table (the anti-drift mechanism README/DESIGN point at).
 for cli in examples/serve_cli.cpp examples/ingest_admin.cpp \

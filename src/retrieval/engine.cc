@@ -25,8 +25,9 @@ Result<std::unique_ptr<RetrievalEngine>> RetrievalEngine::Open(
   db_options.env = options.env;
   VR_ASSIGN_OR_RETURN(engine->store_, VideoStore::Open(dir, db_options));
   {
-    // Open is single-threaded; the writer lock is taken to satisfy
-    // the guarded-state contracts, not for contention.
+    // Open is single-threaded; both locks are taken to satisfy the
+    // guarded-state contracts, not for contention.
+    MutexLock writer(engine->writer_mutex_);
     WriterMutexLock lock(engine->mutex_);
     bool warm = false;
     bool have_generation = false;
@@ -195,26 +196,32 @@ Result<RetrievalEngine::ExtractedQuery> RetrievalEngine::ExtractWithPlan(
 }
 
 Status RetrievalEngine::RemoveVideo(int64_t v_id) {
-  WriterMutexLock lock(mutex_);
-  // The store commits first (one journal batch); memory changes only
-  // after that succeeded, so a failed remove leaves both serving the
-  // whole video.
+  MutexLock writer(writer_mutex_);
+  // The store commits first (one journal batch) without the query lock;
+  // memory changes only after that succeeded, so a failed remove leaves
+  // both serving the whole video.
   VR_ASSIGN_OR_RETURN(std::vector<int64_t> ids, store_->DeleteVideo(v_id));
-  for (int64_t i_id : ids) {
-    auto it = cache_by_id_.find(i_id);
-    if (it == cache_by_id_.end()) continue;
-    const size_t pos = it->second;
-    index_.Erase(i_id, matrix_.row(pos).range);
-    // Swap-erase from the matrix, fixing the moved row's index.
-    cache_by_id_.erase(it);
-    matrix_.SwapRemove(pos);
-    if (pos != matrix_.rows()) {
-      cache_by_id_[matrix_.row(pos).i_id] = pos;
+  {
+    WriterMutexLock lock(mutex_);
+    for (int64_t i_id : ids) {
+      auto it = cache_by_id_.find(i_id);
+      if (it == cache_by_id_.end()) continue;
+      const size_t pos = it->second;
+      index_.Erase(i_id, matrix_.row(pos).range);
+      // Swap-erase from the matrix, fixing the moved row's index.
+      cache_by_id_.erase(it);
+      matrix_.SwapRemove(pos);
+      if (pos != matrix_.rows()) {
+        cache_by_id_[matrix_.row(pos).i_id] = pos;
+      }
     }
   }
   if (matrix_store_ != nullptr) {
     matrix_gen_.key_frame_count -= std::min<uint64_t>(
         matrix_gen_.key_frame_count, ids.size());
+    // Writers are serialized, so a shared hold keeps matrix_ still
+    // while queries go on reading it through the cache file's syncs.
+    ReaderMutexLock lock(mutex_);
     const Status persisted = matrix_store_->Remove(ids, matrix_, matrix_gen_);
     if (!persisted.ok()) {
       VR_LOG(Warn) << "matrix cache remove failed (disabled for this run): "

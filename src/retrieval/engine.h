@@ -175,33 +175,39 @@ using QueryCheckpoint = std::function<Status()>;
 
 /// \brief The CBVR system facade.
 ///
-/// Thread-safety: the engine uses a reader/writer discipline over one
-/// writer-preferring vr::SharedMutex. The query methods (QueryByImage,
-/// QueryByImageSingleFeature, QueryByVideo, QueryByStoredId,
-/// indexed_key_frames) take the lock shared and may run concurrently
-/// with each other from any number of threads; the image and video
-/// queries extract their features first and hold it only for select,
-/// coarse, rank and fuse/top-k. Each query reports its own pruning
-/// numbers through its optional CandidateStats out-parameter, so
-/// concurrent queries never see each other's. The mutating methods
-/// (IngestFrames, IngestVideoFile, RemoveVideo, CommitPrepared — and
-/// ApplyRelevanceFeedback, which rewrites the scorer weights) take it
-/// exclusive, while the ingest *preparation* methods (ExtractKeyFrames,
-/// PrepareKeyFrame, EncodeVideoBlob) are lock-free and safe from any
-/// thread. Callers never lock for those; they only need rw_lock()
-/// when touching engine internals directly: scorer() mutation and all
-/// VideoStore access through store() require the exclusive lock when
-/// queries may be in flight. The range index and the columnar feature
-/// cache (FeatureMatrix) are plain data guarded entirely by this lock —
-/// ranking shards fanned out to the internal rank pool only read them
-/// under the calling query's shared hold; the pager layer below is
-/// additionally self-serializing (see pager.h) so stats snapshots never
-/// race ingest I/O.
+/// Thread-safety: the engine has two locks, so a query never waits on
+/// a writer's disk work.
 ///
-/// The lock→state relationships are annotated (GUARDED_BY(mutex_) on
-/// the index/matrix/scorer state, REQUIRES on the locked helpers) and
-/// verified by Clang's thread-safety analysis; the prose above is the
-/// narrative, the annotations are the contract.
+/// - The *query lock* (rw_lock(), a writer-preferring vr::SharedMutex)
+///   guards what queries read: the range index, the columnar feature
+///   cache (FeatureMatrix), the id map and the scorer weights. The
+///   query methods (QueryByImage, QueryByImageSingleFeature,
+///   QueryByVideo, QueryByStoredId, indexed_key_frames) take it shared
+///   and run concurrently from any number of threads; the image and
+///   video queries extract their features first and hold it only for
+///   select, coarse, rank and fuse/top-k. Ranking shards fanned out to
+///   the internal rank pool only read under the calling query's hold.
+/// - The *writer mutex* (private) serializes the writers — Open,
+///   CommitPrepared (and so IngestFrames, IngestVideoFile) and
+///   RemoveVideo — and guards the VideoStore and the persisted matrix
+///   cache. A writer persists to the store under it alone, takes the
+///   query lock exclusive only to apply the rows in memory (all of a
+///   video or none of it, in microseconds), then holds the query lock
+///   shared while the matrix cache file syncs.
+///
+/// ApplyRelevanceFeedback takes the query lock exclusive (it rewrites
+/// only in-memory scorer weights). The ingest *preparation* methods
+/// (ExtractKeyFrames, PrepareKeyFrame, EncodeVideoBlob) take no lock
+/// and are safe from any thread. Each query reports its own pruning
+/// numbers through its optional CandidateStats out-parameter, so
+/// concurrent queries never see each other's. The pager layer below is
+/// self-serializing (see pager.h), so store stats snapshots never race
+/// ingest I/O.
+///
+/// The lock→state relationships are annotated (GUARDED_BY on the
+/// guarded state, REQUIRES on the locked helpers) and verified by
+/// Clang's thread-safety analysis; the prose above is the narrative,
+/// the annotations are the contract.
 class RetrievalEngine {
  public:
   /// Opens (or creates) the engine over a database directory and warms
@@ -213,17 +219,19 @@ class RetrievalEngine {
   /// @{
   /// Ingests decoded frames as one video; returns its v_id. Composes
   /// the staged ingest methods below: preparation runs lock-free, only
-  /// CommitPrepared takes the writer-exclusive lock, so a long feature
-  /// extraction never blocks concurrent queries.
+  /// CommitPrepared takes a lock, so a long feature extraction never
+  /// blocks concurrent queries.
   Result<int64_t> IngestFrames(const std::vector<Image>& frames,
                                const std::string& name);
   /// Ingests a .vsv file.
   Result<int64_t> IngestVideoFile(const std::string& path,
                                   const std::string& name);
-  /// Removes a video and all of its key frames under the exclusive
-  /// lock: one journal batch (one sync, all or nothing across a crash),
-  /// and memory drops the rows only after it succeeded.
-  Status RemoveVideo(int64_t v_id);
+  /// Removes a video and all of its key frames under the writer mutex:
+  /// one journal batch (one sync, all or nothing across a crash), and
+  /// memory drops the rows only after it succeeded, under a brief
+  /// exclusive hold of the query lock. Queries keep running through
+  /// the journal and matrix cache syncs.
+  Status RemoveVideo(int64_t v_id) EXCLUDES(writer_mutex_, mutex_);
   /// @}
 
   /// \name Staged ingest (the building blocks of IngestPipeline).
@@ -232,9 +240,9 @@ class RetrievalEngine {
   /// only state that is immutable after Open (options, extractors, the
   /// key-frame detector) — they are safe to call concurrently from any
   /// number of threads, including while queries and commits run.
-  /// CommitPrepared is the only mutating step; it takes the engine
-  /// lock exclusive, assigns v_id/i_id in call order and publishes the
-  /// video all-or-nothing. Feeding prepared videos to CommitPrepared
+  /// CommitPrepared is the only mutating step; it takes the writer
+  /// mutex, assigns v_id/i_id in call order and publishes the video
+  /// all-or-nothing. Feeding prepared videos to CommitPrepared
   /// in submission order therefore yields rows byte-identical to a
   /// serial IngestFrames loop (the determinism contract that
   /// tests/ingest_pipeline_test.cc enforces).
@@ -252,12 +260,15 @@ class RetrievalEngine {
   /// VIDEO column. Returns an empty blob when store_video_blob is off.
   Result<std::vector<uint8_t>> EncodeVideoBlob(
       const std::vector<Image>& frames) const EXCLUDES(mutex_);
-  /// Stage 3: assign ids, persist the KEY_FRAMES rows (one batched
-  /// journal sync) and the VIDEO_STORE row, and publish to the range
-  /// index and feature cache. Holds the writer-exclusive lock for the
-  /// whole persist + publish sequence, feature text formatting
-  /// included; returns the new v_id.
-  Result<int64_t> CommitPrepared(PreparedVideo video);
+  /// Stage 3: assign ids, persist the VIDEO_STORE row and its
+  /// KEY_FRAMES rows as one journal batch (one sync, all or nothing
+  /// across a crash), and publish to the range index and feature
+  /// cache; returns the new v_id. Id assignment, feature text
+  /// formatting and the syncs run under the writer mutex only; the
+  /// query lock is exclusive just for the in-memory publish, so a
+  /// concurrent query sees all of the video or none of it.
+  Result<int64_t> CommitPrepared(PreparedVideo video)
+      EXCLUDES(writer_mutex_, mutex_);
   /// @}
 
   /// Cumulative ingest counters (see ingest_stats.h). Thread-safe; the
@@ -316,23 +327,29 @@ class RetrievalEngine {
   /// (ApplyRelevanceFeedback does this for you).
   CombinedScorer* scorer() REQUIRES(mutex_) { return &scorer_; }
 
-  /// The engine-wide reader/writer lock. Public API methods lock it
-  /// internally; it is exposed for helpers that mutate engine-owned
-  /// state from outside (scorer re-weighting, direct store() access).
-  /// Lock hierarchy: always acquire this before any pager mutex, never
-  /// after (see DESIGN.md "Service layer & threading model").
+  /// The query lock (see the class comment). Public API methods lock
+  /// it internally; it is exposed for helpers that mutate the scorer
+  /// weights from outside. It does not guard the store: a writer
+  /// journals and syncs without it. Lock hierarchy: acquire it before
+  /// any pager mutex and never while calling CommitPrepared or
+  /// RemoveVideo, whose writer mutex ranks above it (DESIGN.md § Lock
+  /// hierarchy).
   SharedMutex& rw_lock() const RETURN_CAPABILITY(mutex_) { return mutex_; }
 
   /// The persistent store. The returned pointer itself is stable for
-  /// the engine's lifetime; calls through it that may race queries
-  /// need rw_lock() held exclusive (the pager layer below is
-  /// self-serializing, so stats snapshots are always safe).
+  /// the engine's lifetime. The store is guarded by the engine's
+  /// private writer mutex, not by rw_lock(): call through it only when
+  /// no CommitPrepared or RemoveVideo can run at the same time — from
+  /// the one thread that does all the writing, or with ingest quiesced.
+  /// The pager stats (GetPagerStats) are self-serializing and always
+  /// safe.
   VideoStore* store() { return store_.get(); }
   const EngineOptions& options() const { return options_; }
 
   /// Tables quarantined by a degraded (paranoid = false) open.
-  const std::vector<TableDamage>& DamageReport() const EXCLUDES(mutex_) {
-    ReaderMutexLock lock(mutex_);
+  const std::vector<TableDamage>& DamageReport() const
+      EXCLUDES(writer_mutex_) {
+    MutexLock lock(writer_mutex_);
     return store_->DamageReport();
   }
 
@@ -346,8 +363,8 @@ class RetrievalEngine {
   /// whether this open was warm (loaded from pages instead of a store
   /// scan), rewrites/appends since open. All-zero when persistence is
   /// disabled or was demoted after a persist failure.
-  MatrixStore::Stats matrix_store_stats() const EXCLUDES(mutex_) {
-    ReaderMutexLock lock(mutex_);
+  MatrixStore::Stats matrix_store_stats() const EXCLUDES(writer_mutex_) {
+    MutexLock lock(writer_mutex_);
     return matrix_store_ != nullptr ? matrix_store_->stats()
                                     : MatrixStore::Stats{};
   }
@@ -388,9 +405,9 @@ class RetrievalEngine {
   };
 
   /// Rebuilds the feature cache and range index from the store; runs
-  /// under the exclusive lock purely to satisfy the guarded-state
-  /// contract (Open is single-threaded).
-  Status WarmCache() REQUIRES(mutex_);
+  /// under both locks purely to satisfy the guarded-state contracts
+  /// (Open is single-threaded).
+  Status WarmCache() REQUIRES(writer_mutex_, mutex_);
 
   /// A query frame after extraction: the requested features and the
   /// frame's range-finder bucket (derived from the gray histogram the
@@ -489,14 +506,20 @@ class RetrievalEngine {
 
   EngineOptions options_;
   KeyFrameExtractor key_frames_;  ///< stateless after construction
-  /// Guards index_, matrix_, cache_by_id_, scorer_ and store_ mutation:
-  /// shared for queries, exclusive for ingest/remove/feedback.
+  /// Serializes the writers (Open, CommitPrepared, RemoveVideo) and
+  /// guards the store and the persisted matrix cache. Ranked above the
+  /// query lock: a writer takes it first and holds it across its
+  /// journal and matrix cache syncs.
+  mutable Mutex writer_mutex_{LockLevel::kEngineWriter, "engine_writer"};
+  /// The query lock: guards index_, matrix_, cache_by_id_ and scorer_.
+  /// Shared for queries and for a writer's matrix cache sync;
+  /// exclusive for a writer's in-memory publish and for feedback.
   mutable SharedMutex mutex_{LockLevel::kEngine, "engine_rw"};
   RangeBucketIndex index_ GUARDED_BY(mutex_);
   CombinedScorer scorer_ GUARDED_BY(mutex_);
   /// The unique_ptr is set once in Open; the *store* behind it is
-  /// externally synchronized by this lock (see class comment).
-  std::unique_ptr<VideoStore> store_ PT_GUARDED_BY(mutex_);
+  /// guarded by the writer mutex (see class comment).
+  std::unique_ptr<VideoStore> store_ PT_GUARDED_BY(writer_mutex_);
   std::vector<std::unique_ptr<FeatureExtractor>> extractors_;  ///< immutable after Open
   /// Columnar feature cache; rows are matrix row indices, ids resolve
   /// through cache_by_id_.
@@ -505,10 +528,10 @@ class RetrievalEngine {
   /// Persisted matrix cache (null when persist_matrix is off, or after
   /// a persist failure demoted the cache to memory-only for this run —
   /// the next open sees a stale generation and rebuilds).
-  std::unique_ptr<MatrixStore> matrix_store_ GUARDED_BY(mutex_);
+  std::unique_ptr<MatrixStore> matrix_store_ GUARDED_BY(writer_mutex_);
   /// Live store generation, tracked incrementally across commits and
   /// removes so persisting never needs an O(N) KeyFrameCount() walk.
-  MatrixStore::Generation matrix_gen_ GUARDED_BY(mutex_);
+  MatrixStore::Generation matrix_gen_ GUARDED_BY(writer_mutex_);
   /// Workers for sharded ranking; null when serial-only. Created at
   /// Open, immutable after — shard tasks only ever read query-local
   /// buffers plus matrix_ under the caller's shared lock.

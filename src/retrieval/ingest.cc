@@ -112,12 +112,10 @@ Result<int64_t> RetrievalEngine::CommitPrepared(PreparedVideo video) {
     return Status::InvalidArgument("prepared video has no key frames");
   }
   Stopwatch timer;
-  // Writer side of the engine's reader/writer discipline: the commit
-  // holds the lock exclusive for the whole persist + publish sequence,
-  // so concurrent queries see either none or all of this video's
-  // frames. Ids are assigned here, in commit order, which is what makes
-  // parallel preparation reproduce serial ingest bit-for-bit.
-  WriterMutexLock lock(mutex_);
+  // Writers are serialized by the writer mutex; ids are assigned here,
+  // in commit order, which is what makes parallel preparation reproduce
+  // serial ingest bit-for-bit. Queries keep running until the publish.
+  MutexLock writer(writer_mutex_);
   const int64_t v_id = store_->NextVideoId();
 
   std::vector<KeyFrameRecord> records;
@@ -137,8 +135,6 @@ Result<int64_t> RetrievalEngine::CommitPrepared(PreparedVideo video) {
     key_ids.push_back(record.i_id);
     records.push_back(std::move(record));
   }
-  // One journal sync for the whole batch instead of one per key frame.
-  VR_RETURN_NOT_OK(store_->PutKeyFrames(records));
 
   VideoRecord video_row;
   video_row.v_id = v_id;
@@ -152,16 +148,22 @@ Result<int64_t> RetrievalEngine::CommitPrepared(PreparedVideo video) {
   std::strftime(date, sizeof(date), "%Y-%m-%d", &utc);
   video_row.dostore = date;
   video_row.video = std::move(video.video_blob);
-  VR_RETURN_NOT_OK(store_->PutVideo(video_row).status());
+  // One journal batch and one sync for the video row and every key
+  // frame: a crash leaves the video whole or absent.
+  VR_RETURN_NOT_OK(store_->PutVideoWithKeyFrames(video_row, records));
 
   // Publish to the in-memory structures only after everything persisted.
-  const size_t first_new_row = matrix_.rows();
-  for (KeyFrameRecord& record : records) {
-    const GrayRange range{static_cast<int>(record.min),
-                          static_cast<int>(record.max), 0};
-    index_.InsertAt(record.i_id, range);
-    cache_by_id_.emplace(record.i_id, matrix_.rows());
-    matrix_.Append(record.i_id, v_id, range, record.features);
+  size_t first_new_row = 0;
+  {
+    WriterMutexLock lock(mutex_);
+    first_new_row = matrix_.rows();
+    for (const KeyFrameRecord& record : records) {
+      const GrayRange range{static_cast<int>(record.min),
+                            static_cast<int>(record.max), 0};
+      index_.InsertAt(record.i_id, range);
+      cache_by_id_.emplace(record.i_id, matrix_.rows());
+      matrix_.Append(record.i_id, v_id, range, record.features);
+    }
   }
   if (matrix_store_ != nullptr) {
     // Incrementally persist the new rows to the matrix cache file. The
@@ -170,6 +172,9 @@ Result<int64_t> RetrievalEngine::CommitPrepared(PreparedVideo video) {
     // to memory-only for this run (the next open rebuilds it).
     matrix_gen_.key_frame_count += records.size();
     matrix_gen_.next_key_frame_id = store_->PeekNextKeyFrameId();
+    // Writers are serialized, so a shared hold keeps matrix_ still
+    // while queries go on reading it through the cache file's syncs.
+    ReaderMutexLock lock(mutex_);
     const Status persisted =
         matrix_store_->Append(matrix_, first_new_row, matrix_gen_);
     if (!persisted.ok()) {

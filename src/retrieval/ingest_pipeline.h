@@ -15,7 +15,7 @@
 ///                                 fallback]                   │
 ///                                                             ▼
 ///                                              RetrievalEngine::CommitPrepared
-///                                              (writer-exclusive, one batched
+///                                              (writer mutex, one batched
 ///                                               journal sync per video)
 ///
 /// Determinism: v_id / i_id are assigned by CommitPrepared in commit

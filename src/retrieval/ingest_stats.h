@@ -39,7 +39,8 @@ struct IngestStats {
   /// extractors, range-finder bucketing and key-frame image encoding.
   double extract_ms = 0.0;
   /// Wall time spent inside CommitPrepared (row batching, WAL sync,
-  /// index + cache publish) — the writer-exclusive window.
+  /// index + cache publish, matrix cache sync), writer-mutex wait
+  /// included. Queries are held off only for the in-memory publish.
   double commit_ms = 0.0;
   /// Per-extractor share of extract_ms, indexed by FeatureKind.
   /// Disabled extractors stay 0.

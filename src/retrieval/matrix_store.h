@@ -24,9 +24,10 @@
 /// Byte-level layout of the header, data and tombstone pages is
 /// specified in docs/FORMAT.md ("Matrix cache file").
 ///
-/// Thread-safety: externally synchronized, exactly like FeatureMatrix —
-/// the engine calls every method under its writer-exclusive lock (Open
-/// and Load run in the single-threaded engine open).
+/// Thread-safety: externally synchronized — the engine calls every
+/// method under its writer mutex, which serializes commits and removes
+/// (Open and Load run in the single-threaded engine open). Append and
+/// Remove read the FeatureMatrix under a shared hold of the query lock.
 
 #pragma once
 

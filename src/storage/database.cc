@@ -1,7 +1,5 @@
 #include "storage/database.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 
 namespace vr {
@@ -187,28 +185,31 @@ Result<int64_t> Database::Insert(const std::string& table, const Row& row) {
   return t->Insert(row);
 }
 
-Status Database::InsertBatch(const std::string& table,
-                             const std::vector<Row>& rows) {
+Status Database::InsertBatch(const std::vector<TableRow>& rows) {
   if (rows.empty()) return Status::OK();
-  VR_ASSIGN_OR_RETURN(Table * t, GetTable(table));
-  const size_t pk_index = t->schema().primary_key_index();
-
   // Validate and serialize everything before journaling anything, so a
   // bad row cannot leave a half-journaled batch.
+  std::vector<Table*> tables;
   std::vector<int64_t> pks;
   std::vector<std::vector<uint8_t>> payloads;
+  tables.reserve(rows.size());
   pks.reserve(rows.size());
   payloads.reserve(rows.size());
-  for (const Row& row : rows) {
+  for (const auto& [table, row] : rows) {
+    VR_ASSIGN_OR_RETURN(Table * t, GetTable(table));
     VR_RETURN_NOT_OK(t->schema().ValidateRow(row));
-    const int64_t pk = row[pk_index].AsInt64();
-    if (t->Exists(pk) ||
-        std::find(pks.begin(), pks.end(), pk) != pks.end()) {
+    const int64_t pk = row[t->schema().primary_key_index()].AsInt64();
+    bool duplicate = t->Exists(pk);
+    for (size_t i = 0; i < pks.size() && !duplicate; ++i) {
+      duplicate = tables[i] == t && pks[i] == pk;
+    }
+    if (duplicate) {
       return Status::AlreadyExists(table + ": duplicate pk " +
                                    std::to_string(pk));
     }
     VR_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                         SerializeRow(t->schema(), row));
+    tables.push_back(t);
     pks.push_back(pk);
     payloads.push_back(std::move(payload));
   }
@@ -216,13 +217,13 @@ Status Database::InsertBatch(const std::string& table,
   // Journal the whole batch, then one sync covers every row.
   VR_RETURN_NOT_OK(JournalBatch([&]() -> Status {
     for (size_t i = 0; i < rows.size(); ++i) {
-      VR_RETURN_NOT_OK(wal_->AppendInsert(table, pks[i], payloads[i]));
+      VR_RETURN_NOT_OK(wal_->AppendInsert(rows[i].first, pks[i], payloads[i]));
     }
     return Status::OK();
   }));
 
-  for (const Row& row : rows) {
-    VR_RETURN_NOT_OK(t->Insert(row).status());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    VR_RETURN_NOT_OK(tables[i]->Insert(rows[i].second).status());
   }
   return Status::OK();
 }

@@ -75,15 +75,19 @@ class Database {
   /// Journaled insert. AlreadyExists on pk collision.
   Result<int64_t> Insert(const std::string& table, const Row& row);
 
-  /// Journaled batch insert: validates every row up front (AlreadyExists
-  /// on any pk collision, against the table or within the batch),
-  /// journals all rows under a single fsync, then applies them in
-  /// order. The WAL-first contract is unchanged — once this returns OK
-  /// the whole batch survives a crash; on a journaling error nothing
-  /// was applied and the journal is rolled back. The one sync per
-  /// batch (instead of one per row) is what makes bulk ingest commit at
-  /// memory speed.
-  Status InsertBatch(const std::string& table, const std::vector<Row>& rows);
+  /// One (table, row) pair of a multi-table InsertBatch.
+  using TableRow = std::pair<std::string, Row>;
+
+  /// Journaled batch insert, possibly across tables: validates every
+  /// row up front (AlreadyExists on any pk collision, against the table
+  /// or within the batch), journals all rows under a single fsync, then
+  /// applies them in order. The WAL-first contract is unchanged — once
+  /// this returns OK the whole batch survives a crash; on a journaling
+  /// error nothing was applied and the journal is rolled back. The one
+  /// sync per batch (instead of one per row) is what makes bulk ingest
+  /// commit at memory speed, and one batch per video is what keeps a
+  /// crash from leaving key frames without their video row.
+  Status InsertBatch(const std::vector<TableRow>& rows);
 
   /// Journaled delete by primary key.
   Status Delete(const std::string& table, int64_t pk);

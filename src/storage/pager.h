@@ -60,7 +60,7 @@ constexpr uint32_t kPagerFormatCurrent = 2;
 /// REQUIRES) and verified by Clang's thread-safety analysis. The
 /// *contents* of fetched pages are NOT synchronized — callers that
 /// mutate page bytes must hold an exclusive lock above the pager (in
-/// this codebase the RetrievalEngine's writer lock; see DESIGN.md
+/// this codebase the RetrievalEngine's writer mutex; see DESIGN.md
 /// "Service layer & threading model").
 class Pager {
  public:

@@ -144,15 +144,18 @@ Status VideoStore::RequireHealthy(const Table* table,
 int64_t VideoStore::NextVideoId() { return next_video_id_++; }
 int64_t VideoStore::NextKeyFrameId() { return next_key_frame_id_++; }
 
-Result<int64_t> VideoStore::PutVideo(const VideoRecord& record) {
-  Row row = {
+Row VideoStore::VideoToRow(const VideoRecord& record) {
+  return {
       Value(record.v_id),
       Value(record.v_name),
       Value::Blob(record.video),
       Value::Blob(record.stream),
       Value(record.dostore),
   };
-  VR_ASSIGN_OR_RETURN(int64_t pk, db_->Insert(kVideoTable, row));
+}
+
+Result<int64_t> VideoStore::PutVideo(const VideoRecord& record) {
+  VR_ASSIGN_OR_RETURN(int64_t pk, db_->Insert(kVideoTable, VideoToRow(record)));
   next_video_id_ = std::max(next_video_id_, pk + 1);
   return pk;
 }
@@ -253,15 +256,30 @@ Result<int64_t> VideoStore::PutKeyFrame(const KeyFrameRecord& record) {
 }
 
 Status VideoStore::PutKeyFrames(const std::vector<KeyFrameRecord>& records) {
-  if (records.empty()) return Status::OK();
-  std::vector<Row> rows;
-  rows.reserve(records.size());
-  for (const KeyFrameRecord& record : records) {
+  return PutBatch(nullptr, records);
+}
+
+Status VideoStore::PutVideoWithKeyFrames(
+    const VideoRecord& video, const std::vector<KeyFrameRecord>& key_frames) {
+  return PutBatch(&video, key_frames);
+}
+
+Status VideoStore::PutBatch(const VideoRecord* video,
+                            const std::vector<KeyFrameRecord>& key_frames) {
+  std::vector<Database::TableRow> rows;
+  rows.reserve(key_frames.size() + 1);
+  // The video row goes first: a journal torn inside the batch then
+  // leaves a video whose remaining key frames RemoveVideo can reach.
+  if (video != nullptr) rows.emplace_back(kVideoTable, VideoToRow(*video));
+  for (const KeyFrameRecord& record : key_frames) {
     VR_ASSIGN_OR_RETURN(Row row, KeyFrameToRow(record));
-    rows.push_back(std::move(row));
+    rows.emplace_back(kKeyFrameTable, std::move(row));
   }
-  VR_RETURN_NOT_OK(db_->InsertBatch(kKeyFrameTable, rows));
-  for (const KeyFrameRecord& record : records) {
+  VR_RETURN_NOT_OK(db_->InsertBatch(rows));
+  if (video != nullptr) {
+    next_video_id_ = std::max(next_video_id_, video->v_id + 1);
+  }
+  for (const KeyFrameRecord& record : key_frames) {
     next_key_frame_id_ = std::max(next_key_frame_id_, record.i_id + 1);
   }
   return Status::OK();

@@ -79,9 +79,14 @@ class VideoStore {
   Result<int64_t> PutKeyFrame(const KeyFrameRecord& record);
   /// Batch append: every record (with its i_id preassigned, like
   /// PutKeyFrame's caller does) is journaled under a single fsync and
-  /// applied in order — the bulk-ingest commit path. All-or-nothing on
-  /// journaling errors; see Database::InsertBatch for the contract.
+  /// applied in order. All-or-nothing on journaling errors; see
+  /// Database::InsertBatch for the contract.
   Status PutKeyFrames(const std::vector<KeyFrameRecord>& records);
+  /// The ingest commit: the VIDEO_STORE row and all of its KEY_FRAMES
+  /// rows as one journal batch (one fsync), so a crash leaves the video
+  /// whole or absent, never key frames without their video row.
+  Status PutVideoWithKeyFrames(const VideoRecord& video,
+                               const std::vector<KeyFrameRecord>& key_frames);
   Result<KeyFrameRecord> GetKeyFrame(int64_t i_id) const;
   Status DeleteKeyFrame(int64_t i_id);
   /// Key-frame ids belonging to a video (via the V_ID index).
@@ -134,6 +139,11 @@ class VideoStore {
 
   Result<KeyFrameRecord> RowToKeyFrame(const Row& row) const;
   static Result<Row> KeyFrameToRow(const KeyFrameRecord& record);
+  static Row VideoToRow(const VideoRecord& record);
+  /// Journals \p video (when non-null) and \p key_frames as one batch
+  /// and advances the id watermarks past them.
+  Status PutBatch(const VideoRecord* video,
+                  const std::vector<KeyFrameRecord>& key_frames);
   /// Corruption when \p table (quarantined by a degraded open) is null.
   Status RequireHealthy(const Table* table, const char* name) const;
 

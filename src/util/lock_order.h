@@ -23,8 +23,8 @@
 ///
 /// Registry note: levels live here, not in the files that use them,
 /// so the whole hierarchy is readable in one screen and new locks
-/// must pick a documented rank. Keep this table in sync with
-/// DESIGN.md § Static analysis & lint contract.
+/// must pick a documented rank. DESIGN.md § Lock hierarchy lists the
+/// same levels; scripts/check_docs.sh fails when the two differ.
 
 #pragma once
 
@@ -45,18 +45,24 @@ enum class LockLevel : int32_t {
   /// Held only for registry mutation, never across a request.
   kServer = 10,
 
-  /// RetrievalEngine's reader/writer lock: queries shared,
-  /// ingest/remove/feedback exclusive.
+  /// RetrievalEngine's writer mutex: serializes Open, CommitPrepared
+  /// and RemoveVideo and is held across their journal and matrix cache
+  /// syncs, so it ranks above the query lock it then takes.
+  kEngineWriter = 15,
+
+  /// RetrievalEngine's query lock (reader/writer): queries and a
+  /// writer's matrix cache sync shared, a writer's in-memory publish
+  /// and feedback exclusive.
   kEngine = 20,
 
   /// IngestPipeline reorder buffer + counters. Ranked between engine
   /// and pager: the committer must release it before CommitPrepared
-  /// takes the engine lock (docs promise it is never held across a
+  /// takes the engine locks (docs promise it is never held across a
   /// call into the engine; the validator now enforces the half of
   /// that promise that orders it against the storage layer below).
   kIngestPipeline = 30,
 
-  /// Pager buffer-pool bookkeeping, acquired inside the engine lock
+  /// Pager buffer-pool bookkeeping, acquired inside the engine locks
   /// on every storage touch.
   kPager = 40,
 

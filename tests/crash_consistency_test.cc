@@ -11,9 +11,10 @@
 /// it may be fully present (its journal record was durable) or fully
 /// absent, never half-applied.
 ///
-/// The engine-level tests hold RetrievalEngine::RemoveVideo to the same
-/// standard: a killed or failed remove leaves the video whole or gone,
-/// in the store and in every stored-id query answer alike.
+/// The engine-level tests hold RetrievalEngine's commit and
+/// RemoveVideo to the same standard: a killed commit or a killed or
+/// failed remove leaves the video whole or gone, in the store and in
+/// every stored-id query answer alike.
 
 #include <gtest/gtest.h>
 
@@ -314,10 +315,10 @@ std::vector<int64_t> RowsAfterFailedWrite(
   return present;
 }
 
-std::vector<Row> ThreeNewRows() {
-  return {MakeRow(3, ModelRow{"doomed", {3}}),
-          MakeRow(4, ModelRow{"doomed", {4}}),
-          MakeRow(5, ModelRow{"doomed", {5}})};
+std::vector<Database::TableRow> ThreeNewRows() {
+  return {{kTable, MakeRow(3, ModelRow{"doomed", {3}})},
+          {kTable, MakeRow(4, ModelRow{"doomed", {4}})},
+          {kTable, MakeRow(5, ModelRow{"doomed", {5}})}};
 }
 
 TEST(CrashConsistencyTest, FailedJournalSyncIsRolledBack) {
@@ -333,8 +334,7 @@ TEST(CrashConsistencyTest, FailedJournalSyncIsRolledBack) {
             untouched);
   EXPECT_EQ(RowsAfterFailedWrite("rollback_insert_batch_db", fail_sync,
                                  [](Database* db) {
-                                   return db->InsertBatch(kTable,
-                                                          ThreeNewRows());
+                                   return db->InsertBatch(ThreeNewRows());
                                  }),
             untouched);
   EXPECT_EQ(RowsAfterFailedWrite("rollback_delete_batch_db", fail_sync,
@@ -354,8 +354,7 @@ TEST(CrashConsistencyTest, BatchAppendFailurePartwayIsRolledBack) {
   const std::vector<int64_t> untouched = {1, 2, 100};
   EXPECT_EQ(RowsAfterFailedWrite("partial_insert_batch_db", fail_second,
                                  [](Database* db) {
-                                   return db->InsertBatch(kTable,
-                                                          ThreeNewRows());
+                                   return db->InsertBatch(ThreeNewRows());
                                  }),
             untouched);
   EXPECT_EQ(RowsAfterFailedWrite("partial_delete_batch_db", fail_second,
@@ -433,10 +432,10 @@ Answers AnswersOf(RetrievalEngine* engine, const TwoVideos& videos) {
 }
 
 /// The victim video is either whole — its VIDEO_STORE row, every
-/// KEY_FRAMES row and every answer as before the remove — or gone from
-/// all three, with every answer as after the remove.
+/// KEY_FRAMES row and every answer as \p whole — or gone from all
+/// three, with every answer as \p gone.
 void ExpectAllOrNothing(RetrievalEngine* engine, const TwoVideos& videos,
-                        const Answers& before, const Answers& after) {
+                        const Answers& whole, const Answers& gone) {
   VideoStore* store = engine->store();
   const bool present = store->GetVideo(videos.victim).ok();
   size_t rows = 0;
@@ -449,7 +448,7 @@ void ExpectAllOrNothing(RetrievalEngine* engine, const TwoVideos& videos,
   EXPECT_EQ(engine->indexed_key_frames(),
             videos.keep_ids.size() +
                 (present ? videos.victim_ids.size() : 0u));
-  const Answers& want = present ? before : after;
+  const Answers& want = present ? whole : gone;
   for (const auto& [i_id, answer] : want) {
     EXPECT_EQ(AnswerOf(engine, i_id), answer)
         << "key frame " << i_id << (present ? " (video whole)" : " (removed)");
@@ -487,6 +486,69 @@ TEST(CrashConsistencyTest, RemoveVideoKillAtEverySyncPoint) {
         RetrievalEngine::Open(dir, RemoveTestOptions(&crashed));
     ASSERT_TRUE(reopened.ok()) << reopened.status();
     ExpectAllOrNothing(reopened->get(), videos, before, after);
+  }
+}
+
+TEST(CrashConsistencyTest, CommitKillAtEverySyncPoint) {
+  const std::string dir = "commit_torture_db";
+  FaultInjectionEnv env;
+  bool recording = false;
+  std::vector<FaultInjectionEnv::Snapshot> points;
+  env.SetSyncObserver([&] {
+    if (recording) points.push_back(env.DurableSnapshot());
+  });
+  TwoVideos videos;
+  videos.engine = RetrievalEngine::Open(dir, RemoveTestOptions(&env)).value();
+  const int64_t keep =
+      videos.engine->IngestFrames(TinyVideo(VideoCategory::kSports, 3), "keep")
+          .value();
+  videos.keep_ids = videos.engine->store()->KeyFrameIdsOfVideo(keep).value();
+
+  // The ids the commit will assign, so the answers before it cover the
+  // victim's key frames too.
+  const std::vector<Image> frames = TinyVideo(VideoCategory::kCartoon, 4);
+  const size_t key_count =
+      videos.engine->ExtractKeyFrames(frames).value().size();
+  ASSERT_GE(key_count, 2u);
+  videos.victim = videos.engine->store()->PeekNextVideoId();
+  const int64_t first_key = videos.engine->store()->PeekNextKeyFrameId();
+  for (size_t i = 0; i < key_count; ++i) {
+    videos.victim_ids.push_back(first_key + static_cast<int64_t>(i));
+  }
+  const Answers before = AnswersOf(videos.engine.get(), videos);
+
+  // The disk just before the commit is a kill point too.
+  points.push_back(env.DurableSnapshot());
+  recording = true;
+  ASSERT_EQ(videos.engine->IngestFrames(frames, "victim").value(),
+            videos.victim);
+  recording = false;
+  ASSERT_GE(points.size(), 2u);
+  ASSERT_EQ(videos.engine->store()->KeyFrameIdsOfVideo(videos.victim).value(),
+            videos.victim_ids);
+  const Answers after = AnswersOf(videos.engine.get(), videos);
+  videos.engine.reset();
+
+  for (size_t i = 0; i < points.size(); ++i) {
+    SCOPED_TRACE("sync point " + std::to_string(i));
+    FaultInjectionEnv crashed(points[i]);
+    Result<std::unique_ptr<RetrievalEngine>> reopened =
+        RetrievalEngine::Open(dir, RemoveTestOptions(&crashed));
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    RetrievalEngine* engine = reopened->get();
+    ExpectAllOrNothing(engine, videos, after, before);
+    if (engine->store()->GetVideo(videos.victim).ok()) {
+      // A whole video can be removed again.
+      ASSERT_TRUE(engine->RemoveVideo(videos.victim).ok());
+      EXPECT_EQ(engine->indexed_key_frames(), videos.keep_ids.size());
+    } else {
+      // Nothing is orphaned: committing the video again reuses its ids
+      // and owns exactly its own key frames.
+      ASSERT_EQ(engine->IngestFrames(frames, "victim").value(),
+                videos.victim);
+      EXPECT_EQ(engine->store()->KeyFrameIdsOfVideo(videos.victim).value(),
+                videos.victim_ids);
+    }
   }
 }
 

@@ -10,13 +10,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "eval/table1_runner.h"  // RemoveDirRecursive
 #include "retrieval/engine.h"
 #include "retrieval/feedback.h"
+#include "util/fault_injection_env.h"
 #include "video/synth/generator.h"
 
 namespace vr {
@@ -345,6 +348,121 @@ TEST_F(EngineConcurrencyTest, QueryExtractsOutsideEngineLock) {
     EXPECT_EQ((*video)[i].v_id, (*video_serial)[i].v_id);
     EXPECT_EQ((*video)[i].score, (*video_serial)[i].score);
   }
+}
+
+/// Parks the next store sync of a writer: the sync observer blocks on
+/// a latch until Release(), so a test can query while a commit or a
+/// remove sits inside its disk work.
+class SyncLatch {
+ public:
+  explicit SyncLatch(FaultInjectionEnv* env) {
+    env->SetSyncObserver([this] {
+      MutexLock lock(mu_);
+      if (!armed_) return;
+      armed_ = false;
+      parked_ = true;
+      cv_.NotifyAll();
+      while (!released_) cv_.Wait(mu_);
+    });
+  }
+  void Arm() {
+    MutexLock lock(mu_);
+    armed_ = true;
+    parked_ = false;
+    released_ = false;
+  }
+  /// Waits until a writer is parked; false after \p timeout.
+  bool WaitParked(std::chrono::milliseconds timeout) {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    MutexLock lock(mu_);
+    while (!parked_ && std::chrono::steady_clock::now() < deadline) {
+      cv_.WaitFor(mu_, std::chrono::milliseconds(10));
+    }
+    return parked_;
+  }
+  void Release() {
+    MutexLock lock(mu_);
+    released_ = true;
+    cv_.NotifyAll();
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  bool armed_ GUARDED_BY(mu_) = false;
+  bool parked_ GUARDED_BY(mu_) = false;
+  bool released_ GUARDED_BY(mu_) = true;
+};
+
+/// A query's hits as (key-frame id, score) pairs; empty on error.
+using Hits = std::vector<std::pair<int64_t, double>>;
+
+Hits HitsOf(const Result<std::vector<QueryResult>>& result) {
+  Hits out;
+  if (!result.ok()) return out;
+  for (const QueryResult& hit : *result) out.emplace_back(hit.i_id, hit.score);
+  return out;
+}
+
+TEST_F(EngineConcurrencyTest, QueriesProceedWhileWriterSyncs) {
+  FaultInjectionEnv env;
+  SyncLatch latch(&env);
+  EngineOptions options;
+  options.enabled_features = {FeatureKind::kColorHistogram,
+                              FeatureKind::kGlcm};
+  options.store_video_blob = false;
+  options.use_index = false;
+  options.env = &env;
+  std::unique_ptr<RetrievalEngine> engine =
+      RetrievalEngine::Open("parked_sync_db", options).value();
+  const int64_t keep =
+      engine->IngestFrames(TinyVideo(VideoCategory::kSports, 10), "keep")
+          .value();
+  const int64_t stored =
+      engine->store()->KeyFrameIdsOfVideo(keep).value().front();
+  const Image probe = TinyVideo(VideoCategory::kNews, 700)[1];
+  const auto answers = [&] {
+    return std::make_pair(HitsOf(engine->QueryByImage(probe, 50)),
+                          HitsOf(engine->QueryByStoredId(stored, 50)));
+  };
+
+  // Runs \p write with its first store sync parked and checks that the
+  // queries finish meanwhile with the answers from before the write.
+  // On a timeout the writer is released, so the test fails, not hangs.
+  const auto expect_queries_pass_parked_writer = [&](const char* what,
+                                                     auto write) {
+    SCOPED_TRACE(what);
+    const auto before = answers();
+    ASSERT_FALSE(before.first.empty());
+    ASSERT_FALSE(before.second.empty());
+    latch.Arm();
+    std::thread writer(write);
+    const bool parked = latch.WaitParked(std::chrono::seconds(10));
+    std::future<decltype(answers())> during;
+    bool done = false;
+    if (parked) {
+      during = std::async(std::launch::async, answers);
+      done = during.wait_for(std::chrono::seconds(10)) ==
+             std::future_status::ready;
+    }
+    latch.Release();
+    writer.join();
+    ASSERT_TRUE(parked) << "the writer never reached a store sync";
+    ASSERT_TRUE(done) << "the queries waited on the parked writer";
+    EXPECT_EQ(during.get(), before);
+    EXPECT_NE(answers(), before) << "the write changed no answer";
+  };
+
+  int64_t victim = 0;
+  expect_queries_pass_parked_writer("commit", [&] {
+    victim = engine
+                 ->IngestFrames(TinyVideo(VideoCategory::kSports, 11),
+                                "victim")
+                 .value();
+  });
+  ASSERT_NE(victim, 0);
+  expect_queries_pass_parked_writer(
+      "remove", [&] { ASSERT_TRUE(engine->RemoveVideo(victim).ok()); });
 }
 
 }  // namespace

@@ -95,7 +95,9 @@ bool IsTypedTransportError(const Status& status) {
 class NetworkChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::string("/tmp/vretrieve_network_chaos_test");
+    // One directory per test: ctest -j runs the cases in parallel.
+    dir_ = std::string("/tmp/vretrieve_network_chaos_test_") +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     RemoveDirRecursive(dir_);
     EngineOptions options;
     options.enabled_features = {FeatureKind::kColorHistogram,
