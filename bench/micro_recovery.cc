@@ -1,17 +1,30 @@
 /// \file micro_recovery.cc
-/// \brief Microbenchmarks for crash recovery: WAL replay throughput,
+/// \brief Crash-recovery timings: WAL replay throughput,
 /// checksum-verified open vs plain open, and full journal recovery,
-/// each as a function of store size.
+/// each as a function of store size. Plain executable, no arguments;
+/// prints one row per measurement and size, and exits 1 if any of them
+/// fails.
 
-#include <benchmark/benchmark.h>
 #include <sys/stat.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "eval/table1_runner.h"  // RemoveDirRecursive
 #include "storage/database.h"
 #include "storage/wal.h"
 #include "util/fault_injection_env.h"
+#include "util/stopwatch.h"
 
 namespace {
+
+/// Each measurement repeats its operation until this much wall time
+/// has passed (and at least kMinIters times), then reports the mean.
+constexpr double kMinSeconds = 0.5;
+constexpr int kMinIters = 3;
 
 std::string BenchDir(const char* name) {
   const std::string dir = std::string("/tmp/vretrieve_bench_") + name;
@@ -37,89 +50,109 @@ vr::Row RecoveryRow(int64_t pk, size_t blob_bytes) {
               blob_bytes, static_cast<uint8_t>(pk & 0xFF)))};
 }
 
+/// Times \p op (which returns false on failure) and prints the row.
+/// \p items is the number of records or rows one call processes.
+bool Measure(const char* name, int64_t items, const std::function<bool()>& op) {
+  int iters = 0;
+  vr::Stopwatch sw;
+  while (iters < kMinIters || sw.ElapsedSeconds() < kMinSeconds) {
+    if (!op()) {
+      std::fprintf(stderr, "%s/%lld failed\n", name,
+                   static_cast<long long>(items));
+      return false;
+    }
+    ++iters;
+  }
+  const double seconds = sw.ElapsedSeconds();
+  std::printf("%-20s %7lld %7d %12.3f %14.0f\n", name,
+              static_cast<long long>(items), iters, seconds * 1e3 / iters,
+              static_cast<double>(items) * iters / seconds);
+  return true;
+}
+
 /// Scanning a synced journal of N records (parse + checksum only).
-void BM_WalReplay(benchmark::State& state) {
+bool WalReplay(int64_t n) {
   const std::string dir = BenchDir("wal_replay");
-  const int64_t n = state.range(0);
   auto wal = vr::Wal::Open(dir + "/journal.wal").value();
   const std::vector<uint8_t> payload(128, 0x5A);
   for (int64_t i = 0; i < n; ++i) {
-    (void)wal->AppendInsert("T", i, payload);
+    if (!wal->AppendInsert("T", i, payload).ok()) return false;
   }
-  (void)wal->Sync();
-  for (auto _ : state) {
+  if (!wal->Sync().ok()) return false;
+  return Measure("wal_replay", n, [&] {
     int64_t seen = 0;
-    (void)wal->Replay([&](const vr::WalRecord&) {
+    const vr::Status s = wal->Replay([&](const vr::WalRecord&) {
       ++seen;
       return vr::Status::OK();
     });
-    benchmark::DoNotOptimize(seen);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
+    return s.ok() && seen == n;
+  });
 }
-BENCHMARK(BM_WalReplay)->Arg(100)->Arg(1000)->Arg(10000);
 
-void BuildCleanStore(const std::string& dir, int64_t rows) {
+bool BuildCleanStore(const std::string& dir, int64_t rows) {
   vr::DatabaseOptions options;
   options.create_if_missing = true;
   auto db = vr::Database::Open(dir, options).value();
-  (void)db->CreateTable("T", RecoverySchema()).value();
+  if (!db->CreateTable("T", RecoverySchema()).ok()) return false;
   for (int64_t i = 0; i < rows; ++i) {
-    (void)db->Insert("T", RecoveryRow(i, 2048)).value();
+    if (!db->Insert("T", RecoveryRow(i, 2048)).ok()) return false;
   }
-  (void)db->Close();
+  return db->Close().ok();
 }
 
 /// Checkpointed open: catalog + pager metas, empty journal.
-void BM_PlainOpen(benchmark::State& state) {
+bool PlainOpen(int64_t rows) {
   const std::string dir = BenchDir("plain_open");
-  BuildCleanStore(dir, state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(vr::Database::Open(dir, vr::DatabaseOptions{}));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  if (!BuildCleanStore(dir, rows)) return false;
+  return Measure("plain_open", rows, [&] {
+    return vr::Database::Open(dir, vr::DatabaseOptions{}).ok();
+  });
 }
-BENCHMARK(BM_PlainOpen)->Arg(100)->Arg(1000);
 
 /// Degraded-mode open: every page of every file re-read and its
 /// checksum verified before serving.
-void BM_VerifiedOpen(benchmark::State& state) {
+bool VerifiedOpen(int64_t rows) {
   const std::string dir = BenchDir("verified_open");
-  BuildCleanStore(dir, state.range(0));
+  if (!BuildCleanStore(dir, rows)) return false;
   vr::DatabaseOptions options;
   options.paranoid = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(vr::Database::Open(dir, options));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  return Measure("verified_open", rows,
+                 [&] { return vr::Database::Open(dir, options).ok(); });
 }
-BENCHMARK(BM_VerifiedOpen)->Arg(100)->Arg(1000);
 
 /// Full crash recovery: the durable state holds the catalog and a
 /// journal of N committed inserts whose table pages never hit disk, so
 /// every open scrubs and replays all N records from scratch.
-void BM_CrashRecoveryOpen(benchmark::State& state) {
+bool CrashRecoveryOpen(int64_t n) {
   const std::string dir = "crash_open";
-  const int64_t n = state.range(0);
   vr::FaultInjectionEnv build_env;
   vr::DatabaseOptions options;
   options.create_if_missing = true;
   options.env = &build_env;
   auto db = vr::Database::Open(dir, options).value();
-  (void)db->CreateTable("T", RecoverySchema()).value();
+  if (!db->CreateTable("T", RecoverySchema()).ok()) return false;
   for (int64_t i = 0; i < n; ++i) {
-    (void)db->Insert("T", RecoveryRow(i, 700)).value();
+    if (!db->Insert("T", RecoveryRow(i, 700)).ok()) return false;
   }
   // Snapshot before Close can checkpoint: the journal is durable, the
   // table pages are not — exactly the disk a crash would leave.
   const vr::FaultInjectionEnv::Snapshot crashed = build_env.DurableSnapshot();
-  for (auto _ : state) {
+  return Measure("crash_recovery_open", n, [&] {
     vr::FaultInjectionEnv env(crashed);
     options.env = &env;
-    benchmark::DoNotOptimize(vr::Database::Open(dir, options));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
+    return vr::Database::Open(dir, options).ok();
+  });
 }
-BENCHMARK(BM_CrashRecoveryOpen)->Arg(100)->Arg(1000);
 
 }  // namespace
+
+int main() {
+  std::printf("%-20s %7s %7s %12s %14s\n", "measurement", "n", "iters",
+              "ms/op", "items/s");
+  bool ok = true;
+  for (int64_t n : {100, 1000, 10000}) ok = ok && WalReplay(n);
+  for (int64_t n : {100, 1000}) ok = ok && PlainOpen(n);
+  for (int64_t n : {100, 1000}) ok = ok && VerifiedOpen(n);
+  for (int64_t n : {100, 1000}) ok = ok && CrashRecoveryOpen(n);
+  return ok ? 0 : 1;
+}

@@ -153,11 +153,27 @@ for cli in examples/serve_cli.cpp examples/ingest_admin.cpp \
   grep -q 'cli_flags.h' "$cli" || err "$cli does not use util/cli_flags.h"
 done
 
-# 5. The bench recipes in EXPERIMENTS.md match actual targets.
-grep -q 'micro_ingest' bench/CMakeLists.txt \
-  || err "EXPERIMENTS.md recipe target micro_ingest not in bench/CMakeLists.txt"
-grep -q 'micro_scale' bench/CMakeLists.txt \
-  || err "EXPERIMENTS.md recipe target micro_scale not in bench/CMakeLists.txt"
+# 5. Every bench target the docs name (an extensionless `bench/<name>`,
+#    e.g. ./build/bench/micro_ingest) is a vr_add_bench(<name>) in
+#    bench/CMakeLists.txt. A must-fail probe names the deleted
+#    bench/micro_storage in a temp copy of a doc and expects exactly
+#    that name to be rejected.
+unbuilt_benches() {  # unbuilt_benches <doc>...: named targets not built
+  { grep -ohE '(^|[^A-Za-z0-9_])bench/[A-Za-z0-9_*]+(\.[A-Za-z0-9]+)?' "$@" \
+      || true; } | sed -E 's/^.?bench\///' | { grep -vE '[.*]' || true; } \
+    | sort -u | while IFS= read -r name; do
+        grep -qE "^vr_add_bench\($name\)" bench/CMakeLists.txt || echo "$name"
+      done
+}
+unbuilt=$(unbuilt_benches "${DOCS[@]}")
+[[ -z "$unbuilt" ]] \
+  || err "docs name bench targets bench/CMakeLists.txt does not build:" $unbuilt
+probe=$(mktemp)
+{ cat EXPERIMENTS.md; echo '`./build/bench/micro_storage`'; } > "$probe"
+[[ "$(unbuilt_benches "$probe")" == micro_storage ]] \
+  || err "BENCH-TARGET PROBE DID NOT FIRE: a doc naming the deleted" \
+         "bench/micro_storage passed the check"
+rm -f "$probe"
 
 # 6. Headline figures quoted in EXPERIMENTS.md agree with the committed
 #    BENCH JSONs — the anti-drift gate for measured numbers. Each check

@@ -98,14 +98,15 @@ struct EngineOptions {
   bool persist_matrix = true;
   /// Enable the two-stage query: an integer code-space coarse scan
   /// over the 8-bit quantized columns (similarity/code_kernels.h)
-  /// keeps at least k * two_stage_coarse_factor candidates — plus
-  /// every candidate whose certified coarse-score interval overlaps
-  /// the cut, so the exact rerank provably returns the bit-identical
-  /// top-k (see DESIGN.md's margin proof sketch). Only activates when
-  /// the final score is batch-independent — single-feature queries
-  /// always are; combined queries only under NormalizationKind::kNone
-  /// (batch normalizers make every score depend on the whole candidate
-  /// set) — otherwise the query silently runs the pure exact path.
+  /// keeps at least k * RetrievalEngine::kTwoStageCoarseFactor
+  /// candidates — plus every candidate whose certified coarse-score
+  /// interval overlaps the cut, so the exact rerank provably returns the
+  /// bit-identical top-k (see DESIGN.md's margin proof sketch). Only
+  /// activates when the final score is batch-independent —
+  /// single-feature queries always are; combined queries only under
+  /// NormalizationKind::kNone (batch normalizers make every score depend
+  /// on the whole candidate set) — otherwise the query silently runs the
+  /// pure exact path.
   /// When a kind has no code kernel or the margin would keep every
   /// candidate (wide quantization range), the query falls back to the
   /// exact scan and QueryStats::two_stage_fallbacks counts it.
@@ -113,8 +114,6 @@ struct EngineOptions {
   /// Candidate count below which two-stage is skipped (the exact scan
   /// is already cheap; the coarse pass would only add overhead).
   size_t two_stage_min_candidates = 4096;
-  /// Coarse stage keeps k * this many candidates for the exact rerank.
-  size_t two_stage_coarse_factor = 4;
 };
 
 /// One ranked retrieval hit.
@@ -278,6 +277,10 @@ class RetrievalEngine {
   /// Cumulative query counters (see query_stats.h). Thread-safe; the
   /// snapshot is internally consistent only when no query is racing.
   QueryStats query_stats() const;
+
+  /// The two-stage coarse scan keeps k * this many candidates (plus the
+  /// rows its error margin cannot exclude) for the exact rerank.
+  static constexpr size_t kTwoStageCoarseFactor = 4;
 
   /// Folds decode work performed outside the engine (IngestPipeline
   /// decodes .vsv files on its own workers) into ingest_stats().

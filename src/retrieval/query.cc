@@ -123,8 +123,7 @@ bool RetrievalEngine::TwoStageEligible(const std::vector<FeatureKind>& kinds,
   if (!options_.two_stage || k == 0) return false;
   if (candidates < options_.two_stage_min_candidates) return false;
   // No pruning win when the coarse stage would keep everything anyway.
-  const size_t factor = std::max<size_t>(1, options_.two_stage_coarse_factor);
-  if (k * factor >= candidates) return false;
+  if (k * kTwoStageCoarseFactor >= candidates) return false;
   // Batch normalizers (min-max, gaussian, rank) make every combined
   // score depend on the whole candidate set, so reranking a subset
   // could not reproduce the full-set scores bit-for-bit. Single-feature
@@ -270,10 +269,8 @@ Result<std::vector<QueryResult>> RetrievalEngine::Rank(
     const FeatureMap& query_features, const std::vector<uint32_t>& candidates,
     const std::vector<FeatureKind>& kinds, size_t k) const {
   if (TwoStageEligible(kinds, candidates.size(), k)) {
-    const size_t keep =
-        k * std::max<size_t>(1, options_.two_stage_coarse_factor);
-    CoarseOutcome outcome =
-        CoarseSelect(query_features, candidates, kinds, keep);
+    CoarseOutcome outcome = CoarseSelect(query_features, candidates, kinds,
+                                         k * kTwoStageCoarseFactor);
     if (outcome.fallback) {
       query_counters_.two_stage_fallbacks.fetch_add(1,
                                                     std::memory_order_relaxed);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 namespace vr {
 
@@ -71,55 +72,6 @@ double EmdCentroidLowerBound(const std::vector<double>& a,
     cb += static_cast<double>(i) * pb[i];
   }
   return std::fabs(ca - cb);
-}
-
-Result<std::vector<EmdMatch>> EmdTopKScanner::Scan(
-    const std::vector<double>& query,
-    const std::vector<std::pair<int64_t, std::vector<double>>>& candidates) {
-  if (k_ == 0) return Status::InvalidArgument("k must be >= 1");
-  stats_ = EmdScanStats{};
-  stats_.candidates = candidates.size();
-
-  // Rank candidates by the cheap lower bound.
-  struct Bounded {
-    size_t index;
-    double lower_bound;
-  };
-  std::vector<Bounded> order;
-  order.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    order.push_back({i, EmdCentroidLowerBound(query, candidates[i].second)});
-  }
-  std::sort(order.begin(), order.end(), [](const Bounded& x, const Bounded& y) {
-    return x.lower_bound < y.lower_bound;
-  });
-
-  // Exact EMD in lower-bound order; stop when the bound alone already
-  // disqualifies everything that follows.
-  std::vector<EmdMatch> top;
-  for (size_t rank = 0; rank < order.size(); ++rank) {
-    const Bounded& entry = order[rank];
-    if (top.size() >= k_ && entry.lower_bound >= top.back().distance) {
-      stats_.skipped = order.size() - rank;
-      break;
-    }
-    const double exact =
-        EmdLinear(query, candidates[entry.index].second);
-    ++stats_.exact_computed;
-    if (top.size() < k_ || exact < top.back().distance) {
-      EmdMatch match{candidates[entry.index].first, exact};
-      top.insert(std::upper_bound(top.begin(), top.end(), match,
-                                  [](const EmdMatch& x, const EmdMatch& y) {
-                                    if (x.distance != y.distance) {
-                                      return x.distance < y.distance;
-                                    }
-                                    return x.id < y.id;
-                                  }),
-                 match);
-      if (top.size() > k_) top.pop_back();
-    }
-  }
-  return top;
 }
 
 }  // namespace vr

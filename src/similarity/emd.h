@@ -1,22 +1,16 @@
 /// \file emd.h
-/// \brief Earth mover's distance with lower-bound skipping.
+/// \brief Earth mover's distance with a centroid lower bound.
 ///
 /// The paper cites Shishibori, Koizumi & Kita, "Fast retrieval algorithm
 /// for earth mover's distance using EMD lower bounds and a skipping
 /// algorithm" (its reference [14]) as the fast path for histogram
-/// similarity. This module implements that idea for 1-D histograms:
-/// exact EMD (linear and circular bin topologies), a cheap centroid
-/// lower bound, and a top-k scanner that sorts candidates by the lower
-/// bound and skips the exact computation whenever the bound already
-/// exceeds the current k-th best distance.
+/// similarity. This module holds the 1-D pieces of that idea: exact EMD
+/// (linear and circular bin topologies) and a cheap centroid lower
+/// bound.
 
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <vector>
-
-#include "util/status.h"
 
 namespace vr {
 
@@ -34,42 +28,5 @@ double EmdCircular(const std::vector<double>& a, const std::vector<double>& b);
 /// |centroid(a) - centroid(b)| <= EmdLinear(a, b).
 double EmdCentroidLowerBound(const std::vector<double>& a,
                              const std::vector<double>& b);
-
-/// One scored candidate from the top-k scan.
-struct EmdMatch {
-  int64_t id = 0;
-  double distance = 0.0;
-};
-
-/// Statistics from a pruned top-k scan.
-struct EmdScanStats {
-  size_t candidates = 0;      ///< total candidates seen
-  size_t exact_computed = 0;  ///< exact EMDs evaluated
-  size_t skipped = 0;         ///< candidates pruned by the lower bound
-};
-
-/// \brief Top-k nearest histograms under EmdLinear with LB skipping.
-///
-/// Candidates are ranked by the centroid lower bound first; exact EMD is
-/// computed in that order, and as soon as a candidate's lower bound
-/// exceeds the current k-th best exact distance, the remaining
-/// candidates are skipped — their true distance cannot enter the top k.
-/// The result is identical to the brute-force scan.
-class EmdTopKScanner {
- public:
-  /// \p k: result size; must be >= 1.
-  explicit EmdTopKScanner(size_t k) : k_(k) {}
-
-  /// Scans candidates (id + histogram) against \p query.
-  Result<std::vector<EmdMatch>> Scan(
-      const std::vector<double>& query,
-      const std::vector<std::pair<int64_t, std::vector<double>>>& candidates);
-
-  const EmdScanStats& stats() const { return stats_; }
-
- private:
-  size_t k_;
-  EmdScanStats stats_;
-};
 
 }  // namespace vr

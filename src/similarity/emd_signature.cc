@@ -291,54 +291,4 @@ Result<Signature> MakeColorSignature(const Image& img, int clusters) {
   return signature;
 }
 
-Result<std::vector<EmdMatch>> SignatureTopKScanner::Scan(
-    const Signature& query,
-    const std::vector<std::pair<int64_t, Signature>>& candidates) {
-  if (k_ == 0) return Status::InvalidArgument("k must be >= 1");
-  stats_ = EmdScanStats{};
-  stats_.candidates = candidates.size();
-
-  struct Bounded {
-    size_t index;
-    double lower_bound;
-  };
-  std::vector<Bounded> order;
-  order.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    VR_ASSIGN_OR_RETURN(double lb,
-                        EmdSignatureLowerBound(query, candidates[i].second));
-    order.push_back({i, lb});
-  }
-  std::sort(order.begin(), order.end(),
-            [](const Bounded& x, const Bounded& y) {
-              return x.lower_bound < y.lower_bound;
-            });
-
-  std::vector<EmdMatch> top;
-  for (size_t rank = 0; rank < order.size(); ++rank) {
-    const Bounded& entry = order[rank];
-    if (top.size() >= k_ && entry.lower_bound >= top.back().distance) {
-      stats_.skipped = order.size() - rank;
-      break;
-    }
-    VR_ASSIGN_OR_RETURN(
-        double exact,
-        EmdSignatureDistance(query, candidates[entry.index].second));
-    ++stats_.exact_computed;
-    if (top.size() < k_ || exact < top.back().distance) {
-      EmdMatch match{candidates[entry.index].first, exact};
-      top.insert(std::upper_bound(top.begin(), top.end(), match,
-                                  [](const EmdMatch& x, const EmdMatch& y) {
-                                    if (x.distance != y.distance) {
-                                      return x.distance < y.distance;
-                                    }
-                                    return x.id < y.id;
-                                  }),
-                 match);
-      if (top.size() > k_) top.pop_back();
-    }
-  }
-  return top;
-}
-
 }  // namespace vr

@@ -5,19 +5,15 @@
 /// (weighted cluster centers, here in RGB space via k-means) and the
 /// distance is the optimal transportation cost between the two weighted
 /// point sets under Euclidean ground distance. Exact EMD costs
-/// O(n^3)-ish (min-cost flow), which is what makes the centroid lower
-/// bound + skipping scan of the paper's reference [14] worthwhile —
-/// unlike 1-D histogram EMD, where the bound costs as much as the
-/// metric (see emd.h).
+/// O(n^3)-ish (min-cost flow); the centroid lower bound of the paper's
+/// reference [14] is far cheaper.
 
 #pragma once
 
 #include <array>
-#include <cstdint>
 #include <vector>
 
 #include "imaging/image.h"
-#include "similarity/emd.h"  // EmdMatch / EmdScanStats
 #include "util/status.h"
 
 namespace vr {
@@ -45,26 +41,5 @@ Result<double> EmdSignatureLowerBound(const Signature& a, const Signature& b);
 /// pixels (deterministic: k-means++ style seeding from a fixed RNG over
 /// the pixel data). \p clusters in [1, 64].
 Result<Signature> MakeColorSignature(const Image& img, int clusters = 8);
-
-/// \brief Top-k scan with lower-bound skipping over signatures.
-///
-/// Same contract as EmdTopKScanner but for the expensive exact metric:
-/// candidates are ordered by the cheap centroid bound; exact EMD runs
-/// only while the bound can still beat the current k-th best, and the
-/// result equals the brute-force scan.
-class SignatureTopKScanner {
- public:
-  explicit SignatureTopKScanner(size_t k) : k_(k) {}
-
-  Result<std::vector<EmdMatch>> Scan(
-      const Signature& query,
-      const std::vector<std::pair<int64_t, Signature>>& candidates);
-
-  const EmdScanStats& stats() const { return stats_; }
-
- private:
-  size_t k_;
-  EmdScanStats stats_;
-};
 
 }  // namespace vr

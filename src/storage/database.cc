@@ -169,20 +169,12 @@ Status Database::CreateIndex(const std::string& table, const IndexSpec& spec) {
   return catalog_.Save(dir_ + "/catalog.vcat", env_);
 }
 
-Result<int64_t> Database::Insert(const std::string& table, const Row& row) {
+Result<int64_t> Database::Insert(const std::string& table, Row row) {
+  std::vector<TableRow> rows;
+  rows.emplace_back(table, std::move(row));
+  VR_RETURN_NOT_OK(InsertBatch(rows));
   VR_ASSIGN_OR_RETURN(Table * t, GetTable(table));
-  VR_RETURN_NOT_OK(t->schema().ValidateRow(row));
-  const int64_t pk = row[t->schema().primary_key_index()].AsInt64();
-  if (t->Exists(pk)) {
-    return Status::AlreadyExists(table + ": duplicate pk " +
-                                 std::to_string(pk));
-  }
-  // Journal first (blobs inline), then apply.
-  VR_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                      SerializeRow(t->schema(), row));
-  VR_RETURN_NOT_OK(
-      JournalBatch([&] { return wal_->AppendInsert(table, pk, payload); }));
-  return t->Insert(row);
+  return rows[0].second[t->schema().primary_key_index()].AsInt64();
 }
 
 Status Database::InsertBatch(const std::vector<TableRow>& rows) {
@@ -272,14 +264,6 @@ Status Database::DeleteBatch(const std::vector<RowKey>& keys) {
     VR_RETURN_NOT_OK(tables[i]->Delete(keys[i].second));
   }
   return Status::OK();
-}
-
-Status Database::Update(const std::string& table, const Row& row) {
-  VR_ASSIGN_OR_RETURN(Table * t, GetTable(table));
-  VR_RETURN_NOT_OK(t->schema().ValidateRow(row));
-  const int64_t pk = row[t->schema().primary_key_index()].AsInt64();
-  VR_RETURN_NOT_OK(Delete(table, pk));
-  return Insert(table, row).status();
 }
 
 PagerStats Database::GetPagerStats() const {

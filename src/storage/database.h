@@ -72,8 +72,9 @@ class Database {
   /// Creates a secondary index and persists the catalog.
   Status CreateIndex(const std::string& table, const IndexSpec& spec);
 
-  /// Journaled insert. AlreadyExists on pk collision.
-  Result<int64_t> Insert(const std::string& table, const Row& row);
+  /// Journaled insert: a one-row InsertBatch. Returns the row's pk;
+  /// AlreadyExists on pk collision.
+  Result<int64_t> Insert(const std::string& table, Row row);
 
   /// One (table, row) pair of a multi-table InsertBatch.
   using TableRow = std::pair<std::string, Row>;
@@ -102,9 +103,6 @@ class Database {
   /// a journaling error nothing was applied and the journal is rolled
   /// back.
   Status DeleteBatch(const std::vector<RowKey>& keys);
-
-  /// Journaled update (delete + insert under the same pk).
-  Status Update(const std::string& table, const Row& row);
 
   /// Flushes all tables and truncates the journal. With quarantined
   /// tables present the journal is preserved instead of truncated.

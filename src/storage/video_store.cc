@@ -250,7 +250,7 @@ Result<Row> VideoStore::KeyFrameToRow(const KeyFrameRecord& record) {
 
 Result<int64_t> VideoStore::PutKeyFrame(const KeyFrameRecord& record) {
   VR_ASSIGN_OR_RETURN(Row row, KeyFrameToRow(record));
-  VR_ASSIGN_OR_RETURN(int64_t pk, db_->Insert(kKeyFrameTable, row));
+  VR_ASSIGN_OR_RETURN(int64_t pk, db_->Insert(kKeyFrameTable, std::move(row)));
   next_key_frame_id_ = std::max(next_key_frame_id_, pk + 1);
   return pk;
 }

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "imaging/draw.h"
 #include "util/rng.h"
 
@@ -164,34 +162,6 @@ TEST(ColorSignatureTest, SimilarImagesHaveSmallEmd) {
   const Signature sc = MakeColorSignature(c, 4).value();
   EXPECT_LT(EmdSignatureDistance(sa, sb).value(),
             EmdSignatureDistance(sa, sc).value());
-}
-
-TEST(SignatureScannerTest, MatchesBruteForceAndSkips) {
-  Rng rng(5);
-  const Signature query = RandomSignature(&rng, 6);
-  std::vector<std::pair<int64_t, Signature>> candidates;
-  for (int64_t id = 0; id < 120; ++id) {
-    candidates.emplace_back(id, RandomSignature(&rng, 6));
-  }
-  SignatureTopKScanner scanner(8);
-  const auto pruned = scanner.Scan(query, candidates).value();
-  ASSERT_EQ(pruned.size(), 8u);
-
-  std::vector<EmdMatch> brute;
-  for (const auto& [id, sig] : candidates) {
-    brute.push_back({id, EmdSignatureDistance(query, sig).value()});
-  }
-  std::sort(brute.begin(), brute.end(),
-            [](const EmdMatch& x, const EmdMatch& y) {
-              if (x.distance != y.distance) return x.distance < y.distance;
-              return x.id < y.id;
-            });
-  for (size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(pruned[i].id, brute[i].id) << i;
-    EXPECT_NEAR(pruned[i].distance, brute[i].distance, 1e-9);
-  }
-  EXPECT_LT(scanner.stats().exact_computed, candidates.size());
-  EXPECT_GT(scanner.stats().skipped, 0u);
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "util/rng.h"
 
 namespace vr {
@@ -84,70 +82,6 @@ TEST(EmdTest, MetricAxiomsLinear) {
     EXPECT_NEAR(EmdLinear(a, b), EmdLinear(b, a), 1e-9);
     EXPECT_LE(EmdLinear(a, c), EmdLinear(a, b) + EmdLinear(b, c) + 1e-9);
   }
-}
-
-TEST(EmdScannerTest, MatchesBruteForce) {
-  Rng rng(4);
-  std::vector<double> query = RandomHistogram(&rng, 24);
-  std::vector<std::pair<int64_t, std::vector<double>>> candidates;
-  for (int64_t id = 0; id < 200; ++id) {
-    candidates.emplace_back(id, RandomHistogram(&rng, 24));
-  }
-
-  EmdTopKScanner scanner(10);
-  Result<std::vector<EmdMatch>> pruned = scanner.Scan(query, candidates);
-  ASSERT_TRUE(pruned.ok());
-  ASSERT_EQ(pruned->size(), 10u);
-
-  // Brute force reference.
-  std::vector<EmdMatch> brute;
-  for (const auto& [id, hist] : candidates) {
-    brute.push_back({id, EmdLinear(query, hist)});
-  }
-  std::sort(brute.begin(), brute.end(), [](const EmdMatch& x, const EmdMatch& y) {
-    if (x.distance != y.distance) return x.distance < y.distance;
-    return x.id < y.id;
-  });
-  brute.resize(10);
-  for (size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ((*pruned)[i].id, brute[i].id) << i;
-    EXPECT_DOUBLE_EQ((*pruned)[i].distance, brute[i].distance);
-  }
-}
-
-TEST(EmdScannerTest, ActuallySkips) {
-  // Candidates with widely spread centroids: most should be pruned.
-  Rng rng(5);
-  std::vector<double> query(64, 0.0);
-  query[10] = 1.0;
-  std::vector<std::pair<int64_t, std::vector<double>>> candidates;
-  for (int64_t id = 0; id < 300; ++id) {
-    std::vector<double> h(64, 0.0);
-    h[static_cast<size_t>(rng.UniformInt(0, 63))] = 1.0;
-    candidates.emplace_back(id, std::move(h));
-  }
-  EmdTopKScanner scanner(5);
-  ASSERT_TRUE(scanner.Scan(query, candidates).ok());
-  EXPECT_GT(scanner.stats().skipped, 100u);
-  EXPECT_EQ(scanner.stats().exact_computed + scanner.stats().skipped,
-            scanner.stats().candidates);
-}
-
-TEST(EmdScannerTest, FewerCandidatesThanK) {
-  Rng rng(6);
-  std::vector<std::pair<int64_t, std::vector<double>>> candidates;
-  candidates.emplace_back(1, RandomHistogram(&rng, 8));
-  candidates.emplace_back(2, RandomHistogram(&rng, 8));
-  EmdTopKScanner scanner(10);
-  Result<std::vector<EmdMatch>> out =
-      scanner.Scan(RandomHistogram(&rng, 8), candidates);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->size(), 2u);
-}
-
-TEST(EmdScannerTest, RejectsZeroK) {
-  EmdTopKScanner scanner(0);
-  EXPECT_FALSE(scanner.Scan({1.0}, {}).ok());
 }
 
 }  // namespace

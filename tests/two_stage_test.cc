@@ -245,7 +245,7 @@ TEST(TwoStageTest, CountersAccumulate) {
   // A pruning query keeps exactly the k * factor coarse target plus
   // whatever extra rows the rerank margin could not exclude — and never
   // the whole candidate set (that is the counted fallback instead).
-  const uint64_t keep = kTopK * options.two_stage_coarse_factor;
+  const uint64_t keep = kTopK * RetrievalEngine::kTwoStageCoarseFactor;
   ASSERT_LT(keep, ids.size());
   EXPECT_EQ(stats.coarse_candidates,
             stats.two_stage_queries * keep + stats.margin_kept);
