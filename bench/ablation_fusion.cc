@@ -5,12 +5,18 @@
 ///
 /// Not a table in the paper, but the design choice (multi-feature
 /// combination) the paper's conclusion rests on; DESIGN.md calls this
-/// out as the ablation bench.
+/// out as the ablation bench. A third table adds each extension kind
+/// (edge histogram, color moments, color signature) to the default
+/// seven on two corpus seeds. Every row is written to
+/// BENCH_ablation.json in the working directory, which
+/// scripts/check_docs.sh ties to EXPERIMENTS.md § Ablations.
 ///
 ///   ./ablation_fusion [videos_per_category] [queries_per_category]
 
 #include <cstdio>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "eval/corpus.h"
 #include "eval/table1_runner.h"
@@ -66,12 +72,11 @@ vr::Result<double> CombinedPrecision(
 
 int main(int argc, char** argv) {
   const int videos =
-      argc > 1 ? static_cast<int>(vr::ParseInt64(argv[1]).ValueOr(4)) : 4;
+      argc > 1 ? static_cast<int>(vr::ParseInt64(argv[1]).ValueOr(8)) : 8;
   const int queries =
-      argc > 2 ? static_cast<int>(vr::ParseInt64(argv[2]).ValueOr(4)) : 4;
+      argc > 2 ? static_cast<int>(vr::ParseInt64(argv[2]).ValueOr(8)) : 8;
   const uint64_t seed = 77;
-
-  std::printf("=== Ablation: feature fusion (precision@20, combined) ===\n\n");
+  const uint64_t extension_seeds[] = {77, 2012};
 
   // Cumulative feature sets, cheapest first.
   const std::vector<std::pair<const char*, std::vector<vr::FeatureKind>>>
@@ -103,33 +108,106 @@ int main(int argc, char** argv) {
             vr::FeatureKind::kAutoCorrelogram,
             vr::FeatureKind::kRegionGrowing}},
       };
+  const std::vector<vr::FeatureKind>& all_seven = sets.back().second;
 
-  vr::TablePrinter table({"feature set", "precision@20"});
+  /// One recorded row: \p label is the row's first cell in the printed
+  /// table and in EXPERIMENTS.md.
+  struct Row {
+    const char* table;
+    std::string label;
+    uint64_t seed;
+    double precision;
+  };
+  std::vector<Row> rows;
+  const auto measure = [&](const char* table, std::string label,
+                           const std::vector<vr::FeatureKind>& features,
+                           vr::NormalizationKind normalization,
+                           uint64_t corpus_seed) {
+    auto p = CombinedPrecision(features, normalization, videos, queries,
+                               corpus_seed);
+    if (!p.ok()) {
+      std::fprintf(stderr, "%s: %s\n", label.c_str(),
+                   p.status().ToString().c_str());
+      return false;
+    }
+    rows.push_back({table, std::move(label), corpus_seed, *p});
+    return true;
+  };
+
   for (const auto& [label, features] : sets) {
-    auto p = CombinedPrecision(features, vr::NormalizationKind::kMinMax,
-                               videos, queries, seed);
-    if (!p.ok()) {
-      std::fprintf(stderr, "%s: %s\n", label, p.status().ToString().c_str());
+    if (!measure("fusion", label, features, vr::NormalizationKind::kMinMax,
+                 seed)) {
       return 1;
     }
-    table.AddRow(label, {*p});
   }
-  table.Print(std::cout);
-
-  std::printf("\n=== Ablation: score normalization (all seven features) ===\n\n");
-  vr::TablePrinter norm_table({"normalization", "precision@20"});
+  // min-max over all seven at this seed is the last fusion row.
+  const double all_seven_p = rows.back().precision;
+  rows.push_back({"normalization", "min-max", seed, all_seven_p});
   for (auto [kind, name] :
-       {std::make_pair(vr::NormalizationKind::kMinMax, "min-max"),
-        std::make_pair(vr::NormalizationKind::kGaussian, "gaussian"),
+       {std::make_pair(vr::NormalizationKind::kGaussian, "gaussian"),
         std::make_pair(vr::NormalizationKind::kRank, "rank")}) {
-    auto p = CombinedPrecision(sets.back().second, kind, videos, queries,
-                               seed);
-    if (!p.ok()) {
-      std::fprintf(stderr, "%s: %s\n", name, p.status().ToString().c_str());
+    if (!measure("normalization", name, all_seven, kind, seed)) return 1;
+  }
+  for (uint64_t s : extension_seeds) {
+    const std::string at_seed =
+        vr::StringPrintf(", seed %llu", static_cast<unsigned long long>(s));
+    if (s == seed) {
+      rows.push_back({"extensions", "all seven" + at_seed, s, all_seven_p});
+    } else if (!measure("extensions", "all seven" + at_seed, all_seven,
+                        vr::NormalizationKind::kMinMax, s)) {
       return 1;
     }
-    norm_table.AddRow(name, {*p});
+    for (vr::FeatureKind extra :
+         {vr::FeatureKind::kEdgeHistogram, vr::FeatureKind::kColorMoments,
+          vr::FeatureKind::kColorSignature}) {
+      std::vector<vr::FeatureKind> features = all_seven;
+      features.push_back(extra);
+      if (!measure("extensions",
+                   std::string("+ ") + vr::FeatureKindName(extra) + at_seed,
+                   features, vr::NormalizationKind::kMinMax, s)) {
+        return 1;
+      }
+    }
   }
-  norm_table.Print(std::cout);
+
+  const auto print = [&](const char* title, const char* table,
+                         const char* first_column) {
+    std::printf("=== Ablation: %s (precision@20, combined) ===\n\n", title);
+    vr::TablePrinter printer({first_column, "precision@20"});
+    for (const Row& r : rows) {
+      if (std::string(r.table) == table) printer.AddRow(r.label, {r.precision});
+    }
+    printer.Print(std::cout);
+    std::printf("\n");
+  };
+  print("feature fusion", "fusion", "feature set");
+  print("score normalization, all seven features", "normalization",
+        "normalization");
+  print("extension kinds added to the default seven", "extensions",
+        "feature set, corpus seed");
+
+  const char* json_path = "BENCH_ablation.json";
+  std::FILE* json = std::fopen(json_path, "w");
+  if (json == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", json_path);
+    return 1;
+  }
+  std::fprintf(json,
+               "{\n  \"benchmark\": \"ablation_fusion\",\n"
+               "  \"videos_per_category\": %d,\n"
+               "  \"queries_per_category\": %d,\n  \"rows\": [\n",
+               videos, queries);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Row& r = rows[i];
+    std::fprintf(json,
+                 "    {\"table\": \"%s\", \"label\": \"%s\", "
+                 "\"seed\": %llu, \"precision_at_20\": %.5f}%s\n",
+                 r.table, r.label.c_str(),
+                 static_cast<unsigned long long>(r.seed), r.precision,
+                 i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(json, "  ]\n}\n");
+  std::fclose(json);
+  std::printf("wrote %s\n", json_path);
   return 0;
 }

@@ -5,12 +5,18 @@
 /// reproducible recipe); writes machine-readable results to
 /// BENCH_ingest.json (or the path given as argv[1]).
 ///
+/// One untimed warm-up pass over every config comes first: on a shared
+/// host a run started after an idle spell otherwise spends its first
+/// seconds as if on one core. Then kTimedPasses passes time every
+/// config in turn, and each config records its median pass.
+///
 /// Ingest is CPU-bound (Gabor + correlogram extraction dominates; the
 /// batched commit amortizes journal fsyncs), so videos/sec should
 /// scale with workers up to the physical core count. The `cpus` field
 /// in the JSON records how many cores the numbers were taken on —
 /// on a single-core machine every worker count collapses to ~1x.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -19,12 +25,15 @@
 #include "retrieval/engine.h"
 #include "retrieval/ingest_pipeline.h"
 #include "util/stopwatch.h"
+#include "util/string_util.h"
 #include "util/thread.h"
 #include "video/synth/generator.h"
 
 namespace {
 
 constexpr int kVideos = 8;
+constexpr int kTimedPasses = 3;
+constexpr size_t kWorkerCounts[] = {1, 2, 4, 8};
 
 std::vector<std::vector<vr::Image>> BuildCorpus() {
   std::vector<std::vector<vr::Image>> corpus;
@@ -98,6 +107,11 @@ RunResult RunPipeline(const std::vector<std::vector<vr::Image>>& corpus,
   return result;
 }
 
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -107,15 +121,35 @@ int main(int argc, char** argv) {
   std::printf("building corpus: %d synthetic videos...\n", kVideos);
   const auto corpus = BuildCorpus();
 
+  // One pass over every config: the serial loop, then each pipeline.
+  const auto pass = [&] {
+    std::vector<RunResult> runs;
+    runs.push_back(RunSerial(corpus));
+    for (size_t workers : kWorkerCounts) {
+      runs.push_back(RunPipeline(corpus, workers));
+    }
+    return runs;
+  };
+  std::printf("warm-up pass...\n");
+  (void)pass();
+  std::vector<std::vector<double>> samples;  // [config][pass] seconds
   std::vector<RunResult> results;
-  results.push_back(RunSerial(corpus));
-  for (size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    results.push_back(RunPipeline(corpus, workers));
+  for (int p = 0; p < kTimedPasses; ++p) {
+    std::printf("timed pass %d/%d...\n", p + 1, kTimedPasses);
+    results = pass();
+    samples.resize(results.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+      samples[i].push_back(results[i].seconds);
+    }
+  }
+  for (size_t i = 0; i < results.size(); ++i) {
+    results[i].seconds = Median(samples[i]);
+    results[i].videos_per_sec = corpus.size() / results[i].seconds;
   }
 
   const double baseline = results[0].videos_per_sec;
-  std::printf("\n%-12s %10s %12s %9s   (%u cpus)\n", "config", "seconds",
-              "videos/s", "speedup", cpus);
+  std::printf("\n%-12s %10s %12s %9s   (%u cpus, median of %d passes)\n",
+              "config", "seconds", "videos/s", "speedup", cpus, kTimedPasses);
   for (const RunResult& r : results) {
     std::printf("%-12s %10.2f %12.2f %8.2fx\n", r.label.c_str(), r.seconds,
                 r.videos_per_sec, r.videos_per_sec / baseline);
@@ -128,15 +162,23 @@ int main(int argc, char** argv) {
   }
   std::fprintf(json,
                "{\n  \"benchmark\": \"bulk_ingest\",\n"
-               "  \"videos\": %d,\n  \"cpus\": %u,\n  \"runs\": [\n",
-               kVideos, cpus);
+               "  \"videos\": %d,\n  \"cpus\": %u,\n"
+               "  \"timed_passes\": %d,\n  \"runs\": [\n",
+               kVideos, cpus, kTimedPasses);
   for (size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];
+    std::string pass_seconds;
+    for (double s : samples[i]) {
+      if (!pass_seconds.empty()) pass_seconds += ", ";
+      pass_seconds += vr::StringPrintf("%.3f", s);
+    }
     std::fprintf(json,
                  "    {\"config\": \"%s\", \"seconds\": %.3f, "
-                 "\"videos_per_sec\": %.3f, \"speedup\": %.3f}%s\n",
+                 "\"videos_per_sec\": %.3f, \"speedup\": %.3f, "
+                 "\"pass_seconds\": [%s]}%s\n",
                  r.label.c_str(), r.seconds, r.videos_per_sec,
-                 r.videos_per_sec / baseline, i + 1 < results.size() ? "," : "");
+                 r.videos_per_sec / baseline, pass_seconds.c_str(),
+                 i + 1 < results.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);

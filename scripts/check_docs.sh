@@ -232,6 +232,57 @@ if [[ -f BENCH_scale.json ]]; then
            "exact scan ($exact ms) at the largest corpus"
 fi
 
+# 6b. The bulk-ingest speedups and the ablation tables quote their
+#     records: each row of BENCH_ingest.json and BENCH_ablation.json
+#     has a table row "| <label> | ..." in its EXPERIMENTS.md section
+#     whose value cell quotes the recorded figure (either rounding). A
+#     must-fail probe raises the first recorded figure by two units of
+#     the quoted precision in a temp copy of each record and expects
+#     that row to be rejected.
+unquoted_rows() {  # unquoted_rows <json> <section> <label-key> <value-key>
+                   #   <column> <decimals>: labels the doc does not quote
+  local body
+  body=$(awk -v h="## $2" 'index($0, h) == 1 {on = 1; next} /^## / {on = 0}
+                           on' EXPERIMENTS.md)
+  sed -nE "s/.*\"$3\": \"([^\"]+)\".*\"$4\": ([0-9.]+).*/\1\t\2/p" "$1" \
+    | while IFS=$'\t' read -r label value; do
+        cell=$(awk -F'|' -v l=" $label " -v c="$5" \
+                 '$2 == l {gsub(/[ x]/, "", $(c + 1)); print $(c + 1); exit}' \
+                 <<<"$body")
+        awk -v v="$value" -v got="$cell" -v d="$6" 'BEGIN {
+              s = 10 ^ d; f = "%." d "f"
+              exit !(got == sprintf(f, int(v * s) / s) ||
+                     got == sprintf(f, (int(v * s) + 1) / s)) }' \
+          || echo "$label"
+      done
+}
+check_record() {  # check_record <json> <section> <label-key> <value-key>
+                  #   <column> <decimals>
+  if [[ ! -f "$1" ]]; then
+    err "missing record $1"
+    return
+  fi
+  local bad probe
+  bad=$(unquoted_rows "$@")
+  [[ -z "$bad" ]] \
+    || err "EXPERIMENTS.md § $2 does not quote $1 for:" \
+           "$(paste -sd ';' <<<"$bad")"
+  probe=$(mktemp)
+  awk -v k="\"$4\": " -v d="$6" '
+    !done && match($0, k "[0-9.]+") {
+      v = substr($0, RSTART + length(k), RLENGTH - length(k))
+      $0 = substr($0, 1, RSTART - 1) k sprintf("%.6f", v + 2 / 10 ^ d) \
+           substr($0, RSTART + RLENGTH)
+      done = 1
+    } {print}' "$1" > "$probe"
+  [[ -n "$(unquoted_rows "$probe" "${@:2}")" ]] \
+    || err "RECORD PROBE DID NOT FIRE: a raised $4 in a copy of $1" \
+           "passed the check"
+  rm -f "$probe"
+}
+check_record BENCH_ingest.json "Bulk ingest" config speedup 4 2
+check_record BENCH_ablation.json "Ablations" label precision_at_20 2 3
+
 if [[ "$fail" -ne 0 ]]; then
   echo "check_docs: FAILED" >&2
   exit 1

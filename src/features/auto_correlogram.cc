@@ -1,7 +1,6 @@
 #include "features/auto_correlogram.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "features/plan/frame_context.h"
@@ -127,17 +126,6 @@ Result<FeatureVector> AutoColorCorrelogram::ExtractShared(
     feature[i] = ring_total[i] > 0 ? counts[i] / ring_total[i] : 0.0;
   }
   return FeatureVector(name(), std::move(feature));
-}
-
-double AutoColorCorrelogram::DistanceSpan(const double* a, size_t na,
-                                          const double* b, size_t nb) const {
-  // The d1 measure of Huang et al.: sum |a-b| / (1 + a + b).
-  const size_t n = std::min(na, nb);
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    acc += std::fabs(a[i] - b[i]) / (1.0 + a[i] + b[i]);
-  }
-  return acc;
 }
 
 }  // namespace vr

@@ -22,10 +22,9 @@ class AutoColorCorrelogram : public FeatureExtractor {
   uint32_t SharedIntermediates() const override;
   Result<FeatureVector> ExtractShared(const Image& img,
                                       PlanContext& ctx) const override;
-  double DistanceSpan(const double* a, size_t na, const double* b,
-                      size_t nb) const override;
-  /// d1 is 2-Lipschitz per element over the non-negative probabilities
-  /// this extractor produces, giving a row-independent error bound.
+  /// The d1 measure of Huang et al., sum |a-b| / (1 + a + b). d1 is
+  /// 2-Lipschitz per element over the non-negative probabilities this
+  /// extractor produces, giving a row-independent error bound.
   CodeMetricSpec code_metric() const override {
     return {.family = CodeMetricFamily::kD1};
   }

@@ -1,7 +1,5 @@
 #include "features/color_histogram.h"
 
-#include <cmath>
-
 #include "features/plan/frame_context.h"
 #include "imaging/color.h"
 
@@ -61,22 +59,6 @@ Result<FeatureVector> SimpleColorHistogram::ExtractShared(
     }
   }
   return FeatureVector(name(), std::move(bins));
-}
-
-double SimpleColorHistogram::DistanceSpan(const double* a, size_t na,
-                                          const double* b, size_t nb) const {
-  // L1 over L1-normalized histograms, in [0, 2].
-  double sa = 0.0;
-  double sb = 0.0;
-  for (size_t i = 0; i < na; ++i) sa += a[i];
-  for (size_t i = 0; i < nb; ++i) sb += b[i];
-  if (sa == 0.0 || sb == 0.0) return sa == sb ? 0.0 : 2.0;
-  const size_t n = std::min(na, nb);
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    acc += std::fabs(a[i] / sa - b[i] / sb);
-  }
-  return acc;
 }
 
 }  // namespace vr

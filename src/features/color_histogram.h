@@ -33,10 +33,9 @@ class SimpleColorHistogram : public FeatureExtractor {
   uint32_t SharedIntermediates() const override;
   Result<FeatureVector> ExtractShared(const Image& img,
                                       PlanContext& ctx) const override;
-  double DistanceSpan(const double* a, size_t na, const double* b,
-                      size_t nb) const override;
-  /// The metric normalizes both sides per call, so the coarse kernel
-  /// reconstructs each row's sum from its code sum.
+  /// L1 over L1-normalized histograms, in [0, 2]. The metric
+  /// normalizes both sides per call, so the coarse kernel reconstructs
+  /// each row's sum from its code sum.
   CodeMetricSpec code_metric() const override {
     return {.family = CodeMetricFamily::kNormalizedL1};
   }

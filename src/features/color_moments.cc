@@ -1,6 +1,5 @@
 #include "features/color_moments.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "features/plan/frame_context.h"
@@ -68,19 +67,6 @@ Result<FeatureVector> ColorMoments::ExtractShared(const Image& img,
     feature.push_back(std::cbrt(m3));
   }
   return FeatureVector(name(), std::move(feature));
-}
-
-double ColorMoments::DistanceSpan(const double* a, size_t na, const double* b,
-                                  size_t nb) const {
-  // L1 with circular wrap on the hue-mean dimension.
-  const size_t n = std::min(na, nb);
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    double d = std::fabs(a[i] - b[i]);
-    if (i == 0 && d > 1.0) d = 2.0 - d;  // hue mean lives on [-1, 1] circle
-    acc += d;
-  }
-  return acc;
 }
 
 }  // namespace vr

@@ -20,8 +20,6 @@ class ColorMoments : public FeatureExtractor {
   uint32_t SharedIntermediates() const override;
   Result<FeatureVector> ExtractShared(const Image& img,
                                       PlanContext& ctx) const override;
-  double DistanceSpan(const double* a, size_t na, const double* b,
-                      size_t nb) const override;
   /// L1 with the hue-mean circle wrap on element 0.
   CodeMetricSpec code_metric() const override {
     return {.family = CodeMetricFamily::kL1, .wrap_dim0 = true};

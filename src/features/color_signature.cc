@@ -56,9 +56,9 @@ double ColorSignatureFeature::DistanceSpan(const double* a, size_t na,
     Result<double> emd = EmdSignatureDistance(*sa, *sb);
     if (emd.ok()) return std::max(0.0, *emd);
   }
-  // Malformed vectors fall back to a plain vector distance so ranking
-  // still degrades gracefully instead of erroring mid-query.
-  return L2Distance(a, na, b, nb);
+  // Malformed vectors fall back to the default vector distance so
+  // ranking still degrades gracefully instead of erroring mid-query.
+  return MetricDistance({}, a, na, b, nb);
 }
 
 }  // namespace vr

@@ -5,7 +5,6 @@
 
 #include "features/plan/frame_context.h"
 #include "imaging/float_image.h"
-#include "similarity/metrics.h"
 
 namespace vr {
 
@@ -67,12 +66,6 @@ Result<FeatureVector> EdgeHistogram::ExtractShared(const Image& img,
     }
   }
   return FeatureVector(name(), std::move(feature));
-}
-
-double EdgeHistogram::DistanceSpan(const double* a, size_t na, const double* b,
-                                   size_t nb) const {
-  // L1, the MPEG-7 matching measure for EHD.
-  return L1Distance(a, na, b, nb);
 }
 
 }  // namespace vr

@@ -27,9 +27,8 @@ class EdgeHistogram : public FeatureExtractor {
   uint32_t SharedIntermediates() const override;
   Result<FeatureVector> ExtractShared(const Image& img,
                                       PlanContext& ctx) const override;
-  double DistanceSpan(const double* a, size_t na, const double* b,
-                      size_t nb) const override;
-  /// Raw L1: the canonical integer-SAD coarse kernel.
+  /// Raw L1, the MPEG-7 matching measure for EHD: the canonical
+  /// integer-SAD coarse kernel.
   CodeMetricSpec code_metric() const override {
     return {.family = CodeMetricFamily::kL1};
   }

@@ -1,6 +1,5 @@
 #include "features/feature_vector.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "features/plan/frame_context.h"
@@ -97,17 +96,7 @@ Result<FeatureVector> FeatureExtractor::Extract(const Image& img) const {
 
 double FeatureExtractor::DistanceSpan(const double* a, size_t na,
                                       const double* b, size_t nb) const {
-  // Default: L2 over the common prefix; dimension mismatch contributes
-  // the missing mass.
-  const size_t n = std::min(na, nb);
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double d = a[i] - b[i];
-    acc += d * d;
-  }
-  for (size_t i = n; i < na; ++i) acc += a[i] * a[i];
-  for (size_t i = n; i < nb; ++i) acc += b[i] * b[i];
-  return std::sqrt(acc);
+  return MetricDistance(code_metric(), a, na, b, nb);
 }
 
 }  // namespace vr

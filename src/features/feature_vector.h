@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "imaging/image.h"
-#include "similarity/code_kernels.h"
+#include "similarity/metrics.h"
 #include "util/status.h"
 
 namespace vr {
@@ -129,20 +129,21 @@ class FeatureExtractor {
                         b.size());
   }
 
-  /// The same dissimilarity over raw value arrays — the columnar fast
-  /// path used when candidate features live in a FeatureMatrix column
-  /// instead of per-frame FeatureVectors. Extractors override this (not
-  /// Distance) so both entry points share one implementation.
+  /// The same dissimilarity over raw value arrays — the columnar path
+  /// used when candidate features live in a FeatureMatrix column. It is
+  /// MetricDistance(code_metric(), ...): the spec is the distance. Only
+  /// a kind whose distance is not a flat reduction over the values
+  /// (color-signature EMD) overrides this, and it tags itself kNone.
   virtual double DistanceSpan(const double* a, size_t na, const double* b,
                               size_t nb) const;
 
-  /// Which integer code-space kernel family (similarity/code_kernels.h)
-  /// approximates this extractor's metric over the quantized shadow
-  /// columns, with the parameters (block size, element ranges, wrap)
-  /// matching DistanceSpan's arithmetic exactly — the per-family error
-  /// bounds are only valid for a spec that mirrors the real metric.
-  /// The default (CodeMetricFamily::kNone) opts the kind out of the
-  /// coarse stage; queries touching it fall back to the exact scan.
+  /// The single definition of this extractor's distance
+  /// (similarity/metrics.h): DistanceSpan evaluates it exactly, and the
+  /// two-stage coarse kernels (similarity/code_kernels.h) score the
+  /// same spec over the quantized shadow columns within a proven
+  /// bound. The default (CodeMetricFamily::kNone) is L2 with the tail
+  /// mass of a length mismatch; a kNone kind opts queries touching it
+  /// out of the coarse stage, and they take the exact scan.
   virtual CodeMetricSpec code_metric() const { return {}; }
 };
 

@@ -24,9 +24,10 @@ class GaborTexture : public FeatureExtractor {
   uint32_t SharedIntermediates() const override;
   Result<FeatureVector> ExtractShared(const Image& img,
                                       PlanContext& ctx) const override;
-  /// Plain L2 (the inherited default DistanceSpan); block 0 = one
-  /// block over the whole vector. Length-mismatched rows are forced by
-  /// the kernel, which covers the default metric's tail-mass terms.
+  /// Plain L2: block 0 = one block over the whole vector, evaluated
+  /// as the default distance (tail mass on a length mismatch).
+  /// Length-mismatched rows are forced by the kernel, which covers the
+  /// tail-mass terms.
   CodeMetricSpec code_metric() const override {
     return {.family = CodeMetricFamily::kL2Blocked};
   }

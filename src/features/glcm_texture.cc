@@ -84,19 +84,4 @@ Result<FeatureVector> GlcmTexture::ExtractShared(const Image& img,
                idm, entropy});
 }
 
-double GlcmTexture::DistanceSpan(const double* a, size_t na, const double* b,
-                                 size_t nb) const {
-  // Canberra distance over the five texture statistics (pixelCounter is a
-  // size artifact, not texture); robust to the very different scales of
-  // ASM (~1e-2) vs contrast (~1e2).
-  double acc = 0.0;
-  const size_t n = std::min(na, nb);
-  for (size_t i = kAsm; i < n && i < kStatCount; ++i) {
-    const double num = std::fabs(a[i] - b[i]);
-    const double den = std::fabs(a[i]) + std::fabs(b[i]);
-    if (den > 0) acc += num / den;
-  }
-  return acc;
-}
-
 }  // namespace vr

@@ -25,10 +25,9 @@ class GlcmTexture : public FeatureExtractor {
   uint32_t SharedIntermediates() const override;
   Result<FeatureVector> ExtractShared(const Image& img,
                                       PlanContext& ctx) const override;
-  double DistanceSpan(const double* a, size_t na, const double* b,
-                      size_t nb) const override;
-  /// Canberra over the five texture stats (pixelCounter excluded),
-  /// mirroring DistanceSpan's [kAsm, kStatCount) loop.
+  /// Canberra over the five texture stats [kAsm, kStatCount);
+  /// pixelCounter is a size artifact, not texture. Canberra is robust
+  /// to the very different scales of ASM (~1e-2) and contrast (~1e2).
   CodeMetricSpec code_metric() const override {
     return {.family = CodeMetricFamily::kCanberraL1,
             .canberra_begin = kAsm,

@@ -1,7 +1,6 @@
 #include "features/naive_signature.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "features/plan/frame_context.h"
 #include "imaging/resize.h"
@@ -54,19 +53,6 @@ Result<FeatureVector> NaiveSignature::ExtractShared(const Image& img,
     }
   }
   return FeatureVector(name(), std::move(feature));
-}
-
-double NaiveSignature::DistanceSpan(const double* a, size_t na,
-                                    const double* b, size_t nb) const {
-  const size_t n = std::min(na, nb) / 3;
-  double acc = 0.0;
-  for (size_t p = 0; p < n; ++p) {
-    const double dr = a[3 * p] - b[3 * p];
-    const double dg = a[3 * p + 1] - b[3 * p + 1];
-    const double db = a[3 * p + 2] - b[3 * p + 2];
-    acc += std::sqrt(dr * dr + dg * dg + db * db);
-  }
-  return acc;
 }
 
 }  // namespace vr

@@ -25,10 +25,8 @@ class NaiveSignature : public FeatureExtractor {
                                       PlanContext& ctx) const override;
 
   /// Sum over the 25 points of the Euclidean RGB distance between the
-  /// two signatures — the quantity the paper compares against 800.
-  double DistanceSpan(const double* a, size_t na, const double* b,
-                      size_t nb) const override;
-  /// Per-RGB-triple Euclidean distances: integer SSD over blocks of 3.
+  /// two signatures — the quantity the paper compares against 800:
+  /// L2 per block of 3, integer SSD per block in code space.
   CodeMetricSpec code_metric() const override {
     return {.family = CodeMetricFamily::kL2Blocked, .block = 3};
   }

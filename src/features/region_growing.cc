@@ -1,6 +1,5 @@
 #include "features/region_growing.h"
 
-#include <cmath>
 #include <vector>
 
 #include "features/plan/frame_context.h"
@@ -110,19 +109,6 @@ Result<FeatureVector> SimpleRegionGrowing::ExtractShared(
       name(), {static_cast<double>(stats.num_regions),
                static_cast<double>(stats.num_holes),
                static_cast<double>(stats.num_major_regions)});
-}
-
-double SimpleRegionGrowing::DistanceSpan(const double* a, size_t na,
-                                         const double* b, size_t nb) const {
-  // Canberra: counts live on very different scales (regions can reach
-  // hundreds while major regions stay in single digits).
-  const size_t n = std::min(na, nb);
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double den = std::fabs(a[i]) + std::fabs(b[i]);
-    if (den > 0) acc += std::fabs(a[i] - b[i]) / den;
-  }
-  return acc;
 }
 
 }  // namespace vr

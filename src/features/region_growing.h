@@ -32,10 +32,9 @@ class SimpleRegionGrowing : public FeatureExtractor {
   uint32_t SharedIntermediates() const override;
   Result<FeatureVector> ExtractShared(const Image& img,
                                       PlanContext& ctx) const override;
-  double DistanceSpan(const double* a, size_t na, const double* b,
-                      size_t nb) const override;
   /// Canberra over the whole vector (the defaulted range clamps to the
-  /// query length).
+  /// common length): counts live on very different scales (regions can
+  /// reach hundreds while major regions stay in single digits).
   CodeMetricSpec code_metric() const override {
     return {.family = CodeMetricFamily::kCanberraL1};
   }

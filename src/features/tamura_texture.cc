@@ -119,23 +119,4 @@ Result<FeatureVector> TamuraTexture::ExtractShared(const Image& img,
   return FeatureVector(name(), std::move(feature));
 }
 
-double TamuraTexture::DistanceSpan(const double* a, size_t na, const double* b,
-                                   size_t nb) const {
-  if (na < kDirStart || nb < kDirStart) {
-    return FeatureExtractor::DistanceSpan(a, na, b, nb);
-  }
-  // Canberra over coarseness & contrast (scale-free), plus L1 over the
-  // normalized directionality histogram. Each component is in [0, 1]-ish,
-  // weighted equally.
-  double acc = 0.0;
-  for (size_t i = 0; i < kDirStart; ++i) {
-    const double den = std::fabs(a[i]) + std::fabs(b[i]);
-    if (den > 0) acc += std::fabs(a[i] - b[i]) / den;
-  }
-  const size_t n = std::min(na, nb);
-  double dir_l1 = 0.0;
-  for (size_t i = kDirStart; i < n; ++i) dir_l1 += std::fabs(a[i] - b[i]);
-  return acc + dir_l1;
-}
-
 }  // namespace vr

@@ -23,11 +23,11 @@ class TamuraTexture : public FeatureExtractor {
   uint32_t SharedIntermediates() const override;
   Result<FeatureVector> ExtractShared(const Image& img,
                                       PlanContext& ctx) const override;
-  double DistanceSpan(const double* a, size_t na, const double* b,
-                      size_t nb) const override;
-  /// Canberra over coarseness & contrast plus an L1 tail over the
-  /// directionality histogram. Prepare fails for queries shorter than
-  /// kDirStart — those take DistanceSpan's default-L2 guard instead.
+  /// Canberra over coarseness & contrast (scale-free) plus an L1 tail
+  /// over the normalized directionality histogram, each component
+  /// [0, 1]-ish and weighted equally. A vector shorter than kDirStart
+  /// takes the default L2 instead, and the coarse stage never prepares
+  /// such a query.
   CodeMetricSpec code_metric() const override {
     return {.family = CodeMetricFamily::kCanberraL1,
             .canberra_end = kDirStart,

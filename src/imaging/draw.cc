@@ -113,17 +113,6 @@ void AddGaussianNoise(Image* img, double stddev, Rng* rng) {
   }
 }
 
-void AddSaltPepperNoise(Image* img, double p, Rng* rng) {
-  for (int y = 0; y < img->height(); ++y) {
-    for (int x = 0; x < img->width(); ++x) {
-      if (rng->Bernoulli(p)) {
-        img->SetPixel(x, y, rng->Bernoulli(0.5) ? Rgb{255, 255, 255}
-                                                : Rgb{0, 0, 0});
-      }
-    }
-  }
-}
-
 void DrawTextBlock(Image* img, int x, int y, int w, int h, int line_height,
                    Rgb ink, Rng* rng) {
   line_height = std::max(3, line_height);

@@ -32,9 +32,6 @@ void DrawStripes(Image* img, int period, double angle_deg, Rgb a, Rgb b);
 /// Adds IID Gaussian noise with the given stddev to every channel.
 void AddGaussianNoise(Image* img, double stddev, Rng* rng);
 
-/// Adds salt-and-pepper noise; \p p is the flip probability per pixel.
-void AddSaltPepperNoise(Image* img, double p, Rng* rng);
-
 /// Draws a paragraph-like block of horizontal dark bars, emulating
 /// rendered text lines (used by the e-learning slide renderer).
 void DrawTextBlock(Image* img, int x, int y, int w, int h, int line_height,

@@ -1,7 +1,6 @@
 #include "imaging/float_image.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace vr {
 
@@ -30,25 +29,6 @@ float FloatImage::AtClamped(int x, int y) const {
   x = std::clamp(x, 0, width_ - 1);
   y = std::clamp(y, 0, height_ - 1);
   return At(x, y);
-}
-
-std::pair<float, float> FloatImage::MinMax() const {
-  if (data_.empty()) return {0.f, 0.f};
-  auto [mn, mx] = std::minmax_element(data_.begin(), data_.end());
-  return {*mn, *mx};
-}
-
-Image FloatImage::ToImage(float lo, float hi) const {
-  Image out(width_, height_, 1);
-  const float span = hi - lo;
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) {
-      float v = span > 0 ? (At(x, y) - lo) / span : 0.f;
-      v = std::clamp(v, 0.f, 1.f);
-      out.At(x, y) = static_cast<uint8_t>(std::lround(v * 255.f));
-    }
-  }
-  return out;
 }
 
 }  // namespace vr

@@ -37,12 +37,6 @@ class FloatImage {
   const std::vector<float>& data() const { return data_; }
   std::vector<float>& data() { return data_; }
 
-  /// Min and max value over the raster (0, 0 when empty).
-  std::pair<float, float> MinMax() const;
-
-  /// Converts to an 8-bit gray Image, linearly mapping [lo, hi] -> [0, 255].
-  Image ToImage(float lo, float hi) const;
-
  private:
   int width_ = 0;
   int height_ = 0;

@@ -31,10 +31,6 @@ Result<size_t> FaultInjectionTransport::Send(const uint8_t* data, size_t len,
                                              TransportDeadline deadline) {
   ++sends_;
   if (dead_) return Status::IOError("injected connection reset");
-  if (fail_send_at_ != 0 && sends_ == fail_send_at_) {
-    fail_send_at_ = 0;
-    return InjectReset();
-  }
   switch (DrawFault(/*for_send=*/true)) {
     case Fault::kReset:
       return InjectReset();

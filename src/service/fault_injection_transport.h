@@ -45,10 +45,9 @@ struct TransportFaultOptions {
 
 /// \brief Wraps a Transport and injects faults per TransportFaultOptions.
 ///
-/// Also exposes FailNthSend/FailNthRecv one-shot counters (1-based,
-/// 0 disables) mirroring FaultInjectionEnv::FailNthWrite, for tests
-/// that need one precisely-placed fault instead of a probabilistic
-/// schedule.
+/// Also exposes a FailNthRecv one-shot counter (1-based, 0 disables)
+/// mirroring FaultInjectionEnv::FailNthWrite, for tests that need one
+/// precisely-placed fault instead of a probabilistic schedule.
 class FaultInjectionTransport : public Transport {
  public:
   FaultInjectionTransport(std::unique_ptr<Transport> inner,
@@ -61,10 +60,6 @@ class FaultInjectionTransport : public Transport {
                       TransportDeadline deadline) override;
   void Close() override;
 
-  /// Fails the Nth Send from now with an injected reset; 0 disables.
-  void FailNthSend(uint64_t n) {
-    fail_send_at_ = n == 0 ? 0 : sends_ + n;
-  }
   /// Fails the Nth Recv from now with an injected reset; 0 disables.
   void FailNthRecv(uint64_t n) {
     fail_recv_at_ = n == 0 ? 0 : recvs_ + n;
@@ -92,8 +87,7 @@ class FaultInjectionTransport : public Transport {
   uint64_t resets_ = 0;
   uint64_t corruptions_ = 0;
   uint64_t stalls_ = 0;
-  uint64_t fail_send_at_ = 0;  // absolute send index; 0 = disabled
-  uint64_t fail_recv_at_ = 0;
+  uint64_t fail_recv_at_ = 0;  // absolute recv index; 0 = disabled
 };
 
 }  // namespace vr

@@ -21,8 +21,10 @@
 /// per-family bound into CodeKernelQuery::uniform_slack; kernels add
 /// the row-dependent part, so for every scored (non-forced) row
 ///
-///     |coarse(row) - exact(row)| <= uniform_slack + row_slack.
+///     |coarse(row) - exact(row)| <= uniform_slack + row_slack,
 ///
+/// where exact(row) is MetricDistance (similarity/metrics.h) of the
+/// same CodeMetricSpec — the one definition of the kind's distance.
 /// tests/code_kernels_test.cc sweeps random ranges/vectors asserting
 /// the bound dominates the observed error; DESIGN.md sketches the
 /// per-family proofs. The caller (RetrievalEngine::CoarseSelect) turns
@@ -35,52 +37,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "similarity/metrics.h"
+
 namespace vr {
-
-/// Which coarse kernel approximates an extractor's metric.
-enum class CodeMetricFamily : uint8_t {
-  /// No code-space kernel; the kind opts the whole query out of the
-  /// coarse stage (e.g. signature EMD, whose matching is not a flat
-  /// per-element reduction).
-  kNone = 0,
-  /// sum |a_i - b_i| — integer SAD times step.
-  kL1,
-  /// sum over fixed-size blocks of sqrt(block SSD) — integer SSD per
-  /// block. block == 0 means one block spanning the whole vector
-  /// (plain L2); any remainder elements are ignored, matching the
-  /// exact metrics (min(na, nb) / 3 triples, L2 over the prefix).
-  kL2Blocked,
-  /// L1 between L1-normalized vectors (sum |a_i/sa - b_i/sb|). The
-  /// query side is normalized exactly at prepare; the row's sum is
-  /// reconstructed from the column's per-row code sums.
-  kNormalizedL1,
-  /// Canberra (sum |a-b| / (|a|+|b|), zero-denominator terms skipped)
-  /// over [canberra_begin, canberra_end), optionally followed by a
-  /// plain L1 tail over [canberra_end, len).
-  kCanberraL1,
-  /// Huang's d1: sum |a-b| / (1 + a + b), non-negative inputs.
-  kD1,
-};
-
-/// Per-extractor tag describing how to score its column in code space.
-struct CodeMetricSpec {
-  CodeMetricFamily family = CodeMetricFamily::kNone;
-  /// kL1: element 0 lives on a [-1, 1] circle — distances > 1 wrap to
-  /// 2 - d (ColorMoments' hue mean). The wrap g(d) = min(d, 2 - d) is
-  /// 1-Lipschitz, so the L1 bound is unchanged.
-  bool wrap_dim0 = false;
-  /// kL2Blocked: elements per block (3 for RGB triples); 0 = whole
-  /// vector as one block.
-  uint32_t block = 0;
-  /// kCanberraL1: half-open element range of the Canberra part
-  /// (clamped to the vector length). Elements before the range are
-  /// ignored, matching metrics that skip prefix elements.
-  uint32_t canberra_begin = 0;
-  uint32_t canberra_end = 0xffffffffu;
-  /// kCanberraL1: score [canberra_end, len) as a plain L1 tail (else
-  /// those elements are ignored, like the exact metric).
-  bool l1_tail = false;
-};
 
 /// A query vector prepared for code-space scoring against one column.
 struct CodeKernelQuery {

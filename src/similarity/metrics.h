@@ -1,45 +1,76 @@
 /// \file metrics.h
-/// \brief Vector dissimilarity measures.
+/// \brief The feature distances: one spec per extractor, one function
+/// that evaluates it.
 ///
-/// All functions treat the common prefix of the two vectors and are
-/// symmetric, non-negative and zero on identical inputs (a genuine
-/// metric only where noted).
+/// A CodeMetricSpec is the single definition of a feature kind's
+/// distance. MetricDistance evaluates it exactly over raw value arrays
+/// (the FeatureMatrix column layout); the two-stage coarse kernels
+/// (similarity/code_kernels.h) approximate the same spec over u8 codes,
+/// so the exact and the coarse score cannot describe different metrics.
 
 #pragma once
 
 #include <cstddef>
-#include <vector>
+#include <cstdint>
 
 namespace vr {
 
-/// Chebyshev (L-infinity) distance.
-double LInfDistance(const std::vector<double>& a,
-                    const std::vector<double>& b);
+/// The distance families.
+enum class CodeMetricFamily : uint8_t {
+  /// The default distance: L2 over the common prefix plus the squared
+  /// mass of the longer vector's tail. No code-space kernel; a kind
+  /// tagged kNone opts the whole query out of the coarse stage (e.g.
+  /// signature EMD, whose matching is not a flat per-element reduction
+  /// and keeps its own DistanceSpan).
+  kNone = 0,
+  /// sum |a_i - b_i| over the common prefix — integer SAD times step.
+  kL1,
+  /// sum over fixed-size blocks of sqrt(block SSD) — integer SSD per
+  /// block; min(na, nb) / block whole blocks, remainder ignored.
+  /// block == 0 means one block spanning the whole vector: plain L2,
+  /// evaluated exactly as the kNone default (tail mass included).
+  kL2Blocked,
+  /// L1 between L1-normalized vectors (sum |a_i/sa - b_i/sb|) over the
+  /// common prefix, each sum over its whole vector; in [0, 2], and 0 or
+  /// 2 when either sum is zero (0 only when both are). The query side
+  /// is normalized exactly at prepare; the row's sum is reconstructed
+  /// from the column's per-row code sums.
+  kNormalizedL1,
+  /// Canberra (sum |a-b| / (|a|+|b|), zero-denominator terms skipped)
+  /// over [canberra_begin, canberra_end), optionally followed by a
+  /// plain L1 tail over [canberra_end, len).
+  kCanberraL1,
+  /// Huang's d1: sum |a-b| / (1 + a + b), non-negative inputs.
+  kD1,
+};
 
-/// Histogram-intersection dissimilarity: 1 - sum min(a,b) / min(|a|,|b|).
-/// Inputs are interpreted as (possibly unnormalized) histograms.
-double HistogramIntersectionDistance(const std::vector<double>& a,
-                                     const std::vector<double>& b);
+/// Per-extractor tag describing its distance; FeatureExtractor's
+/// code_metric() returns it and DistanceSpan evaluates it.
+struct CodeMetricSpec {
+  CodeMetricFamily family = CodeMetricFamily::kNone;
+  /// kL1: element 0 lives on a [-1, 1] circle — distances > 1 wrap to
+  /// 2 - d (ColorMoments' hue mean). The wrap g(d) = min(d, 2 - d) is
+  /// 1-Lipschitz, so the L1 bound is unchanged. Element 0 must lie in
+  /// [-1, 1]: a gap above 2 would wrap to a negative term.
+  bool wrap_dim0 = false;
+  /// kL2Blocked: elements per block (3 for RGB triples); 0 = whole
+  /// vector as one block.
+  uint32_t block = 0;
+  /// kCanberraL1: half-open element range of the Canberra part
+  /// (clamped to the common length). Elements before the range are
+  /// ignored (GLCM's pixel counter).
+  uint32_t canberra_begin = 0;
+  uint32_t canberra_end = 0xffffffffu;
+  /// kCanberraL1: score [canberra_end, len) as a plain L1 tail (else
+  /// those elements are ignored). With a tail, a vector shorter than
+  /// canberra_end has no tail to score and takes the kNone default.
+  bool l1_tail = false;
+};
 
-/// 1-D earth mover's distance between L1-normalized histograms whose bins
-/// are ordered: the L1 norm of the CDF difference.
-double EmdL1Distance(const std::vector<double>& a,
-                     const std::vector<double>& b);
-
-/// Canberra distance: sum |a-b| / (|a|+|b|).
-double CanberraDistance(const std::vector<double>& a,
-                        const std::vector<double>& b);
-
-/// \name Span kernels over raw value arrays (the FeatureMatrix column
-/// layout).
-/// @{
-/// Manhattan (L1) distance; the edge histogram's metric.
-double L1Distance(const double* a, size_t na, const double* b, size_t nb);
-/// Euclidean (L2) distance; the color signature's fallback metric.
-double L2Distance(const double* a, size_t na, const double* b, size_t nb);
-/// Bit-identical to the std::vector overload above on the same values.
-double HistogramIntersectionDistance(const double* a, size_t na,
-                                     const double* b, size_t nb);
-/// @}
+/// The exact distance \p spec defines between two value arrays:
+/// non-negative, and 0 on identical inputs. Lengths may differ; each
+/// family states above how it treats the unmatched elements.
+double MetricDistance(const CodeMetricSpec& spec, const double* a, size_t na,
+                      const double* b, size_t nb);
 
 }  // namespace vr

@@ -124,9 +124,6 @@ class Table {
   bool MatchesPayload(int64_t pk, const std::vector<uint8_t>& payload) const;
   /// @}
 
-  /// Height of the pk index (storage microbench statistic).
-  Result<int> PkIndexHeight() const { return pk_index_->Height(); }
-
   /// Aggregated buffer-pool statistics over every page file of this
   /// table (heap, pk index, blobs, secondary indexes). Thread-safe.
   PagerStats GetPagerStats() const;

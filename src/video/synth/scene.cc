@@ -25,13 +25,6 @@ const char* CategoryName(VideoCategory category) {
   return "unknown";
 }
 
-const VideoCategory* AllCategories() {
-  static const VideoCategory kAll[] = {
-      VideoCategory::kELearning, VideoCategory::kSports,
-      VideoCategory::kCartoon, VideoCategory::kMovie, VideoCategory::kNews};
-  return kAll;
-}
-
 namespace {
 
 /// Bright slide with a title bar and ragged text blocks; a highlight

@@ -31,9 +31,6 @@ inline constexpr int kNumCategories = 5;
 /// Human-readable category name.
 const char* CategoryName(VideoCategory category);
 
-/// All categories, for iteration.
-const VideoCategory* AllCategories();
-
 /// \brief One shot: deterministic renderer parameterized at construction.
 ///
 /// Render(t) must be a pure function of the construction-time parameters

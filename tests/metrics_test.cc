@@ -12,7 +12,6 @@ namespace vr {
 namespace {
 
 using Vec = std::vector<double>;
-/// Disambiguates the vector overload now that span kernels exist.
 using VecMetric = double (*)(const Vec&, const Vec&);
 
 /// Parameter of the metric-property suites. gtest prints the parameter
@@ -26,48 +25,28 @@ struct NamedMetric {
 
 void PrintTo(const NamedMetric& m, std::ostream* os) { *os << m.name; }
 
-/// Vector adapters for the span-only L1/L2 kernels.
-double L1(const Vec& a, const Vec& b) {
-  return L1Distance(a.data(), a.size(), b.data(), b.size());
+/// Vector adapters: MetricDistance under one spec each.
+template <CodeMetricSpec kSpec>
+double Metric(const Vec& a, const Vec& b) {
+  return MetricDistance(kSpec, a.data(), a.size(), b.data(), b.size());
 }
-double L2(const Vec& a, const Vec& b) {
-  return L2Distance(a.data(), a.size(), b.data(), b.size());
-}
+constexpr auto L1 = &Metric<CodeMetricSpec{.family = CodeMetricFamily::kL1}>;
+constexpr auto L2 =
+    &Metric<CodeMetricSpec{.family = CodeMetricFamily::kL2Blocked}>;
+constexpr auto Canberra =
+    &Metric<CodeMetricSpec{.family = CodeMetricFamily::kCanberraL1}>;
 
-TEST(MetricsTest, L1L2LInfBasics) {
+TEST(MetricsTest, L1L2Basics) {
   const Vec a = {1, 2, 3};
   const Vec b = {2, 0, 3};
   EXPECT_DOUBLE_EQ(L1(a, b), 3.0);
   EXPECT_DOUBLE_EQ(L2(a, b), std::sqrt(5.0));
-  EXPECT_DOUBLE_EQ(LInfDistance(a, b), 2.0);
-}
-
-TEST(MetricsTest, HistogramIntersectionBounds) {
-  EXPECT_DOUBLE_EQ(HistogramIntersectionDistance({1, 2}, {1, 2}), 0.0);
-  EXPECT_DOUBLE_EQ(HistogramIntersectionDistance({1, 0}, {0, 1}), 1.0);
-  const double d = HistogramIntersectionDistance({3, 1}, {1, 3});
-  EXPECT_GT(d, 0.0);
-  EXPECT_LT(d, 1.0);
-}
-
-TEST(MetricsTest, EmdShiftSensitivity) {
-  // Mass one bin apart costs less than mass far apart.
-  const Vec base = {1, 0, 0, 0};
-  const Vec near = {0, 1, 0, 0};
-  const Vec far = {0, 0, 0, 1};
-  EXPECT_LT(EmdL1Distance(base, near), EmdL1Distance(base, far));
-  EXPECT_DOUBLE_EQ(EmdL1Distance(base, base), 0.0);
-}
-
-TEST(MetricsTest, EmdNormalizesMass) {
-  // Scaled histograms are the same distribution.
-  EXPECT_NEAR(EmdL1Distance({2, 2}, {5, 5}), 0.0, 1e-12);
 }
 
 TEST(MetricsTest, CanberraBasics) {
-  EXPECT_DOUBLE_EQ(CanberraDistance({1, 1}, {1, 1}), 0.0);
-  EXPECT_DOUBLE_EQ(CanberraDistance({1, 0}, {0, 0}), 1.0);
-  EXPECT_DOUBLE_EQ(CanberraDistance({1, 2}, {3, 2}), 0.5);
+  EXPECT_DOUBLE_EQ(Canberra({1, 1}, {1, 1}), 0.0);
+  EXPECT_DOUBLE_EQ(Canberra({1, 0}, {0, 0}), 1.0);
+  EXPECT_DOUBLE_EQ(Canberra({1, 2}, {3, 2}), 0.5);
 }
 
 class MetricAxiomsTest : public testing::TestWithParam<NamedMetric> {};
@@ -91,11 +70,19 @@ TEST_P(MetricAxiomsTest, NonNegativeSymmetricZeroOnSelf) {
 INSTANTIATE_TEST_SUITE_P(
     AllMetrics, MetricAxiomsTest,
     testing::Values(
-        NamedMetric{"L1", &L1}, NamedMetric{"L2", &L2},
-        NamedMetric{"LInf", &LInfDistance},
-        NamedMetric{"Intersection", &HistogramIntersectionDistance},
-        NamedMetric{"EMD", &EmdL1Distance},
-        NamedMetric{"Canberra", &CanberraDistance}),
+        NamedMetric{"L1", L1}, NamedMetric{"L2", L2},
+        NamedMetric{"Canberra", Canberra},
+        NamedMetric{"NormalizedL1",
+                    &Metric<CodeMetricSpec{
+                        .family = CodeMetricFamily::kNormalizedL1}>},
+        NamedMetric{"D1",
+                    &Metric<CodeMetricSpec{.family = CodeMetricFamily::kD1}>},
+        NamedMetric{"L2Blocked3",
+                    &Metric<CodeMetricSpec{
+                        .family = CodeMetricFamily::kL2Blocked, .block = 3}>},
+        NamedMetric{"L1Wrap",
+                    &Metric<CodeMetricSpec{.family = CodeMetricFamily::kL1,
+                                           .wrap_dim0 = true}>}),
     [](const auto& info) { return info.param.name; });
 
 class TriangleInequalityTest : public testing::TestWithParam<NamedMetric> {};
@@ -116,9 +103,8 @@ TEST_P(TriangleInequalityTest, Holds) {
 
 INSTANTIATE_TEST_SUITE_P(
     TrueMetrics, TriangleInequalityTest,
-    testing::Values(NamedMetric{"L1", &L1}, NamedMetric{"L2", &L2},
-                    NamedMetric{"LInf", &LInfDistance},
-                    NamedMetric{"Canberra", &CanberraDistance}),
+    testing::Values(NamedMetric{"L1", L1}, NamedMetric{"L2", L2},
+                    NamedMetric{"Canberra", Canberra}),
     [](const auto& info) { return info.param.name; });
 
 }  // namespace
