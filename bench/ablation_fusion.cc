@@ -6,8 +6,8 @@
 /// Not a table in the paper, but the design choice (multi-feature
 /// combination) the paper's conclusion rests on; DESIGN.md calls this
 /// out as the ablation bench. A third table adds each extension kind
-/// (edge histogram, color moments, color signature) to the default
-/// seven on two corpus seeds. Every row is written to
+/// (edge histogram, color signature) to the default seven on two
+/// corpus seeds. Every row is written to
 /// BENCH_ablation.json in the working directory, which
 /// scripts/check_docs.sh ties to EXPERIMENTS.md § Ablations.
 ///
@@ -158,8 +158,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (vr::FeatureKind extra :
-         {vr::FeatureKind::kEdgeHistogram, vr::FeatureKind::kColorMoments,
-          vr::FeatureKind::kColorSignature}) {
+         {vr::FeatureKind::kEdgeHistogram, vr::FeatureKind::kColorSignature}) {
       std::vector<vr::FeatureKind> features = all_seven;
       features.push_back(extra);
       if (!measure("extensions",

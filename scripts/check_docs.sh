@@ -120,6 +120,59 @@ expect_version "newest §6.5 page-file version" \
   "$(echo "$compat_row" | awk -F'|' '{gsub(/ /, "", $3); print $3}')" \
   "$pager_version" "kPagerFormatCurrent (src/storage/pager.h)"
 
+# 3b (cont.). The kind-dependent layout docs/FORMAT.md states follows
+#     the FeatureKind enum (src/features/feature_vector.h) and
+#     FeatureKindName (feature_vector.cc): §6.1's quantization table is
+#     N × 24 B over ordinals (0–N−1) with N = kNumFeatureKinds, and
+#     §8's KEY_FRAMES list has one `FEAT_<name>` row per kind, in
+#     ordinal order, at position 7 + ordinal. A must-fail probe changes
+#     kNumFeatureKinds in a temp copy of the header and expects the
+#     comparison to reject it.
+kind_layout_errors() {  # kind_layout_errors <header>: one line per mismatch
+  local n rows doc_rows
+  n=$(code_version "$1" kNumFeatureKinds)
+  [[ "$(doc_version '\| 72 \| [0-9]+' )" == "$n" ]] \
+    || echo "§6.1 quantization table is not $n × 24 B"
+  [[ "$(doc_version '\(0–[0-9]+')" == "$((n - 1))" ]] \
+    || echo "§6.1 ordinal range is not (0–$((n - 1)))"
+  rows=$(sed -n '/^const char\* FeatureKindName/,/^}/p' \
+           src/features/feature_vector.cc \
+         | awk '/case FeatureKind::/ {k = $2; sub(/^FeatureKind::/, "", k)
+                                      sub(/:$/, "", k)}
+                /return "/ && k != "" {split($0, q, "\""); name[k] = q[2]
+                                       k = ""}
+                END {for (k in name) print k, name[k]}' \
+         | { sed -n '/^enum class FeatureKind/,/^};/p' "$1" \
+               | grep -oE '^ *k[A-Za-z]+ = [0-9]+' | tr -d ' ' | tr '=' ' '
+             echo; cat; } \
+         | awk -v n="$n" '
+             !NF {names = 1; next}
+             !names {kind[NR] = $1; ord[NR] = $2; count = NR; next}
+             {name[$1] = $2}
+             END {
+               if (count != n) print "enum has " count " kinds"
+               for (i = 1; i <= count; ++i) {
+                 if (ord[i] != i - 1) print "enum ordinals are not 0..n-1"
+                 printf "| %d | `FEAT_%s` | `%s` = %d |\n", 7 + ord[i],
+                        name[kind[i]], kind[i], ord[i]
+               }
+             }')
+  doc_rows=$(awk '/^## 8/ {on = 1} on && /^\| [0-9]+ \| `FEAT_/' docs/FORMAT.md)
+  [[ "$rows" == "$doc_rows" ]] \
+    || echo "§8 KEY_FRAMES feature columns differ from the FeatureKind" \
+            "enum: expected" $'\n'"$rows"
+}
+layout_errors=$(kind_layout_errors src/features/feature_vector.h)
+[[ -z "$layout_errors" ]] \
+  || err "docs/FORMAT.md kind layout is stale:" $'\n'"$layout_errors"
+probe=$(mktemp)
+sed -E 's/(kNumFeatureKinds = )[0-9]+/\17/' src/features/feature_vector.h \
+  > "$probe"
+[[ -n "$(kind_layout_errors "$probe")" ]] \
+  || err "KIND-LAYOUT PROBE DID NOT FIRE: a changed kNumFeatureKinds" \
+         "passed the check"
+rm -f "$probe"
+
 # 3c. DESIGN.md's lock-level list (`kServer=10 < kEngineWriter=15 <
 #     ...`) is the LockLevel enum of src/util/lock_order.h, name for
 #     name and number for number. A must-fail probe renumbers one level
@@ -232,13 +285,15 @@ if [[ -f BENCH_scale.json ]]; then
            "exact scan ($exact ms) at the largest corpus"
 fi
 
-# 6b. The bulk-ingest speedups and the ablation tables quote their
-#     records: each row of BENCH_ingest.json and BENCH_ablation.json
-#     has a table row "| <label> | ..." in its EXPERIMENTS.md section
-#     whose value cell quotes the recorded figure (either rounding). A
-#     must-fail probe raises the first recorded figure by two units of
-#     the quoted precision in a temp copy of each record and expects
-#     that row to be rejected.
+# 6b. The bulk-ingest speedups, the ablation tables and the
+#     per-extractor and per-intermediate extraction times quote their
+#     records: each row of BENCH_ingest.json and BENCH_ablation.json,
+#     and each extractors[] and intermediates[] entry of
+#     BENCH_features.json, has a table row "| <label> | ..." in its
+#     EXPERIMENTS.md section whose value cell quotes the recorded
+#     figure (either rounding). A must-fail probe raises the first
+#     recorded figure by two units of the quoted precision in a temp
+#     copy of each record and expects that row to be rejected.
 unquoted_rows() {  # unquoted_rows <json> <section> <label-key> <value-key>
                    #   <column> <decimals>: labels the doc does not quote
   local body
@@ -282,6 +337,8 @@ check_record() {  # check_record <json> <section> <label-key> <value-key>
 }
 check_record BENCH_ingest.json "Bulk ingest" config speedup 4 2
 check_record BENCH_ablation.json "Ablations" label precision_at_20 2 3
+check_record BENCH_features.json "Feature extraction" name fused_ms 2 2
+check_record BENCH_features.json "Feature extraction" name ms 2 2
 
 if [[ "$fail" -ne 0 ]]; then
   echo "check_docs: FAILED" >&2

@@ -2,7 +2,6 @@
 
 #include "features/auto_correlogram.h"
 #include "features/color_histogram.h"
-#include "features/color_moments.h"
 #include "features/color_signature.h"
 #include "features/edge_histogram.h"
 #include "features/gabor_texture.h"
@@ -31,8 +30,6 @@ std::unique_ptr<FeatureExtractor> MakeExtractor(FeatureKind kind) {
       return std::make_unique<SimpleRegionGrowing>();
     case FeatureKind::kEdgeHistogram:
       return std::make_unique<EdgeHistogram>();
-    case FeatureKind::kColorMoments:
-      return std::make_unique<ColorMoments>();
     case FeatureKind::kColorSignature:
       return std::make_unique<ColorSignatureFeature>();
   }

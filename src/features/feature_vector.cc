@@ -25,8 +25,6 @@ const char* FeatureKindName(FeatureKind kind) {
       return "regions";
     case FeatureKind::kEdgeHistogram:
       return "edgehist";
-    case FeatureKind::kColorMoments:
-      return "moments";
     case FeatureKind::kColorSignature:
       return "colorsig";
   }

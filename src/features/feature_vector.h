@@ -34,11 +34,10 @@ enum class FeatureKind : int {
   kRegionGrowing = 6,
   // Extensions beyond the paper:
   kEdgeHistogram = 7,
-  kColorMoments = 8,
-  kColorSignature = 9,
+  kColorSignature = 8,
 };
 
-inline constexpr int kNumFeatureKinds = 10;
+inline constexpr int kNumFeatureKinds = 9;
 
 /// The features the paper itself ships (extensions excluded).
 inline constexpr int kNumPaperFeatureKinds = 7;

@@ -4,10 +4,10 @@
 /// Several extractors read the same intermediates of a frame: the gray
 /// plane (GLCM, Gabor, Tamura, region growing), its histogram (region
 /// growing's threshold and the range finder's bucket), the per-pixel
-/// HSV plane (color moments and, on frames within its 256 px working
-/// cap, the auto correlogram) and the float luma plane (edge
-/// histogram). PlanContext computes each at most once per frame and
-/// hands every consumer the same memoized view.
+/// HSV plane (the auto correlogram, on frames within its 256 px
+/// working cap) and the float luma plane (edge histogram). PlanContext
+/// computes each at most once per frame and hands every consumer the
+/// same memoized view.
 ///
 /// Each producer computes exactly what the standalone imaging helper
 /// would (Gray() is ToGray, Histogram() is ComputeGrayHistogram of it,

@@ -108,7 +108,7 @@ class MatrixStore {
   /// Header magic ("VRMX", little-endian).
   static constexpr uint32_t kMagic = 0x584D5256;
   /// Matrix cache format version (independent of the pager format).
-  static constexpr uint32_t kFormatVersion = 1;
+  static constexpr uint32_t kFormatVersion = 2;
 
  private:
   MatrixStore() = default;

@@ -27,24 +27,13 @@ inline uint32_t AbsDiff(uint8_t a, uint8_t b) {
   return static_cast<uint32_t>(d < 0 ? -d : d);
 }
 
-/// step * SAD over [begin, n); the u32 accumulator is exact (worst
-/// case 255 * n for any realistic vector length).
+/// step * SAD; the u32 accumulator is exact (worst case 255 * n for
+/// any realistic vector length).
 inline double ScoreL1(const CodeKernelQuery& q, const uint8_t* b) {
   const uint8_t* a = q.codes.data();
-  const size_t n = q.length;
-  size_t i = 0;
-  double acc = 0.0;
-  if (q.spec.wrap_dim0 && n > 0) {
-    // Hue-circle wrap on element 0 (ColorMoments): g(d) = min(d, 2-d)
-    // is 1-Lipschitz, so the per-element error bound is unchanged.
-    double d = q.step * static_cast<double>(AbsDiff(a[0], b[0]));
-    if (d > 1.0) d = 2.0 - d;
-    acc = d;
-    i = 1;
-  }
   uint32_t sad = 0;
-  for (; i < n; ++i) sad += AbsDiff(a[i], b[i]);
-  return acc + q.step * static_cast<double>(sad);
+  for (size_t i = 0; i < q.length; ++i) sad += AbsDiff(a[i], b[i]);
+  return q.step * static_cast<double>(sad);
 }
 
 /// Per-block integer SSD -> sqrt; remainder elements are ignored,

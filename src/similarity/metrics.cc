@@ -21,15 +21,9 @@ double L2WithTail(const double* a, size_t na, const double* b, size_t nb) {
   return std::sqrt(acc);
 }
 
-double L1(bool wrap_dim0, const double* a, const double* b, size_t n) {
+double L1(const double* a, const double* b, size_t n) {
   double acc = 0.0;
-  size_t i = 0;
-  if (wrap_dim0 && n > 0) {
-    const double d = std::fabs(a[0] - b[0]);
-    acc = d > 1.0 ? 2.0 - d : d;
-    i = 1;
-  }
-  for (; i < n; ++i) acc += std::fabs(a[i] - b[i]);
+  for (size_t i = 0; i < n; ++i) acc += std::fabs(a[i] - b[i]);
   return acc;
 }
 
@@ -94,7 +88,7 @@ double MetricDistance(const CodeMetricSpec& spec, const double* a, size_t na,
     case CodeMetricFamily::kNone:
       break;
     case CodeMetricFamily::kL1:
-      return L1(spec.wrap_dim0, a, b, n);
+      return L1(a, b, n);
     case CodeMetricFamily::kL2Blocked:
       if (spec.block == 0) break;
       return L2Blocked(spec.block, a, b, n);

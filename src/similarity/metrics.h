@@ -48,11 +48,6 @@ enum class CodeMetricFamily : uint8_t {
 /// code_metric() returns it and DistanceSpan evaluates it.
 struct CodeMetricSpec {
   CodeMetricFamily family = CodeMetricFamily::kNone;
-  /// kL1: element 0 lives on a [-1, 1] circle — distances > 1 wrap to
-  /// 2 - d (ColorMoments' hue mean). The wrap g(d) = min(d, 2 - d) is
-  /// 1-Lipschitz, so the L1 bound is unchanged. Element 0 must lie in
-  /// [-1, 1]: a gap above 2 would wrap to a negative term.
-  bool wrap_dim0 = false;
   /// kL2Blocked: elements per block (3 for RGB triples); 0 = whole
   /// vector as one block.
   uint32_t block = 0;

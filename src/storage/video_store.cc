@@ -63,6 +63,27 @@ Result<Schema> KeyFrameSchema() {
   return Schema::Create(std::move(columns), "I_ID");
 }
 
+/// Rows are read by column position, so a persisted table whose
+/// layout differs from \p expected (e.g. written with another set of
+/// feature kinds) would be misread; reject it instead, naming the
+/// first column that differs.
+Status CheckSchema(const char* table, const Schema& persisted,
+                   const Result<Schema>& expected) {
+  VR_RETURN_NOT_OK(expected.status());
+  if (persisted == *expected) return Status::OK();
+  const std::vector<Column>& have = persisted.columns();
+  const std::vector<Column>& want = expected->columns();
+  size_t i = 0;
+  while (i < have.size() && i < want.size() && have[i] == want[i]) ++i;
+  const auto name = [i](const std::vector<Column>& cols) {
+    return i < cols.size() ? cols[i].name : std::string("(none)");
+  };
+  return Status::InvalidArgument(
+      StringPrintf("%s has another column layout: column %zu is %s, "
+                   "expected %s",
+                   table, i, name(have).c_str(), name(want).c_str()));
+}
+
 }  // namespace
 
 Result<std::unique_ptr<VideoStore>> VideoStore::Open(const std::string& dir) {
@@ -78,6 +99,8 @@ Result<std::unique_ptr<VideoStore>> VideoStore::Open(
 
   Result<Table*> videos = store->db_->GetTable(kVideoTable);
   if (videos.ok()) {
+    VR_RETURN_NOT_OK(
+        CheckSchema(kVideoTable, videos.value()->schema(), VideoSchema()));
     store->videos_ = videos.value();
   } else if (videos.status().IsNotFound()) {
     VR_ASSIGN_OR_RETURN(Schema schema, VideoSchema());
@@ -91,6 +114,8 @@ Result<std::unique_ptr<VideoStore>> VideoStore::Open(
 
   Result<Table*> frames = store->db_->GetTable(kKeyFrameTable);
   if (frames.ok()) {
+    VR_RETURN_NOT_OK(CheckSchema(kKeyFrameTable, frames.value()->schema(),
+                                 KeyFrameSchema()));
     store->key_frames_ = frames.value();
   } else if (frames.status().IsNotFound()) {
     VR_ASSIGN_OR_RETURN(Schema schema, KeyFrameSchema());

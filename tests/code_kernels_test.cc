@@ -30,22 +30,20 @@ namespace {
 
 struct KindCase {
   FeatureKind kind;
-  size_t length;   ///< vector length used for rows and queries
-  bool nonneg;     ///< family precondition: range and query >= 0
-  bool unit_dim0;  ///< element 0 drawn from [-1, 1] (hue wrap)
+  size_t length;  ///< vector length used for rows and queries
+  bool nonneg;    ///< family precondition: range and query >= 0
 };
 
 const std::vector<KindCase>& Cases() {
   static const std::vector<KindCase> cases = {
-      {FeatureKind::kColorHistogram, 64, true, false},
-      {FeatureKind::kGlcm, 6, false, false},
-      {FeatureKind::kGabor, 48, false, false},
-      {FeatureKind::kTamura, 18, false, false},
-      {FeatureKind::kAutoCorrelogram, 32, true, false},
-      {FeatureKind::kNaiveSignature, 24, false, false},
-      {FeatureKind::kRegionGrowing, 15, false, false},
-      {FeatureKind::kEdgeHistogram, 16, false, false},
-      {FeatureKind::kColorMoments, 9, false, true},
+      {FeatureKind::kColorHistogram, 64, true},
+      {FeatureKind::kGlcm, 6, false},
+      {FeatureKind::kGabor, 48, false},
+      {FeatureKind::kTamura, 18, false},
+      {FeatureKind::kAutoCorrelogram, 32, true},
+      {FeatureKind::kNaiveSignature, 24, false},
+      {FeatureKind::kRegionGrowing, 15, false},
+      {FeatureKind::kEdgeHistogram, 16, false},
   };
   return cases;
 }
@@ -64,13 +62,9 @@ TEST(CodeKernelsTest, BoundDominatesObservedErrorAcrossFamilies) {
     for (int trial = 0; trial < 40; ++trial) {
       SCOPED_TRACE(trial);
       // Random affine range. Kinds whose bound needs the non-negative
-      // quadrant keep qmin >= 0; the hue-wrap kind's range encloses
-      // [-1, 1] so element 0 stays a stored in-range value (the matrix
-      // invariant the per-element delta is proved against).
-      const double qmin =
-          c.nonneg ? 2.0 * unit(rng) : (c.unit_dim0 ? -1.0 : -3.0) - unit(rng);
-      const double qmax = c.unit_dim0 ? 1.0 + 7.0 * unit(rng)
-                                      : qmin + 0.5 + 8.0 * unit(rng);
+      // quadrant keep qmin >= 0.
+      const double qmin = c.nonneg ? 2.0 * unit(rng) : -3.0 - unit(rng);
+      const double qmax = qmin + 0.5 + 8.0 * unit(rng);
       const double span = qmax - qmin;
 
       // Stored rows respect the matrix invariant: values in
@@ -80,7 +74,6 @@ TEST(CodeKernelsTest, BoundDominatesObservedErrorAcrossFamilies) {
         for (size_t i = 0; i < c.length; ++i) {
           v[i] = qmin + span * unit(rng);
         }
-        if (c.unit_dim0) v[0] = -1.0 + 2.0 * unit(rng);
         return v;
       };
       std::vector<double> query(c.length);
@@ -88,7 +81,6 @@ TEST(CodeKernelsTest, BoundDominatesObservedErrorAcrossFamilies) {
         const double lo = c.nonneg ? 0.0 : qmin - 0.3 * span;
         query[i] = lo + (qmax + 0.3 * span - lo) * unit(rng);
       }
-      if (c.unit_dim0) query[0] = -1.0 + 2.0 * unit(rng);
 
       CodeKernelQuery prepared;
       ASSERT_TRUE(PrepareCodeKernelQuery(spec, query.data(), c.length, qmin,

@@ -301,7 +301,8 @@ TEST(EngineTest, RejectsDegenerateInputs) {
 }
 
 TEST(EngineTest, AllTenFeaturesEndToEnd) {
-  // Paper's seven plus the three extension features in one engine.
+  // Every registered kind (the paper's seven plus the extension
+  // features) in one engine.
   EngineOptions options;
   options.enabled_features.clear();
   for (int i = 0; i < kNumFeatureKinds; ++i) {

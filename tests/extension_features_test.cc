@@ -1,12 +1,10 @@
-/// Tests for the future-work extractors: EdgeHistogram and ColorMoments.
+/// Tests for the future-work EdgeHistogram extractor.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "features/color_moments.h"
 #include "features/edge_histogram.h"
-#include "imaging/color.h"
 #include "imaging/draw.h"
 #include "util/rng.h"
 
@@ -99,76 +97,6 @@ TEST(EdgeHistogramTest, RejectsDegenerateImages) {
   EdgeHistogram extractor;
   EXPECT_FALSE(extractor.Extract(Image()).ok());
   EXPECT_FALSE(extractor.Extract(Image(4, 4, 1)).ok());  // < 2 px per cell
-}
-
-TEST(ColorMomentsTest, ProducesNineValues) {
-  Image img(32, 32, 3);
-  img.Fill({100, 150, 200});
-  ColorMoments extractor;
-  Result<FeatureVector> fv = extractor.Extract(img);
-  ASSERT_TRUE(fv.ok());
-  EXPECT_EQ(fv->size(), ColorMoments::kDims);
-}
-
-TEST(ColorMomentsTest, SolidColorHasZeroSpread) {
-  Image img(32, 32, 3);
-  img.Fill({200, 60, 60});
-  ColorMoments extractor;
-  const FeatureVector fv = extractor.Extract(img).value();
-  // std and skew of every channel are 0 for a constant image.
-  for (size_t c = 0; c < 3; ++c) {
-    EXPECT_NEAR(fv[c * 3 + 1], 0.0, 1e-9) << "channel " << c;
-    EXPECT_NEAR(fv[c * 3 + 2], 0.0, 1e-6) << "channel " << c;
-  }
-}
-
-TEST(ColorMomentsTest, MeanSaturationAndValueCorrect) {
-  Image img(16, 16, 3);
-  img.Fill({255, 0, 0});  // pure red: s = 1, v = 1
-  ColorMoments extractor;
-  const FeatureVector fv = extractor.Extract(img).value();
-  EXPECT_NEAR(fv[3], 1.0, 1e-9);  // mean saturation
-  EXPECT_NEAR(fv[6], 1.0, 1e-9);  // mean value
-}
-
-TEST(ColorMomentsTest, HueMeanIsCircular) {
-  // Hues straddling 0/360 (i.e. reds at 350 and 10 degrees) must
-  // average near 0 degrees, not near 180.
-  Image img(16, 2, 3);
-  const Rgb red_minus = HsvToRgb({350.0, 1.0, 1.0});
-  const Rgb red_plus = HsvToRgb({10.0, 1.0, 1.0});
-  for (int x = 0; x < 16; ++x) {
-    img.SetPixel(x, 0, red_minus);
-    img.SetPixel(x, 1, red_plus);
-  }
-  ColorMoments extractor;
-  const FeatureVector fv = extractor.Extract(img).value();
-  // fv[0] is the circular hue mean normalized by pi: near 0.
-  EXPECT_NEAR(fv[0], 0.0, 0.05);
-}
-
-TEST(ColorMomentsTest, DistanceWrapsHue) {
-  ColorMoments extractor;
-  FeatureVector a("moments", {0.95, 0, 0, 0, 0, 0, 0, 0, 0});
-  FeatureVector b("moments", {-0.95, 0, 0, 0, 0, 0, 0, 0, 0});
-  // Circular distance: 2 - 1.9 = 0.1, not 1.9.
-  EXPECT_NEAR(extractor.Distance(a, b), 0.1, 1e-9);
-}
-
-TEST(ColorMomentsTest, SeparatesBrightnessAndSaturation) {
-  Image vivid(32, 32, 3);
-  vivid.Fill(HsvToRgb({120.0, 0.9, 0.9}));
-  Image muted(32, 32, 3);
-  muted.Fill(HsvToRgb({120.0, 0.2, 0.5}));
-  ColorMoments extractor;
-  const double d = extractor.Distance(extractor.Extract(vivid).value(),
-                                      extractor.Extract(muted).value());
-  EXPECT_GT(d, 0.5);
-}
-
-TEST(ColorMomentsTest, RejectsEmptyImage) {
-  ColorMoments extractor;
-  EXPECT_FALSE(extractor.Extract(Image()).ok());
 }
 
 }  // namespace

@@ -79,10 +79,7 @@ INSTANTIATE_TEST_SUITE_P(
                     &Metric<CodeMetricSpec{.family = CodeMetricFamily::kD1}>},
         NamedMetric{"L2Blocked3",
                     &Metric<CodeMetricSpec{
-                        .family = CodeMetricFamily::kL2Blocked, .block = 3}>},
-        NamedMetric{"L1Wrap",
-                    &Metric<CodeMetricSpec{.family = CodeMetricFamily::kL1,
-                                           .wrap_dim0 = true}>}),
+                        .family = CodeMetricFamily::kL2Blocked, .block = 3}>}),
     [](const auto& info) { return info.param.name; });
 
 class TriangleInequalityTest : public testing::TestWithParam<NamedMetric> {};

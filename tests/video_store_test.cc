@@ -179,5 +179,53 @@ TEST(VideoStoreTest, PersistsAcrossReopen) {
   }
 }
 
+/// The KEY_FRAMES columns a fresh store creates (in its own directory,
+/// so tests running in parallel do not share it).
+std::vector<Column> KeyFrameColumns(const char* name) {
+  auto store = VideoStore::Open(FreshDir(name)).value();
+  return store->database()
+      ->GetTable(VideoStore::kKeyFrameTable)
+      .value()
+      ->schema()
+      .columns();
+}
+
+/// Creates KEY_FRAMES with \p columns in a fresh database directory and
+/// returns what VideoStore::Open makes of it.
+Status OpenOverKeyFrames(const char* name, std::vector<Column> columns) {
+  const std::string dir = FreshDir(name);
+  {
+    DatabaseOptions options;
+    options.create_if_missing = true;
+    auto db = Database::Open(dir, options).value();
+    const Schema schema = Schema::Create(std::move(columns), "I_ID").value();
+    if (!db->CreateTable(VideoStore::kKeyFrameTable, schema).ok()) {
+      return Status::Internal("setup failed");
+    }
+    if (!db->Close().ok()) return Status::Internal("setup failed");
+  }
+  return VideoStore::Open(dir).status();
+}
+
+TEST(VideoStoreTest, RejectsKeyFramesWithARenamedFeatureColumn) {
+  std::vector<Column> columns = KeyFrameColumns("vs_renamed_layout");
+  ASSERT_EQ(columns[7].name, "FEAT_histogram");
+  columns[7].name = "FEAT_renamed";
+  const Status st = OpenOverKeyFrames("vs_renamed", columns);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("KEY_FRAMES"), std::string::npos) << st;
+  EXPECT_NE(st.message().find("FEAT_renamed"), std::string::npos) << st;
+}
+
+TEST(VideoStoreTest, RejectsKeyFramesWithAMissingFeatureColumn) {
+  std::vector<Column> columns = KeyFrameColumns("vs_missing_layout");
+  const std::string missing = columns.back().name;
+  columns.pop_back();
+  const Status st = OpenOverKeyFrames("vs_missing", columns);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("KEY_FRAMES"), std::string::npos) << st;
+  EXPECT_NE(st.message().find(missing), std::string::npos) << st;
+}
+
 }  // namespace
 }  // namespace vr
