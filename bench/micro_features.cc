@@ -15,9 +15,12 @@
 ///
 /// Every run first checks that the plan reproduces the golden-feature
 /// fixture (tests/data/golden_features.txt) bit for bit, and that the
-/// check rejects a fixture with one Gabor bit flipped. `--smoke`
-/// keeps that gate on a seconds-scale pass and skips the JSON;
-/// scripts/check_all.sh uses it as a regression gate.
+/// check rejects a fixture with one Gabor bit flipped, once on each FFT
+/// kernel build: the portable one and, where the CPU has AVX2, the
+/// AVX2 one (the timed passes use the build the process dispatches
+/// to). `--smoke` keeps that gate on a seconds-scale pass and skips
+/// the JSON; scripts/check_all.sh uses it as a regression gate, so it
+/// also covers the portable fallback on an AVX2 host.
 
 #include <bit>
 #include <cstdint>
@@ -29,6 +32,7 @@
 
 #include "features/plan/extraction_plan.h"
 #include "golden_features.h"
+#include "imaging/fft.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -79,12 +83,14 @@ std::string FirstGoldenMismatch(const Fixture& fixture) {
   return "";
 }
 
-/// Dies loudly unless the plan reproduces the golden-feature fixture
-/// bit for bit — the contract the ctest suite pins, re-checked here so
-/// the bench numbers are meaningful. A must-fail probe then flips the
-/// lowest bit of one Gabor value in the fixture and dies unless the
-/// same comparison rejects it, so a gate that cannot fail cannot pass.
-void AssertGolden() {
+/// Dies loudly unless the plan, on FFT kernel build \p build, reproduces
+/// the golden-feature fixture bit for bit — the contract the ctest suite
+/// pins, re-checked here so the bench numbers are meaningful. A
+/// must-fail probe then flips the lowest bit of one Gabor value in the
+/// fixture and dies unless the same comparison rejects it, so a gate
+/// that cannot fail cannot pass.
+void AssertGolden(vr::fft_internal::KernelBuild build, const char* label) {
+  vr::fft_internal::ScopedKernelBuild pin(build);
   auto fixture = vr::golden::LoadFixture(VR_GOLDEN_FEATURES);
   if (!fixture.ok()) {
     std::fprintf(stderr, "%s\n", fixture.status().ToString().c_str());
@@ -92,7 +98,8 @@ void AssertGolden() {
   }
   const std::string diff = FirstGoldenMismatch(*fixture);
   if (!diff.empty()) {
-    std::fprintf(stderr, "GOLDEN FAILURE: %s\n", diff.c_str());
+    std::fprintf(stderr, "GOLDEN FAILURE (%s kernels): %s\n", label,
+                 diff.c_str());
     std::exit(1);
   }
   const std::string probe_key = vr::golden::Key("noise_120x90", "gabor");
@@ -103,11 +110,15 @@ void AssertGolden() {
     const std::string verdict =
         probe.empty() ? "accepted" : "reported as " + probe;
     std::fprintf(stderr,
-                 "GOLDEN PROBE DID NOT FIRE: a one-bit flip in %s dim 0 "
-                 "was %s\n",
-                 probe_key.c_str(), verdict.c_str());
+                 "GOLDEN PROBE DID NOT FIRE (%s kernels): a one-bit flip in "
+                 "%s dim 0 was %s\n",
+                 label, probe_key.c_str(), verdict.c_str());
     std::exit(1);
   }
+  std::printf(
+      "golden (%s kernels): plan output bit-identical to the fixture; "
+      "one-bit probe rejected\n",
+      label);
 }
 
 }  // namespace
@@ -131,10 +142,12 @@ int main(int argc, char** argv) {
     frames.push_back(BenchImage(seed));
   }
 
-  AssertGolden();
-  std::printf(
-      "golden: plan output bit-identical to the fixture; one-bit probe "
-      "rejected\n");
+  AssertGolden(vr::fft_internal::KernelBuild::kPortable, "portable");
+  if (vr::fft_internal::Avx2Supported()) {
+    AssertGolden(vr::fft_internal::KernelBuild::kAvx2, "AVX2");
+  } else {
+    std::printf("golden (AVX2 kernels): skipped, the CPU lacks AVX2\n");
+  }
 
   // Warm the plan's scratch (FFT plan, filter bank, arena) so the timed
   // loop measures the steady state.

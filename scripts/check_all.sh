@@ -28,7 +28,14 @@ scripts/check_static.sh
 
 # Disabling find_package(benchmark) makes a google-benchmark dependency
 # that creeps back into any CMakeLists.txt fail the configure step.
-cmake -B "$BUILD_DIR" -S . -G Ninja -DVR_WERROR=ON \
+# A fresh build dir gets Ninja; an existing one keeps the generator it
+# was configured with (e.g. Unix Makefiles from a plain
+# `cmake -B build -S .`), since CMake refuses to switch generators.
+generator=()
+if [[ ! -f "$BUILD_DIR/CMakeCache.txt" ]]; then
+  generator=(-G Ninja)
+fi
+cmake -B "$BUILD_DIR" -S . "${generator[@]}" -DVR_WERROR=ON \
   -DCMAKE_DISABLE_FIND_PACKAGE_benchmark=TRUE
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure

@@ -1,6 +1,7 @@
 #include "features/gabor_texture.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -20,20 +21,53 @@ GaborTexture::GaborTexture(int scales, int orientations, int working_size)
 
 namespace {
 
+/// Filters whose statistics run interleaved: one accumulator chain per
+/// filter, so the adds of different filters overlap in the pipeline.
+constexpr size_t kStatGroup = 3;
+
 /// Per-plan Gabor state: the FFT twiddle/bit-reversal plan, the filter
 /// bank evaluated once (one float transfer-function plane per scale and
 /// orientation), and all working rasters. After the first frame,
 /// extraction allocates nothing.
 struct GaborScratch : PlanContext::Scratch {
   std::unique_ptr<Fft2DPlan> fft;
-  std::vector<std::vector<float>> filters;  ///< [m * orientations + n]
+  /// [m * orientations + n], transposed: frequency (kx, ky) at
+  /// kx * ws + ky, the layout Fft2DPlan::RunTransposed takes.
+  std::vector<std::vector<float>> filters;
   Image small;
   FloatImage f;
-  ComplexImage spectrum;
+  std::vector<Complex> spectrum;  ///< the frame's transform, transposed
   ComplexImage response;
-  std::vector<Complex> transposed;  ///< Fft2DPlan::Run's scratch block
-  std::vector<float> mags;  ///< |response| per pixel, reused per filter
+  std::vector<Complex> transposed;  ///< filter product / FFT scratch
+  /// |response| of each filter of a statistics group.
+  std::array<std::vector<float>, kStatGroup> mags;
 };
+
+/// Appends the mean and the standard deviation of each of the G planes
+/// in \p mags (each \p pixels long) to \p feature, plane by plane.
+/// Each plane's sums run in pixel order, exactly as one plane at a time
+/// would; the G chains only share the loop.
+template <size_t G>
+void AppendPlaneStats(const std::array<std::vector<float>, kStatGroup>& mags,
+                      size_t pixels, std::vector<double>* feature) {
+  const double n = static_cast<double>(pixels);
+  double mean[G] = {};
+  for (size_t i = 0; i < pixels; ++i) {
+    for (size_t g = 0; g < G; ++g) mean[g] += mags[g][i];
+  }
+  for (size_t g = 0; g < G; ++g) mean[g] /= n;
+  double var[G] = {};
+  for (size_t i = 0; i < pixels; ++i) {
+    for (size_t g = 0; g < G; ++g) {
+      const double d = mags[g][i] - mean[g];
+      var[g] += d * d;
+    }
+  }
+  for (size_t g = 0; g < G; ++g) {
+    feature->push_back(mean[g]);
+    feature->push_back(std::sqrt(var[g] / n));
+  }
+}
 
 }  // namespace
 
@@ -73,16 +107,17 @@ Result<FeatureVector> GaborTexture::ExtractShared(const Image& img,
             const double dv = v - v0;
             const double g =
                 std::exp(-(du * du + dv * dv) / (2.0 * sigma_f * sigma_f));
-            plane[static_cast<size_t>(ky) * ws + kx] = static_cast<float>(g);
+            plane[static_cast<size_t>(kx) * ws + ky] = static_cast<float>(g);
           }
         }
         scratch->filters.push_back(std::move(plane));
       }
     }
     scratch->f = FloatImage(ws, ws);
-    scratch->spectrum = ComplexImage(ws, ws);
+    scratch->spectrum.resize(pixels);
     scratch->response = ComplexImage(ws, ws);
-    scratch->mags.resize(pixels);
+    scratch->transposed.resize(pixels);
+    for (std::vector<float>& plane : scratch->mags) plane.resize(pixels);
   }
 
   // Gray, fixed working size, zero-mean unit-variance, fed from the
@@ -107,40 +142,44 @@ Result<FeatureVector> GaborTexture::ExtractShared(const Image& img,
     v = static_cast<float>((v - mean) * inv_std);
   }
 
-  ComplexImage& spectrum = scratch->spectrum;
+  // The forward transform runs in `response`; the bank reads it
+  // transposed, like the filters, so each product is already laid out
+  // for RunTransposed and no filter pays Run's first transpose.
+  ComplexImage& response = scratch->response;
   for (size_t i = 0; i < pixels; ++i) {
-    spectrum.data[i] = Complex(f.data()[i], 0.0f);
+    response.data[i] = Complex(f.data()[i], 0.0f);
   }
-  VR_RETURN_NOT_OK(scratch->fft->Run(&spectrum, /*inverse=*/false,
+  VR_RETURN_NOT_OK(scratch->fft->Run(&response, /*inverse=*/false,
                                       &scratch->transposed));
+  const Complex* spectrum = scratch->spectrum.data();
+  Transpose(response.data.data(), ws, ws, scratch->spectrum.data());
 
   std::vector<double> feature;
   feature.reserve(dimensions());
-  ComplexImage& response = scratch->response;
-  std::vector<float>& mags = scratch->mags;
+  Complex* product = scratch->transposed.data();
   const size_t bank = static_cast<size_t>(scales_) * orientations_;
-  for (size_t fi = 0; fi < bank; ++fi) {
-    const float* filter = scratch->filters[fi].data();
-    for (size_t i = 0; i < pixels; ++i) {
-      response.data[i] = spectrum.data[i] * filter[i];
+  for (size_t first = 0; first < bank; first += kStatGroup) {
+    const size_t group = std::min(kStatGroup, bank - first);
+    for (size_t g = 0; g < group; ++g) {
+      const float* filter = scratch->filters[first + g].data();
+      for (size_t i = 0; i < pixels; ++i) {
+        product[i] = spectrum[i] * filter[i];
+      }
+      VR_RETURN_NOT_OK(
+          scratch->fft->RunTransposed(product, /*inverse=*/true, &response));
+      Magnitudes(response.data.data(), pixels, scratch->mags[g].data());
     }
-    VR_RETURN_NOT_OK(scratch->fft->Run(&response, /*inverse=*/true,
-                                        &scratch->transposed));
-    // One |.| pass feeds both the mean and the variance loop.
-    for (size_t i = 0; i < pixels; ++i) {
-      mags[i] = Magnitude(response.data[i]);
+    switch (group) {
+      case 1:
+        AppendPlaneStats<1>(scratch->mags, pixels, &feature);
+        break;
+      case 2:
+        AppendPlaneStats<2>(scratch->mags, pixels, &feature);
+        break;
+      default:
+        AppendPlaneStats<3>(scratch->mags, pixels, &feature);
+        break;
     }
-    double mag_mean = 0.0;
-    for (size_t i = 0; i < pixels; ++i) mag_mean += mags[i];
-    mag_mean /= static_cast<double>(pixels);
-    double mag_var = 0.0;
-    for (size_t i = 0; i < pixels; ++i) {
-      const double d = mags[i] - mag_mean;
-      mag_var += d * d;
-    }
-    mag_var /= static_cast<double>(pixels);
-    feature.push_back(mag_mean);
-    feature.push_back(std::sqrt(mag_var));
   }
   return FeatureVector(name(), std::move(feature));
 }

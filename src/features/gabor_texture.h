@@ -16,6 +16,22 @@ namespace vr {
 /// an analytic (one-sided) Gaussian in frequency space, and one inverse
 /// FFT per filter yields the complex response. The input is normalized to
 /// zero mean / unit variance first, for illumination invariance.
+///
+/// The output is pinned bit for bit by the golden-feature fixture, and
+/// the bank is fast only through steps that cannot move a bit:
+///  - The spectrum and the filter planes are kept transposed, so each
+///    filter product is already in the layout
+///    Fft2DPlan::RunTransposed takes; the product of each frequency is
+///    the same multiply wherever it is stored.
+///  - The transforms, the transposes and |.| run on the FFT kernel
+///    build picked for the CPU (imaging/fft.h: portable, or AVX2
+///    without FMA), which computes the same bits.
+///  - The statistics of three filters run interleaved: their
+///    magnitudes go to three planes, then one loop carries the three
+///    means' accumulators and a second the three variances'. Each
+///    accumulator still adds its own plane in pixel order, so the sums
+///    round exactly as one filter at a time would; the interleaving
+///    only hides the latency of each chain's adds behind the others.
 class GaborTexture : public FeatureExtractor {
  public:
   GaborTexture(int scales = 5, int orientations = 6, int working_size = 128);

@@ -6,6 +6,7 @@
 #include "retrieval/engine.h"
 #include "similarity/code_kernels.h"
 #include "similarity/dtw.h"
+#include "similarity/metrics.h"
 #include "util/string_util.h"
 #include "similarity/normalizer.h"
 #include "util/mutex.h"
@@ -296,6 +297,11 @@ Result<std::vector<QueryResult>> RetrievalEngine::RankExact(
   struct KindState {
     FeatureKind kind;
     const FeatureExtractor* extractor;
+    /// code_metric(), resolved once: for any family but kNone it is the
+    /// whole distance, so rows call MetricDistance directly; a kNone
+    /// kind may override DistanceSpan (colorsig's EMD) and keeps the
+    /// virtual call.
+    CodeMetricSpec metric;
     const FeatureVector* query;
     const FeatureMatrix::Column* column;
     double* out;  ///< this kind's distance column, length candidates.size()
@@ -318,8 +324,9 @@ Result<std::vector<QueryResult>> RetrievalEngine::RankExact(
           std::string("feature not enabled: ") + FeatureKindName(kind));
     }
     const auto col_it = columns.emplace(kind, std::vector<double>(n)).first;
-    states.push_back(KindState{kind, extractor, &q_it->second,
-                               &matrix_.column(kind), col_it->second.data()});
+    states.push_back(KindState{kind, extractor, extractor->code_metric(),
+                               &q_it->second, &matrix_.column(kind),
+                               col_it->second.data()});
   }
 
   const size_t shards = NumRankShards(n);
@@ -337,15 +344,22 @@ Result<std::vector<QueryResult>> RetrievalEngine::RankExact(
     if (begin >= end) return;
     for (const KindState& st : states) {
       const FeatureMatrix::Column& col = *st.column;
+      const bool virtual_span = st.metric.family == CodeMetricFamily::kNone;
       for (size_t i = begin; i < end; ++i) {
         const size_t row = candidates[i];
         // A key frame ingested without this feature ranks last for it.
-        st.out[i] = col.present[row]
+        if (!col.present[row]) {
+          st.out[i] = std::numeric_limits<double>::max();
+          continue;
+        }
+        const double* values = ColumnBase(col) + row * col.stride;
+        st.out[i] = virtual_span
                         ? st.extractor->DistanceSpan(
                               st.query->values().data(), st.query->size(),
-                              ColumnBase(col) + row * col.stride,
-                              col.lengths[row])
-                        : std::numeric_limits<double>::max();
+                              values, col.lengths[row])
+                        : MetricDistance(st.metric, st.query->values().data(),
+                                         st.query->size(), values,
+                                         col.lengths[row]);
       }
     }
   });

@@ -300,7 +300,7 @@ TEST(EngineTest, RejectsDegenerateInputs) {
   EXPECT_FALSE(RetrievalEngine::Open(FreshDir("eng_bad2"), no_features).ok());
 }
 
-TEST(EngineTest, AllTenFeaturesEndToEnd) {
+TEST(EngineTest, AllRegisteredFeaturesEndToEnd) {
   // Every registered kind (the paper's seven plus the extension
   // features) in one engine.
   EngineOptions options;

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <string>
 #include <cfloat>
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -271,6 +273,118 @@ TEST(FftTest, MagnitudeIsStdAbs) {
         << "float(sqrt(double(re)^2 + double(im)^2)), so Gabor features "
         << "would drift from the golden-feature fixture";
   }
+}
+
+using fft_internal::KernelBuild;
+using fft_internal::ScopedKernelBuild;
+
+/// Runs \p op once per kernel build on a copy of \p input and requires
+/// byte-identical results. Skips (visibly) on a CPU without AVX2.
+template <class T, class Op>
+void ExpectBuildsAgree(const std::vector<T>& input, Op op) {
+  if (!fft_internal::Avx2Supported()) {
+    GTEST_SKIP() << "CPU lacks AVX2: only the portable kernels can run";
+  }
+  std::vector<T> portable = input;
+  std::vector<T> avx2 = input;
+  {
+    ScopedKernelBuild pin(KernelBuild::kPortable);
+    op(&portable);
+  }
+  {
+    ScopedKernelBuild pin(KernelBuild::kAvx2);
+    op(&avx2);
+  }
+  ASSERT_EQ(portable.size(), avx2.size());
+  EXPECT_EQ(std::memcmp(portable.data(), avx2.data(),
+                        portable.size() * sizeof(T)),
+            0)
+      << "the AVX2 kernels no longer compute the portable kernels' bits";
+}
+
+TEST(FftTest, KernelBuildsAgreeBitwise1D) {
+  const FftPlan plan(256);
+  for (bool inverse : {false, true}) {
+    SCOPED_TRACE(inverse ? "inverse" : "forward");
+    ExpectBuildsAgree(RandomSignal(256, 41), [&](std::vector<Complex>* d) {
+      ASSERT_TRUE(plan.Run(d->data(), 1, inverse).ok());
+    });
+  }
+}
+
+TEST(FftTest, KernelBuildsAgreeBitwiseLockstep) {
+  // 45 columns: one full strip plus a 13-column remainder; 64 rows, so
+  // an even number of levels (2-D plans below take the odd case).
+  constexpr size_t kN = 64;
+  constexpr size_t kColumns = FftPlan::kStripColumns + 13;
+  const FftPlan plan(kN);
+  for (bool inverse : {false, true}) {
+    SCOPED_TRACE(inverse ? "inverse" : "forward");
+    ExpectBuildsAgree(RandomSignal(kN * kColumns, 42),
+                      [&](std::vector<Complex>* d) {
+                        ASSERT_TRUE(plan.Run(d->data(), kColumns, inverse).ok());
+                      });
+  }
+}
+
+TEST(FftTest, KernelBuildsAgreeBitwise2D) {
+  // The Gabor working size, and a non-square shape.
+  for (const auto& [w, h] : {std::pair<int, int>{128, 128}, {32, 16}}) {
+    const Fft2DPlan plan(w, h);
+    for (bool inverse : {false, true}) {
+      SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h) +
+                   (inverse ? " inverse" : " forward"));
+      ExpectBuildsAgree(
+          RandomSignal(static_cast<size_t>(w) * h, 43),
+          [&](std::vector<Complex>* d) {
+            ComplexImage img(w, h);
+            img.data = *d;
+            std::vector<Complex> scratch;
+            ASSERT_TRUE(plan.Run(&img, inverse, &scratch).ok());
+            *d = img.data;
+          });
+    }
+  }
+}
+
+TEST(FftTest, KernelBuildsAgreeBitwiseTransposeAndMagnitudes) {
+  constexpr size_t kRows = 40;
+  constexpr size_t kCols = 24;
+  ExpectBuildsAgree(RandomSignal(kRows * kCols, 44),
+                    [](std::vector<Complex>* d) {
+                      std::vector<Complex> out(d->size());
+                      Transpose(d->data(), kRows, kCols, out.data());
+                      *d = out;
+                    });
+  // Every edge value pair as well as random ones: |.| rounds twice.
+  std::vector<Complex> cases = RandomSignal(1000, 45);
+  for (float re : kEdges) {
+    for (float im : kEdges) cases.push_back({re, im});
+  }
+  ExpectBuildsAgree(cases, [](std::vector<Complex>* d) {
+    std::vector<float> mags(d->size());
+    Magnitudes(d->data(), d->size(), mags.data());
+    for (size_t i = 0; i < d->size(); ++i) (*d)[i] = Complex(mags[i], 0.0f);
+  });
+}
+
+TEST(FftTest, RunTransposedIsRunBitwise) {
+  constexpr int kW = 32;
+  constexpr int kH = 16;
+  const Fft2DPlan plan(kW, kH);
+  ComplexImage direct(kW, kH);
+  direct.data = RandomSignal(kW * kH, 46);
+  std::vector<Complex> transposed(direct.data.size());
+  Transpose(direct.data.data(), kH, kW, transposed.data());
+  ComplexImage via(kW, kH);
+  std::vector<Complex> scratch;
+  ASSERT_TRUE(plan.Run(&direct, true, &scratch).ok());
+  ASSERT_TRUE(plan.RunTransposed(transposed.data(), true, &via).ok());
+  EXPECT_EQ(std::memcmp(direct.data.data(), via.data.data(),
+                        direct.data.size() * sizeof(Complex)),
+            0);
+  ComplexImage wrong(kH, kW);
+  EXPECT_FALSE(plan.RunTransposed(transposed.data(), true, &wrong).ok());
 }
 
 }  // namespace

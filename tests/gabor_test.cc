@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "golden_features.h"
 #include "imaging/draw.h"
+#include "imaging/fft.h"
 #include "util/rng.h"
 
 namespace vr {
@@ -122,6 +125,37 @@ TEST(GaborTest, ConfigurableBankSize) {
   GaborTexture extractor(3, 4, 64);
   const FeatureVector fv = extractor.Extract(img).value();
   EXPECT_EQ(fv.size(), 24u);
+}
+
+TEST(GaborTest, KernelBuildsAgreeOnEveryGoldenFrame) {
+  // Both FFT kernel builds must reproduce the golden fixture's Gabor
+  // vector of every frame, and so each other, bit for bit.
+  if (!fft_internal::Avx2Supported()) {
+    GTEST_SKIP() << "CPU lacks AVX2: only the portable kernels can run";
+  }
+  auto fixture = golden::LoadFixture(VR_GOLDEN_FEATURES);
+  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+  const GaborTexture extractor;
+  for (const golden::Frame& frame : golden::Frames()) {
+    SCOPED_TRACE(frame.name);
+    const auto want = fixture->find(golden::Key(frame.name, "gabor"));
+    ASSERT_NE(want, fixture->end());
+    std::vector<FeatureVector> got;
+    for (auto build : {fft_internal::KernelBuild::kPortable,
+                       fft_internal::KernelBuild::kAvx2}) {
+      fft_internal::ScopedKernelBuild pin(build);
+      Result<FeatureVector> fv = extractor.Extract(frame.image);
+      ASSERT_TRUE(fv.ok());
+      EXPECT_EQ(golden::Mismatch(want->second, *fv), "")
+          << (build == fft_internal::KernelBuild::kPortable ? "portable"
+                                                             : "AVX2");
+      got.push_back(std::move(*fv));
+    }
+    ASSERT_EQ(got[0].size(), got[1].size());
+    EXPECT_EQ(std::memcmp(got[0].values().data(), got[1].values().data(),
+                          got[0].size() * sizeof(double)),
+              0);
+  }
 }
 
 TEST(GaborTest, RejectsEmptyImage) {
