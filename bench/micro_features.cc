@@ -5,7 +5,8 @@
 /// reproducible recipe); writes machine-readable results to
 /// BENCH_features.json (or the path given as argv[1]).
 ///
-/// Over the same query-geometry frames it reports:
+/// Over 20 held-out query frames of the Table 1 corpus (128x96, the
+/// frames vr-bench's image_cold workload sends) it reports:
 ///  - per-extractor time inside each ExtractShared (excludes shared
 ///    intermediates);
 ///  - per-intermediate time (gray plane, gray histogram, HSV plane,
@@ -30,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "eval/corpus.h"
 #include "features/plan/extraction_plan.h"
 #include "golden_features.h"
 #include "imaging/fft.h"
@@ -37,17 +39,24 @@
 
 namespace {
 
-/// Query-frame geometry (the shape search_cli and the query bench use).
-constexpr int kWidth = 120;
-constexpr int kHeight = 90;
+/// The frames the gated query workload extracts: held-out corpus frames
+/// (MakeQueryFrame) at the Table 1 corpus geometry, the five categories
+/// in turn.
+constexpr int kWidth = 128;
+constexpr int kHeight = 96;
+constexpr int kFrames = 20;
 
-vr::Image BenchImage(uint64_t seed) {
-  vr::Rng rng(seed);
-  vr::Image img(kWidth, kHeight, 3);
-  vr::FillVerticalGradient(&img, {40, 70, 120}, {200, 180, 90});
-  vr::DrawStripes(&img, 9, 35.0, {90, 40, 40}, {40, 90, 40});
-  vr::AddGaussianNoise(&img, 6.0, &rng);
-  return img;
+std::vector<vr::Image> QueryFrames() {
+  vr::CorpusSpec spec;
+  spec.width = kWidth;
+  spec.height = kHeight;
+  std::vector<vr::Image> frames;
+  for (int i = 0; i < kFrames; ++i) {
+    const auto category =
+        static_cast<vr::VideoCategory>(i % vr::kNumCategories);
+    frames.push_back(vr::MakeQueryFrame(spec, category, i).value());
+  }
+  return frames;
 }
 
 std::vector<const vr::FeatureExtractor*> Raw(
@@ -137,10 +146,7 @@ int main(int argc, char** argv) {
 
   const auto extractors = vr::MakeAllExtractors();
   vr::ExtractionPlan plan(Raw(extractors));
-  std::vector<vr::Image> frames;
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    frames.push_back(BenchImage(seed));
-  }
+  const std::vector<vr::Image> frames = QueryFrames();
 
   AssertGolden(vr::fft_internal::KernelBuild::kPortable, "portable");
   if (vr::fft_internal::Avx2Supported()) {
@@ -204,9 +210,10 @@ int main(int argc, char** argv) {
   }
   std::fprintf(json,
                "{\n  \"benchmark\": \"features\",\n"
-               "  \"frame\": \"%dx%d\",\n  \"iterations\": %zu,\n"
+               "  \"frame\": \"%dx%d\",\n  \"frames\": %d,\n"
+               "  \"iterations\": %zu,\n"
                "  \"fused_total_ms\": %.3f,\n  \"extractors\": [\n",
-               kWidth, kHeight, iters, fused_total_ms);
+               kWidth, kHeight, kFrames, iters, fused_total_ms);
   for (size_t e = 0; e < extractors.size(); ++e) {
     std::fprintf(json,
                  "    {\"name\": \"%s\", \"fused_ms\": %.4f}%s\n",

@@ -1,6 +1,7 @@
 #include "features/auto_correlogram.h"
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "features/plan/frame_context.h"
@@ -26,9 +27,10 @@ struct CorrelogramScratch : PlanContext::Scratch {
 Result<FeatureVector> AutoColorCorrelogram::ExtractShared(
     const Image& img, PlanContext& ctx) const {
   if (img.empty()) return Status::InvalidArgument("empty image");
+  static_assert(kHsvQuantBins <= 256, "quantized colors are stored as bytes");
   int w = img.width();
   int h = img.height();
-  Span<int> quant;
+  Span<uint8_t> quant;
   if (w > 256 || h > 256) {
     // Cap the working size: the correlogram is O(pixels * max_distance^2)
     // and its statistics stabilize well below full resolution. The
@@ -41,89 +43,98 @@ Result<FeatureVector> AutoColorCorrelogram::ExtractShared(
                &small);
     w = small.width();
     h = small.height();
-    quant = ctx.arena().AllocSpan<int>(static_cast<size_t>(w) * h);
+    quant = ctx.arena().AllocSpan<uint8_t>(static_cast<size_t>(w) * h);
     for (int y = 0; y < h; ++y) {
       for (int x = 0; x < w; ++x) {
-        quant[static_cast<size_t>(y) * w + x] =
-            QuantizeHsv(RgbToHsv(small.PixelRgb(x, y)));
+        quant[static_cast<size_t>(y) * w + x] = static_cast<uint8_t>(
+            QuantizeHsv(RgbToHsv(small.PixelRgb(x, y))));
       }
     }
   } else {
     // Quantized color plane from the shared HSV plane (row-major).
-    quant = ctx.arena().AllocSpan<int>(static_cast<size_t>(w) * h);
+    quant = ctx.arena().AllocSpan<uint8_t>(static_cast<size_t>(w) * h);
     const std::vector<Hsv>& hsv = ctx.HsvPlane();
-    for (size_t i = 0; i < quant.size(); ++i) quant[i] = QuantizeHsv(hsv[i]);
+    for (size_t i = 0; i < quant.size(); ++i) {
+      quant[i] = static_cast<uint8_t>(QuantizeHsv(hsv[i]));
+    }
   }
 
   const int d_max = max_distance_;
   const size_t dims = static_cast<size_t>(kHsvQuantBins) * d_max;
-  // counts[c][d-1] = same-color pairs at chessboard distance d;
-  // ring_total[c][d-1] = in-image neighbors inspected from pixels of c.
-  // Pair counts accumulate sums of 1.0 — exact integers — so the order
-  // in which ring cells are visited (row/column-wise here, cache- and
-  // SIMD-friendly) cannot change the totals: integer addition is
-  // order-independent.
-  Span<double> counts = ctx.arena().AllocSpan<double>(dims);
-  Span<double> ring_total = ctx.arena().AllocSpan<double>(dims);
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const int c = quant[static_cast<size_t>(y) * w + x];
-      const bool interior =
-          x >= d_max && y >= d_max && x + d_max < w && y + d_max < h;
-      for (int d = 1; d <= d_max; ++d) {
-        const size_t idx =
-            static_cast<size_t>(c) * d_max + static_cast<size_t>(d - 1);
-        if (interior) {
-          // Every ring cell is in-image: top/bottom rows are contiguous
-          // runs, sides are strided columns; no bounds checks.
-          const int* top = quant.data() + static_cast<size_t>(y - d) * w +
-                           (x - d);
-          const int* bot = quant.data() + static_cast<size_t>(y + d) * w +
-                           (x - d);
-          int match = 0;
-          const int len = 2 * d + 1;
-          for (int i = 0; i < len; ++i) {
-            match += (top[i] == c) + (bot[i] == c);
-          }
-          for (int yy = y - d + 1; yy <= y + d - 1; ++yy) {
-            const int* row = quant.data() + static_cast<size_t>(yy) * w;
-            match += (row[x - d] == c) + (row[x + d] == c);
-          }
-          ring_total[idx] += static_cast<double>(8 * d);
-          counts[idx] += static_cast<double>(match);
-        } else {
-          // Boundary pixels: same chessboard ring, with clipping.
-          for (int dy = -d; dy <= d; ++dy) {
-            const int ny = y + dy;
-            if (ny < 0 || ny >= h) continue;
-            const int* row = quant.data() + static_cast<size_t>(ny) * w;
-            const bool edge_row = dy == -d || dy == d;
-            const int x0 = std::max(0, x - d);
-            const int x1 = std::min(w - 1, x + d);
-            if (edge_row) {
-              for (int nx = x0; nx <= x1; ++nx) {
-                ring_total[idx] += 1.0;
-                if (row[nx] == c) counts[idx] += 1.0;
-              }
-            } else {
-              if (x - d >= 0) {
-                ring_total[idx] += 1.0;
-                if (row[x - d] == c) counts[idx] += 1.0;
-              }
-              if (x + d < w) {
-                ring_total[idx] += 1.0;
-                if (row[x + d] == c) counts[idx] += 1.0;
-              }
-            }
-          }
-        }
+  // counts[c][d-1] = same-color ordered pairs at chessboard distance d;
+  // ring_total[c][d-1] = in-image neighbors at distance d of pixels of c.
+  Span<uint64_t> counts = ctx.arena().AllocSpan<uint64_t>(dims);
+  Span<uint64_t> ring_total = ctx.arena().AllocSpan<uint64_t>(dims);
+  auto cell = [d_max](int c, int d) {
+    return static_cast<size_t>(c) * d_max + static_cast<size_t>(d - 1);
+  };
+
+  // Pairs: q = p + o matches p exactly when p = q + (-o) matches q, with
+  // the same color, so each ring is scanned over half its offsets (the
+  // 4d with dy > 0, or dy == 0 and dx > 0) and every match counts 2.
+  // match[p] collects p's matches at one distance; it fits a byte
+  // (4d <= 64). The plane-wide offset loops are byte compares.
+  const size_t pixels = quant.size();
+  Span<uint8_t> match = ctx.arena().AllocSpan<uint8_t>(pixels);
+  for (int d = 1; d <= d_max; ++d) {
+    std::fill(match.begin(), match.end(), uint8_t{0});
+    auto scan = [&](int dx, int dy) {
+      const int x0 = std::max(0, -dx);
+      const int x1 = std::min(w, w - dx);
+      for (int y = 0; y + dy < h; ++y) {
+        const uint8_t* a = quant.data() + static_cast<size_t>(y) * w;
+        const uint8_t* b = quant.data() + static_cast<size_t>(y + dy) * w;
+        uint8_t* m = match.data() + static_cast<size_t>(y) * w;
+        for (int x = x0; x < x1; ++x) m[x] += a[x] == b[x + dx];
       }
+    };
+    for (int dx = -d; dx <= d; ++dx) scan(dx, d);
+    for (int dy = 1; dy < d; ++dy) {
+      scan(-d, dy);
+      scan(d, dy);
+    }
+    scan(d, 0);
+    for (size_t i = 0; i < pixels; ++i) {
+      counts[cell(quant[i], d)] += 2u * match[i];
     }
   }
 
+  // Ring sizes: the ring at d is the clipped (2d+1)^2 box less the
+  // clipped (2d-1)^2 one. Pixels at least d_max from every edge see
+  // full rings (8d cells), so they only need counting per color.
+  auto side = [](int v, int r, int n) {  // clipped [v - r, v + r] length
+    return std::min(v + r, n - 1) - std::max(v - r, 0) + 1;
+  };
+  std::array<uint64_t, kHsvQuantBins> interior{};
+  for (int y = 0; y < h; ++y) {
+    const bool inner_row = y >= d_max && y + d_max < h;
+    for (int x = 0; x < w; ++x) {
+      const int c = quant[static_cast<size_t>(y) * w + x];
+      if (inner_row && x >= d_max && x + d_max < w) {
+        ++interior[static_cast<size_t>(c)];
+        continue;
+      }
+      for (int d = 1; d <= d_max; ++d) {
+        ring_total[cell(c, d)] += static_cast<uint64_t>(
+            side(x, d, w) * side(y, d, h) -
+            side(x, d - 1, w) * side(y, d - 1, h));
+      }
+    }
+  }
+  for (int c = 0; c < kHsvQuantBins; ++c) {
+    for (int d = 1; d <= d_max; ++d) {
+      ring_total[cell(c, d)] +=
+          8u * static_cast<uint64_t>(d) * interior[static_cast<size_t>(c)];
+    }
+  }
+
+  // Both counts are exact integers, so the ratios are those of counting
+  // every ordered pair cell by cell.
   std::vector<double> feature(dims, 0.0);
   for (size_t i = 0; i < dims; ++i) {
-    feature[i] = ring_total[i] > 0 ? counts[i] / ring_total[i] : 0.0;
+    feature[i] = ring_total[i] > 0 ? static_cast<double>(counts[i]) /
+                                         static_cast<double>(ring_total[i])
+                                   : 0.0;
   }
   return FeatureVector(name(), std::move(feature));
 }

@@ -14,6 +14,14 @@ namespace vr {
 /// chessboard distance d in [1, max_distance], the feature stores the
 /// probability that a pixel at distance d from a pixel of color c also
 /// has color c. Layout: [c0d1..c0dD, c1d1..c1dD, ...], 256 * D values.
+///
+/// Counting is exact integer arithmetic, which is order-free: a
+/// same-color pair at offset o is the same pair at -o, so each ring is
+/// scanned over half its offsets (byte compares over the quantized
+/// plane) and counted twice, and each pixel's in-frame ring size comes
+/// from clipped box areas instead of a visit to every cell. Both counts
+/// are the integers a cell-by-cell visit produces, so every ratio is
+/// bit-identical to it.
 class AutoColorCorrelogram : public FeatureExtractor {
  public:
   explicit AutoColorCorrelogram(int max_distance = 4);

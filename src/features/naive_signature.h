@@ -16,6 +16,12 @@ namespace vr {
 ///
 /// The key-frame extractor (§4.1) uses this signature's distance with
 /// the paper's threshold of 800.
+///
+/// The rescaled raster is never built: each window's cells are read
+/// straight from the frame through ResizeNearestInto's index formula
+/// (the identity at the base size), and the window sums are exact
+/// integers, so the means are bit-identical to sampling a resampled
+/// raster.
 class NaiveSignature : public FeatureExtractor {
  public:
   NaiveSignature(int base_size = 300, int sample_size = 15);

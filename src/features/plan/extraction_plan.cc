@@ -38,7 +38,9 @@ Result<FeatureMap> ExtractionPlan::ExtractAll(const Image& img,
     out.emplace(extractor->kind(), std::move(fv));
   }
   if (timings != nullptr) {
-    timings->intermediate_ns = context_.intermediate_ns();
+    for (size_t b = 0; b < kNumIntermediates; ++b) {
+      timings->intermediate_ns[b] += context_.intermediate_ns()[b];
+    }
   }
   return out;
 }

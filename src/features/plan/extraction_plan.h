@@ -33,7 +33,9 @@ namespace vr {
 /// \brief One-pass fused extraction pipeline.
 class ExtractionPlan {
  public:
-  /// Per-frame cost breakdown, filled by ExtractAll when requested.
+  /// Cost breakdown, added to by ExtractAll when requested: every field
+  /// accumulates, so one struct passed over several frames sums them
+  /// (pass a fresh one for a single frame's figures).
   struct FrameTimings {
     /// Time inside each extractor's fused path (excludes shared
     /// intermediates), indexed by FeatureKind.

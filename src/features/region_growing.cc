@@ -14,18 +14,24 @@ SimpleRegionGrowing::SimpleRegionGrowing(double major_fraction)
 
 namespace {
 
-/// The paper's preprocessing after gray conversion: binarize at the
-/// minimum-fuzziness threshold of \p hist (the histogram of \p gray),
-/// then dilate, erode, erode, dilate (a close followed by an open) with
-/// its 5x5 kernel.
-Image PaperBinary(const Image& gray, const GrayHistogram& hist) {
-  Image binary = Binarize(gray, MinFuzzinessThreshold(hist));
+/// The paper's preprocessing after gray conversion: binarize \p gray at
+/// the minimum-fuzziness threshold of \p hist (its histogram) into
+/// \p binary, then dilate, erode, erode, dilate (a close followed by an
+/// open) with its 5x5 kernel, in place; \p tmp is a second plane of
+/// scratch. Both buffers hold gray.PixelCount() bytes.
+void PaperBinary(const Image& gray, const GrayHistogram& hist,
+                 uint8_t* binary, uint8_t* tmp) {
+  const int w = gray.width();
+  const int h = gray.height();
+  const int threshold = MinFuzzinessThreshold(hist);
+  const uint8_t* g = gray.data();
+  const size_t pixels = gray.PixelCount();
+  for (size_t i = 0; i < pixels; ++i) binary[i] = g[i] > threshold ? 255 : 0;
   const StructuringElement kernel = PaperKernel5x5();
-  binary = Dilate(binary, kernel);
-  binary = Erode(binary, kernel);
-  binary = Erode(binary, kernel);
-  binary = Dilate(binary, kernel);
-  return binary;
+  for (MorphOp op : {MorphOp::kDilate, MorphOp::kErode, MorphOp::kErode,
+                     MorphOp::kDilate}) {
+    MorphPlane(op, kernel, binary, w, h, tmp, binary);
+  }
 }
 
 }  // namespace
@@ -33,21 +39,26 @@ Image PaperBinary(const Image& gray, const GrayHistogram& hist) {
 Result<Image> SimpleRegionGrowing::Preprocess(const Image& img) const {
   if (img.empty()) return Status::InvalidArgument("empty image");
   const Image gray = ToGray(img);
-  return PaperBinary(gray, ComputeGrayHistogram(gray));
+  Image binary(gray.width(), gray.height(), 1);
+  std::vector<uint8_t> tmp(gray.PixelCount());
+  PaperBinary(gray, ComputeGrayHistogram(gray), binary.data(), tmp.data());
+  return binary;
 }
 
 Result<RegionStats> SimpleRegionGrowing::Analyze(const Image& img) const {
   VR_ASSIGN_OR_RETURN(Image binary, Preprocess(img));
-  const size_t pixels = static_cast<size_t>(binary.width()) * binary.height();
-  std::vector<int> labels(pixels, 0);
-  std::vector<Pt> stack(pixels);
-  return LabelRegions(binary, labels.data(), stack.data());
+  std::vector<int> labels(binary.PixelCount(), 0);
+  std::vector<Pt> stack(binary.PixelCount());
+  return LabelRegions(binary.data(), binary.width(), binary.height(),
+                      labels.data(), stack.data());
 }
 
-RegionStats SimpleRegionGrowing::LabelRegions(const Image& binary, int* labels,
+RegionStats SimpleRegionGrowing::LabelRegions(const uint8_t* binary, int w,
+                                              int h, int* labels,
                                               Pt* stack) const {
-  const int w = binary.width();
-  const int h = binary.height();
+  auto value_at = [&](int x, int y) {
+    return binary[static_cast<size_t>(y) * w + x];
+  };
   auto label_at = [&](int x, int y) -> int& {
     return labels[static_cast<size_t>(y) * w + x];
   };
@@ -58,7 +69,7 @@ RegionStats SimpleRegionGrowing::LabelRegions(const Image& binary, int* labels,
   for (int y = 0; y < h; ++y) {
     for (int x = 0; x < w; ++x) {
       if (label_at(x, y) != 0) continue;
-      const uint8_t value = binary.At(x, y);
+      const uint8_t value = value_at(x, y);
       if (value == 0) ++stats.num_holes;
       ++stats.num_regions;
       const int region = stats.num_regions;
@@ -75,7 +86,7 @@ RegionStats SimpleRegionGrowing::LabelRegions(const Image& binary, int* labels,
             const int ny = cy + dy;
             if (nx < 0 || ny < 0 || nx >= w || ny >= h) continue;
             if (label_at(nx, ny) != 0) continue;
-            if (binary.At(nx, ny) != value) continue;
+            if (value_at(nx, ny) != value) continue;
             label_at(nx, ny) = region;
             stack[top++] = {nx, ny};
           }
@@ -97,14 +108,18 @@ Result<FeatureVector> SimpleRegionGrowing::ExtractShared(
   if (img.empty()) return Status::InvalidArgument("empty image");
   // Preprocess() computes gray + histogram itself; here both come from
   // the shared plan (the histogram over the gray plane is exactly
-  // ComputeGrayHistogram of it), and the labeling buffers come from the
-  // frame arena instead of fresh vectors.
-  const Image binary = PaperBinary(ctx.Gray(), ctx.Histogram());
-
-  const size_t pixels = static_cast<size_t>(binary.width()) * binary.height();
+  // ComputeGrayHistogram of it), and the binary plane, the morphology
+  // scratch and the labeling buffers come from the frame arena.
+  const Image& gray = ctx.Gray();
+  const size_t pixels = gray.PixelCount();
+  Span<uint8_t> binary = ctx.arena().AllocSpan<uint8_t>(pixels);
+  Span<uint8_t> tmp = ctx.arena().AllocSpan<uint8_t>(pixels);
+  PaperBinary(gray, ctx.Histogram(), binary.data(), tmp.data());
   Span<int> labels = ctx.arena().AllocSpan<int>(pixels);
   Span<Pt> stack = ctx.arena().AllocSpan<Pt>(pixels);
-  const RegionStats stats = LabelRegions(binary, labels.data(), stack.data());
+  const RegionStats stats = LabelRegions(binary.data(), gray.width(),
+                                         gray.height(), labels.data(),
+                                         stack.data());
   return FeatureVector(
       name(), {static_cast<double>(stats.num_regions),
                static_cast<double>(stats.num_holes),

@@ -22,6 +22,13 @@ struct RegionStats {
 /// minimum-fuzziness (Huang) threshold, then dilate / erode / erode /
 /// dilate with the 3x3-ones-in-5x5 kernel. Labeling grows 8-connected
 /// regions of equal binary value; components of zeros count as holes.
+///
+/// The kernel's members are a filled 3x3 rectangle, so each morphology
+/// step is a separable 3-tap row pass and column pass (a box's max or
+/// min is the max or min of its rows' maxima or minima): the same bytes
+/// as testing all 25 window cells per pixel. In the fused path the
+/// binary plane, the pass scratch and the labels live in the frame
+/// arena.
 class SimpleRegionGrowing : public FeatureExtractor {
  public:
   /// \p major_fraction: a region is "major" when it covers at least this
@@ -58,12 +65,13 @@ class SimpleRegionGrowing : public FeatureExtractor {
     int y;
   };
 
-  /// Connected-component labeling over \p binary. \p labels must be a
-  /// zero-initialized w*h buffer (0 = unlabeled; regions number from 1)
-  /// and \p stack a w*h scratch buffer (each pixel is pushed at most
-  /// once). Analyze and ExtractShared both funnel here, so the paths
-  /// are bit-identical by construction.
-  RegionStats LabelRegions(const Image& binary, int* labels,
+  /// Connected-component labeling over the row-major \p w x \p h plane
+  /// \p binary. \p labels must be a zero-initialized w*h buffer
+  /// (0 = unlabeled; regions number from 1) and \p stack a w*h scratch
+  /// buffer (each pixel is pushed at most once). Analyze and
+  /// ExtractShared both funnel here, so the paths are bit-identical by
+  /// construction.
+  RegionStats LabelRegions(const uint8_t* binary, int w, int h, int* labels,
                            Pt* stack) const;
 
   double major_fraction_;

@@ -19,6 +19,20 @@ uint32_t TamuraTexture::SharedIntermediates() const {
   return static_cast<uint32_t>(Intermediate::kGray);
 }
 
+namespace {
+/// Per-kind planes reused across frames: the float raster, its one
+/// summed-area table, the current window average, the per-pixel best
+/// scale and the Sobel gradients.
+struct TamuraScratch : PlanContext::Scratch {
+  FloatImage f;
+  SummedAreaTable sat;
+  FloatImage average;
+  std::vector<float> best_e;
+  std::vector<int32_t> best_k;
+  GradientField gradient;
+};
+}  // namespace
+
 Result<FeatureVector> TamuraTexture::ExtractShared(const Image& img,
                                                    PlanContext& ctx) const {
   if (img.empty()) return Status::InvalidArgument("empty image");
@@ -34,39 +48,66 @@ Result<FeatureVector> TamuraTexture::ExtractShared(const Image& img,
                      ResizeFilter::kBilinear);
     gray = &resized;
   }
-  const FloatImage f = FloatImage::FromImage(*gray);
-  const int w = f.width();
-  const int h = f.height();
+  TamuraScratch& scratch = *ctx.ScratchFor<TamuraScratch>(kind());
+  const int w = gray->width();
+  const int h = gray->height();
   const size_t pixels = static_cast<size_t>(w) * h;
+  FloatImage& f = scratch.f;
+  if (f.width() != w || f.height() != h) f = FloatImage(w, h);
+  for (size_t i = 0; i < pixels; ++i) {
+    f.data()[i] = static_cast<float>(gray->data()[i]);
+  }
 
   // --- Coarseness -------------------------------------------------------
   // A_k = window means; E_k = |A_k(x + 2^{k-1}) - A_k(x - 2^{k-1})| along
   // each axis; best scale per pixel maximizes E; coarseness = mean 2^best.
-  std::vector<FloatImage> averages;
-  averages.reserve(static_cast<size_t>(max_scale_));
+  // Every A_k comes from the one summed-area table. E is a float
+  // difference widened to double, so best_e holds it exactly as a
+  // float; scales are tried in ascending k per pixel with the same
+  // strict comparison, and the sum adds exact small integers.
+  scratch.sat.Build(f);
+  scratch.best_e.assign(pixels, -1.0f);
+  scratch.best_k.assign(pixels, 1);
+  float* best_e = scratch.best_e.data();
+  int32_t* best_k = scratch.best_k.data();
   for (int k = 1; k <= max_scale_; ++k) {
-    averages.push_back(NeighborhoodAverage(f, k));
+    FloatImage& a = scratch.average;
+    NeighborhoodAverageInto(scratch.sat, k, &a);
+    const int half = 1 << (k - 1);
+    for (int y = 0; y < h; ++y) {
+      const float* row = &a.data()[static_cast<size_t>(y) * w];
+      const float* up =
+          &a.data()[static_cast<size_t>(std::max(y - half, 0)) * w];
+      const float* down =
+          &a.data()[static_cast<size_t>(std::min(y + half, h - 1)) * w];
+      const size_t base = static_cast<size_t>(y) * w;
+      // Pixel x with its clamped left and right columns. The scale
+      // update is a mask, not a branch, so the interior run vectorizes.
+      auto consider = [&](int x, int xl, int xr) {
+        const float eh = std::fabs(row[xr] - row[xl]);
+        const float ev = std::fabs(down[x] - up[x]);
+        const float e = eh < ev ? ev : eh;  // std::max(eh, ev)
+        const float best = best_e[base + x];
+        const int32_t better = -static_cast<int32_t>(e > best);
+        best_e[base + x] = e > best ? e : best;
+        best_k[base + x] = (best_k[base + x] & ~better) | (k & better);
+      };
+      const int inner_begin = std::min(half, w);
+      const int inner_end = std::max(w - half, inner_begin);
+      for (int x = 0; x < inner_begin; ++x) {
+        consider(x, 0, std::min(x + half, w - 1));
+      }
+      for (int x = inner_begin; x < inner_end; ++x) {
+        consider(x, x - half, x + half);
+      }
+      for (int x = inner_end; x < w; ++x) {
+        consider(x, std::max(x - half, 0), w - 1);
+      }
+    }
   }
   double coarseness_sum = 0.0;
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      double best_e = -1.0;
-      int best_k = 1;
-      for (int k = 1; k <= max_scale_; ++k) {
-        const FloatImage& a = averages[static_cast<size_t>(k - 1)];
-        const int half = 1 << (k - 1);
-        const double eh = std::fabs(a.AtClamped(x + half, y) -
-                                    a.AtClamped(x - half, y));
-        const double ev = std::fabs(a.AtClamped(x, y + half) -
-                                    a.AtClamped(x, y - half));
-        const double e = std::max(eh, ev);
-        if (e > best_e) {
-          best_e = e;
-          best_k = k;
-        }
-      }
-      coarseness_sum += static_cast<double>(1 << best_k);
-    }
+  for (size_t i = 0; i < pixels; ++i) {
+    coarseness_sum += static_cast<double>(1 << best_k[i]);
   }
   const double coarseness = coarseness_sum / static_cast<double>(pixels);
 
@@ -91,7 +132,8 @@ Result<FeatureVector> TamuraTexture::ExtractShared(const Image& img,
   }
 
   // --- Directionality -----------------------------------------------------
-  const GradientField g = Sobel(f);
+  SobelInto(f, &scratch.gradient);
+  const GradientField& g = scratch.gradient;
   std::vector<double> dir(static_cast<size_t>(dir_bins_), 0.0);
   double dir_total = 0.0;
   for (int y = 0; y < h; ++y) {

@@ -11,6 +11,16 @@
 namespace vr {
 
 /// \brief Tamura features (Tamura, Mori & Yamawaki 1978).
+///
+/// Coarseness takes all its window averages from one shared
+/// summed-area table, built once per frame with the same double sums
+/// NeighborhoodAverage builds per window size, so every average is the
+/// same float. Its scan reads interior pixels directly and clamps only
+/// within a window of the border, keeping the float differences, the
+/// ascending-scale strict comparison and the summation order; the
+/// Sobel planes and scratch rasters persist in per-kind scratch. The
+/// output is bit-identical to the per-window, clamped-read version the
+/// golden fixture was recorded from.
 class TamuraTexture : public FeatureExtractor {
  public:
   /// \p max_scale bounds the coarseness window at 2^max_scale pixels;

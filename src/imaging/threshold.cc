@@ -62,7 +62,12 @@ int MinFuzzinessThreshold(const GrayHistogram& hist) {
   double best_entropy = std::numeric_limits<double>::max();
   int best_t = (gmin + gmax) / 2;
   for (int t = gmin; t < gmax; ++t) {
-    w0 += static_cast<double>(hist.bins[static_cast<size_t>(t)]);
+    // An empty bin past gmin leaves w0, s0, both class means and every
+    // entropy term (only g == t changes class, and it has no pixels)
+    // exactly those of the last threshold scored before it, so its
+    // entropy cannot beat best_entropy: skipping it moves no result.
+    if (t > gmin && hist.bins[static_cast<size_t>(t)] == 0) continue;
+    w0 +=static_cast<double>(hist.bins[static_cast<size_t>(t)]);
     s0 += t * static_cast<double>(hist.bins[static_cast<size_t>(t)]);
     const double w1 = w_all - w0;
     if (w0 == 0 || w1 == 0) continue;

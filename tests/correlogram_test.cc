@@ -66,6 +66,37 @@ TEST(CorrelogramTest, CapturesSpatialStructureHistogramMisses) {
   EXPECT_GT(extractor.Distance(f_blocks, f_checker), 0.1);
 }
 
+TEST(CorrelogramTest, NarrowFrameTakesTheClippedPathEverywhere) {
+  // 4x2 frame at max_distance 2: no pixel is 2 away from every edge.
+  //   R R B R
+  //   B R R R
+  // Distance 1: the six red pixels see 3 + 5 + 3 + 5 + 5 + 3 = 24
+  // in-frame neighbors, 2 + 3 + 2 + 3 + 4 + 2 = 16 of them red; the two
+  // blue pixels see 5 + 3 neighbors, none blue. Distance 2 lies two
+  // columns over: red sees 12 cells, 1 + 2 + 2 + 2 + 1 + 2 = 10 red;
+  // blue sees 4 cells, 1 + 1 blue.
+  const Rgb red{255, 0, 0};
+  const Rgb blue{0, 0, 255};
+  Image img(4, 2, 3);
+  img.Fill(red);
+  img.SetPixel(2, 0, blue);
+  img.SetPixel(0, 1, blue);
+  AutoColorCorrelogram extractor(2);
+  const FeatureVector fv = extractor.Extract(img).value();
+  const size_t r = static_cast<size_t>(QuantizeHsv(RgbToHsv(red))) * 2;
+  const size_t b = static_cast<size_t>(QuantizeHsv(RgbToHsv(blue))) * 2;
+  ASSERT_NE(r, b);
+  EXPECT_EQ(fv[r], 16.0 / 24.0);
+  EXPECT_EQ(fv[r + 1], 10.0 / 12.0);
+  EXPECT_EQ(fv[b], 0.0);
+  EXPECT_EQ(fv[b + 1], 2.0 / 4.0);
+  for (size_t i = 0; i < fv.size(); ++i) {
+    if (i != r && i != r + 1 && i != b && i != b + 1) {
+      EXPECT_EQ(fv[i], 0.0) << "dim " << i;
+    }
+  }
+}
+
 TEST(CorrelogramTest, DistanceZeroOnSelf) {
   Image img(20, 20, 3);
   Rng rng(2);

@@ -150,5 +150,21 @@ TEST(ExtractionPlanTest, TimingsCoverExtractorsAndIntermediates) {
   EXPECT_GT(intermediate_total, 0u);
 }
 
+TEST(ExtractionPlanTest, TimingsAccumulateIntoTheCallersStruct) {
+  const auto extractors = MakeAllExtractors();
+  ExtractionPlan plan(Raw(extractors));
+  // Every field adds to what the struct already holds, so a struct
+  // passed over several frames sums them.
+  constexpr uint64_t kPrior = uint64_t{1} << 50;
+  ExtractionPlan::FrameTimings timings;
+  timings.extractor_ns.fill(kPrior);
+  timings.intermediate_ns.fill(kPrior);
+  ASSERT_TRUE(
+      plan.ExtractAll(golden::NoiseImage(120, 90, 3, 13), &timings).ok());
+  for (uint64_t ns : timings.extractor_ns) EXPECT_GE(ns, kPrior);
+  for (uint64_t ns : timings.intermediate_ns) EXPECT_GE(ns, kPrior);
+  EXPECT_GT(timings.intermediate_ns[0], kPrior);  // the gray plane
+}
+
 }  // namespace
 }  // namespace vr

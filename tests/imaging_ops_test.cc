@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "imaging/draw.h"
 #include "imaging/filter.h"
 #include "imaging/histogram.h"
@@ -178,6 +181,126 @@ TEST(MorphologyTest, PaperKernelShape) {
   EXPECT_FALSE(k.At(4, 2));
 }
 
+/// A 1-channel raster from rows of '0' / '1' (1 -> 255).
+Image Raster(const std::vector<std::string>& rows) {
+  Image img(static_cast<int>(rows[0].size()), static_cast<int>(rows.size()),
+            1);
+  for (int y = 0; y < img.height(); ++y) {
+    for (int x = 0; x < img.width(); ++x) {
+      img.At(x, y) = rows[static_cast<size_t>(y)][static_cast<size_t>(x)] ==
+                             '1'
+                         ? 255
+                         : 0;
+    }
+  }
+  return img;
+}
+
+/// The rows of a 0 / 255 raster as '0' / '1' strings; any other byte
+/// shows as '?'.
+std::vector<std::string> Rows(const Image& img) {
+  std::vector<std::string> rows;
+  for (int y = 0; y < img.height(); ++y) {
+    std::string row;
+    for (int x = 0; x < img.width(); ++x) {
+      const uint8_t v = img.At(x, y);
+      row += v == 0 ? '0' : v == 255 ? '1' : '?';
+    }
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+/// Both shipped kernels have the same 3x3 member rectangle, so they
+/// must give the same hand-derived bytes.
+std::vector<StructuringElement> ShippedKernels() {
+  return {PaperKernel5x5(), Box3x3()};
+}
+
+TEST(MorphologyTest, TinyRastersReadOutsideAsBackground) {
+  for (const StructuringElement& se : ShippedKernels()) {
+    SCOPED_TRACE(se.width);
+    // 1x1: a set pixel survives dilation but not erosion (its
+    // neighbors lie outside the raster).
+    EXPECT_EQ(Rows(Dilate(Raster({"1"}), se)), Rows(Raster({"1"})));
+    EXPECT_EQ(Rows(Erode(Raster({"1"}), se)), Rows(Raster({"0"})));
+    EXPECT_EQ(Rows(Dilate(Raster({"0"}), se)), Rows(Raster({"0"})));
+    // 1 wide x 5 tall.
+    const Image column = Raster({"0", "0", "1", "0", "0"});
+    EXPECT_EQ(Rows(Dilate(column, se)),
+              Rows(Raster({"0", "1", "1", "1", "0"})));
+    EXPECT_EQ(Rows(Erode(Raster({"1", "1", "1", "1", "1"}), se)),
+              Rows(Raster({"0", "0", "0", "0", "0"})));
+    // 5 wide x 1 tall.
+    EXPECT_EQ(Rows(Dilate(Raster({"10000"}), se)), Rows(Raster({"11000"})));
+    EXPECT_EQ(Rows(Dilate(Raster({"00001"}), se)), Rows(Raster({"00011"})));
+    EXPECT_EQ(Rows(Erode(Raster({"11111"}), se)), Rows(Raster({"00000"})));
+    // 3x3: only the center sees nine set cells.
+    const Image full = Raster({"111", "111", "111"});
+    EXPECT_EQ(Rows(Erode(full, se)), Rows(Raster({"000", "010", "000"})));
+    EXPECT_EQ(Rows(Dilate(Raster({"000", "010", "000"}), se)), Rows(full));
+    EXPECT_EQ(Rows(Dilate(Raster({"100", "000", "000"}), se)),
+              Rows(Raster({"110", "110", "000"})));
+  }
+}
+
+TEST(MorphologyTest, SetPixelOnEachEdge) {
+  for (const StructuringElement& se : ShippedKernels()) {
+    SCOPED_TRACE(se.width);
+    EXPECT_EQ(Rows(Dilate(Raster({"00000", "00000", "10000", "00000"}), se)),
+              Rows(Raster({"00000", "11000", "11000", "11000"})));
+    EXPECT_EQ(Rows(Dilate(Raster({"00100", "00000", "00000", "00000"}), se)),
+              Rows(Raster({"01110", "01110", "00000", "00000"})));
+    EXPECT_EQ(Rows(Dilate(Raster({"00000", "00001", "00000", "00000"}), se)),
+              Rows(Raster({"00011", "00011", "00011", "00000"})));
+    EXPECT_EQ(Rows(Dilate(Raster({"00000", "00000", "00000", "01000"}), se)),
+              Rows(Raster({"00000", "00000", "11100", "11100"})));
+    EXPECT_EQ(Rows(Dilate(Raster({"00000", "00000", "00000", "00001"}), se)),
+              Rows(Raster({"00000", "00000", "00011", "00011"})));
+    // Erosion clears the whole border ring of a full raster, and a
+    // hole next to an edge clears its 3x3 neighborhood.
+    EXPECT_EQ(Rows(Erode(Raster({"11111", "11111", "11111", "11111"}), se)),
+              Rows(Raster({"00000", "01110", "01110", "00000"})));
+    EXPECT_EQ(Rows(Erode(Raster({"111111", "111111", "111111", "111110",
+                                 "111111"}),
+                         se)),
+              Rows(Raster({"000000", "011110", "011100", "011100",
+                           "000000"})));
+  }
+}
+
+TEST(MorphologyTest, NonzeroInputCountsAsSet) {
+  Image img = Raster({"000", "000", "000"});
+  img.At(1, 1) = 7;
+  EXPECT_EQ(Rows(Dilate(img, Box3x3())), Rows(Raster({"111", "111", "111"})));
+}
+
+TEST(MorphologyTest, OffCenterRectangleShiftsTheWindow) {
+  // Members at columns 2..3 of a 4-wide element: offsets 0 and +1 from
+  // its center column 2, so dilation grows one pixel to the left.
+  StructuringElement se;
+  se.width = 4;
+  se.height = 1;
+  se.mask = {0, 0, 1, 1};
+  EXPECT_EQ(Rows(Dilate(Raster({"00100"}), se)), Rows(Raster({"01100"})));
+  EXPECT_EQ(Rows(Erode(Raster({"01110"}), se)), Rows(Raster({"01100"})));
+}
+
+TEST(MorphologyDeathTest, MaskMustBeAFilledRectangle) {
+  StructuringElement cross;
+  cross.width = 3;
+  cross.height = 3;
+  cross.mask = {0, 1, 0, 1, 1, 1, 0, 1, 0};
+  StructuringElement empty;
+  empty.width = 3;
+  empty.height = 3;
+  empty.mask.assign(9, 0);
+  const Image img = Raster({"010", "111", "010"});
+  EXPECT_DEATH((void)Dilate(img, cross), "not one filled rectangle");
+  EXPECT_DEATH((void)Erode(img, cross), "not one filled rectangle");
+  EXPECT_DEATH((void)Dilate(img, empty), "not one filled rectangle");
+}
+
 TEST(ThresholdTest, OtsuSeparatesBimodal) {
   Image img(10, 10, 1);
   for (int y = 0; y < 10; ++y) {
@@ -200,6 +323,18 @@ TEST(ThresholdTest, HuangSeparatesBimodal) {
   const int t = MinFuzzinessThreshold(ComputeGrayHistogram(img));
   EXPECT_GE(t, 40);
   EXPECT_LT(t, 200);
+}
+
+TEST(ThresholdTest, HuangSparseTwoLevelPicksLowerLevel) {
+  // Two gray levels, 40 and 200, and nothing between. At t = 40 each
+  // class is one level equal to its mean, so every membership is 1 and
+  // the fuzzy entropy is 0. Every t in (40, 200) has an empty bin and
+  // the same two classes, so it ties; only a strictly lower entropy
+  // replaces the best, which leaves t = 40.
+  GrayHistogram hist;
+  hist.bins[40] = 30;
+  hist.bins[200] = 70;
+  EXPECT_EQ(MinFuzzinessThreshold(hist), 40);
 }
 
 TEST(ThresholdTest, BinarizeSplitsAtThreshold) {

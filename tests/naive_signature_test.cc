@@ -103,6 +103,45 @@ TEST(NaiveSignatureTest, SizeInvariantViaRescale) {
   EXPECT_LT(extractor.Distance(a, b), 100.0);
 }
 
+TEST(NaiveSignatureTest, BaseSizeFrameIsSampledInPlace) {
+  // A 300x300 frame is its own rescale, so the centre-column windows
+  // [135, 165) hold column 135 (red) and column 164 (green) but not
+  // column 165 (blue): 30 of their 900 cells add 255 to R, 30 to G.
+  Image img(300, 300, 3);
+  FillRect(&img, 135, 0, 1, 300, {255, 0, 0});
+  FillRect(&img, 164, 0, 1, 300, {0, 255, 0});
+  FillRect(&img, 165, 0, 1, 300, {0, 0, 255});
+  NaiveSignature extractor;
+  const FeatureVector fv = extractor.Extract(img).value();
+  for (int gy = 0; gy < NaiveSignature::kGrid; ++gy) {
+    for (int gx = 0; gx < NaiveSignature::kGrid; ++gx) {
+      const size_t p = 3 * static_cast<size_t>(gy * NaiveSignature::kGrid + gx);
+      const double want = gx == 2 ? 30.0 * 255.0 / 900.0 : 0.0;
+      EXPECT_EQ(fv[p], want) << gx << "," << gy;
+      EXPECT_EQ(fv[p + 1], want) << gx << "," << gy;
+      EXPECT_EQ(fv[p + 2], 0.0) << gx << "," << gy;
+    }
+  }
+}
+
+TEST(NaiveSignatureTest, OnePixelFrameFillsEveryPoint) {
+  Image rgb(1, 1, 3);
+  rgb.SetPixel(0, 0, {10, 20, 30});
+  Image gray(1, 1, 1);
+  gray.At(0, 0) = 77;
+  NaiveSignature extractor;
+  const FeatureVector a = extractor.Extract(rgb).value();
+  const FeatureVector b = extractor.Extract(gray).value();
+  for (size_t p = 0; p < NaiveSignature::kPoints; ++p) {
+    EXPECT_EQ(a[3 * p], 10.0);
+    EXPECT_EQ(a[3 * p + 1], 20.0);
+    EXPECT_EQ(a[3 * p + 2], 30.0);
+    EXPECT_EQ(b[3 * p], 77.0);
+    EXPECT_EQ(b[3 * p + 1], 77.0);
+    EXPECT_EQ(b[3 * p + 2], 77.0);
+  }
+}
+
 TEST(NaiveSignatureTest, RejectsEmptyImage) {
   NaiveSignature extractor;
   EXPECT_FALSE(extractor.Extract(Image()).ok());
