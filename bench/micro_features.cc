@@ -11,11 +11,14 @@
 ///    intermediates);
 ///  - per-intermediate time (gray plane, gray histogram, HSV plane,
 ///    float luma);
-///  - the whole-bank ExtractAll cost — the number the query path's
-///    extract_ms actually pays.
+///  - the whole-bank ExtractAll cost, serial and forked onto one
+///    helper thread (the caller plus one helper, the fork a query makes
+///    when the engine has a core to spare) — the number the query
+///    path's extract_ms actually pays.
 ///
-/// Every run first checks that the plan reproduces the golden-feature
-/// fixture (tests/data/golden_features.txt) bit for bit, and that the
+/// Every run first checks that the plan, serial and forked, reproduces
+/// the golden-feature fixture (tests/data/golden_features.txt) bit for
+/// bit, and that the
 /// check rejects a fixture with one Gabor bit flipped, once on each FFT
 /// kernel build: the portable one and, where the CPU has AVX2, the
 /// AVX2 one (the timed passes use the build the process dispatches
@@ -35,7 +38,9 @@
 #include "features/plan/extraction_plan.h"
 #include "golden_features.h"
 #include "imaging/fft.h"
+#include "util/fork_join.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -70,13 +75,16 @@ using Fixture = std::map<std::string, vr::FeatureVector>;
 
 /// Empty when a plan over each golden extractor set reproduces
 /// \p fixture bit for bit on every golden frame, else the first
-/// mismatch as "<frame> <label>: <difference>".
-std::string FirstGoldenMismatch(const Fixture& fixture) {
+/// mismatch as "<frame> <label>: <difference>". The plan runs serially
+/// without \p helpers, else forked onto them.
+std::string FirstGoldenMismatch(const Fixture& fixture,
+                                const vr::ForkHelpers& helpers) {
   const auto frames = vr::golden::Frames();
   for (const auto& set : vr::golden::ExtractorSets()) {
     vr::ExtractionPlan plan(vr::golden::Extractors(set));
     for (const auto& frame : frames) {
-      const vr::FeatureMap fused = plan.ExtractAll(frame.image).value();
+      const vr::FeatureMap fused =
+          plan.ExtractAll(frame.image, nullptr, helpers).value();
       for (const auto& c : set) {
         const std::string key = vr::golden::Key(frame.name, c.label);
         const auto want = fixture.find(key);
@@ -93,40 +101,52 @@ std::string FirstGoldenMismatch(const Fixture& fixture) {
 }
 
 /// Dies loudly unless the plan, on FFT kernel build \p build, reproduces
-/// the golden-feature fixture bit for bit — the contract the ctest suite
-/// pins, re-checked here so the bench numbers are meaningful. A
-/// must-fail probe then flips the lowest bit of one Gabor value in the
-/// fixture and dies unless the same comparison rejects it, so a gate
-/// that cannot fail cannot pass.
-void AssertGolden(vr::fft_internal::KernelBuild build, const char* label) {
+/// the golden-feature fixture bit for bit, serial and forked onto
+/// \p helpers — the contract the ctest suite pins, re-checked here so
+/// the bench numbers are meaningful. The forked helper runs under the
+/// caller's kernel pin. A must-fail probe then flips the lowest bit of
+/// one Gabor value (in the bank's second half, the unit a helper
+/// usually claims first) in the fixture and dies unless both
+/// comparisons reject it, so a gate that cannot fail cannot pass.
+void AssertGolden(vr::fft_internal::KernelBuild build, const char* label,
+                  const vr::ForkHelpers& helpers) {
   vr::fft_internal::ScopedKernelBuild pin(build);
   auto fixture = vr::golden::LoadFixture(VR_GOLDEN_FEATURES);
   if (!fixture.ok()) {
     std::fprintf(stderr, "%s\n", fixture.status().ToString().c_str());
     std::exit(1);
   }
-  const std::string diff = FirstGoldenMismatch(*fixture);
-  if (!diff.empty()) {
-    std::fprintf(stderr, "GOLDEN FAILURE (%s kernels): %s\n", label,
-                 diff.c_str());
-    std::exit(1);
-  }
+  constexpr size_t kProbeDim = 59;
   const std::string probe_key = vr::golden::Key("noise_120x90", "gabor");
-  double& probed = fixture->at(probe_key).values().at(0);
-  probed = std::bit_cast<double>(std::bit_cast<uint64_t>(probed) ^ 1);
-  const std::string probe = FirstGoldenMismatch(*fixture);
-  if (probe.rfind(probe_key + ": dim 0:", 0) != 0) {
-    const std::string verdict =
-        probe.empty() ? "accepted" : "reported as " + probe;
-    std::fprintf(stderr,
-                 "GOLDEN PROBE DID NOT FIRE (%s kernels): a one-bit flip in "
-                 "%s dim 0 was %s\n",
-                 label, probe_key.c_str(), verdict.c_str());
-    std::exit(1);
+  const std::string probe_prefix =
+      probe_key + ": dim " + std::to_string(kProbeDim) + ":";
+  for (const bool forked : {false, true}) {
+    const char* mode = forked ? "forked" : "serial";
+    const vr::ForkHelpers run = forked ? helpers : vr::ForkHelpers{};
+    const std::string diff = FirstGoldenMismatch(*fixture, run);
+    if (!diff.empty()) {
+      std::fprintf(stderr, "GOLDEN FAILURE (%s kernels, %s): %s\n", label,
+                   mode, diff.c_str());
+      std::exit(1);
+    }
+    Fixture probed_fixture = *fixture;
+    double& probed = probed_fixture.at(probe_key).values().at(kProbeDim);
+    probed = std::bit_cast<double>(std::bit_cast<uint64_t>(probed) ^ 1);
+    const std::string probe = FirstGoldenMismatch(probed_fixture, run);
+    if (probe.rfind(probe_prefix, 0) != 0) {
+      const std::string verdict =
+          probe.empty() ? "accepted" : "reported as " + probe;
+      std::fprintf(stderr,
+                   "GOLDEN PROBE DID NOT FIRE (%s kernels, %s): a one-bit "
+                   "flip in %s dim %zu was %s\n",
+                   label, mode, probe_key.c_str(), kProbeDim,
+                   verdict.c_str());
+      std::exit(1);
+    }
   }
   std::printf(
-      "golden (%s kernels): plan output bit-identical to the fixture; "
-      "one-bit probe rejected\n",
+      "golden (%s kernels): plan output, serial and forked, bit-identical "
+      "to the fixture; one-bit probe rejected\n",
       label);
 }
 
@@ -148,9 +168,18 @@ int main(int argc, char** argv) {
   vr::ExtractionPlan plan(Raw(extractors));
   const std::vector<vr::Image> frames = QueryFrames();
 
-  AssertGolden(vr::fft_internal::KernelBuild::kPortable, "portable");
+  // One helper thread: the fork a query makes on an engine with a core
+  // to spare.
+  vr::ThreadPoolOptions pool_options;
+  pool_options.num_threads = 1;
+  vr::ThreadPool pool(pool_options);
+  vr::ForkHelpers helpers;
+  helpers.pool = &pool;
+  helpers.count = 1;
+
+  AssertGolden(vr::fft_internal::KernelBuild::kPortable, "portable", helpers);
   if (vr::fft_internal::Avx2Supported()) {
-    AssertGolden(vr::fft_internal::KernelBuild::kAvx2, "AVX2");
+    AssertGolden(vr::fft_internal::KernelBuild::kAvx2, "AVX2", helpers);
   } else {
     std::printf("golden (AVX2 kernels): skipped, the CPU lacks AVX2\n");
   }
@@ -159,6 +188,7 @@ int main(int argc, char** argv) {
   // loop measures the steady state.
   for (const vr::Image& img : frames) {
     if (!plan.ExtractAll(img).ok()) return 1;
+    if (!plan.ExtractAll(img, nullptr, helpers).ok()) return 1;
   }
 
   // One ExtractAll pass per frame, cost split by the plan's own
@@ -183,6 +213,18 @@ int main(int argc, char** argv) {
     }
     fused_total_ms = sw.ElapsedMillis() / static_cast<double>(iters);
   }
+  // The same passes forked onto the helper: wall time only (the plan's
+  // timers would sum both threads).
+  double forked_total_ms = 0.0;
+  {
+    vr::Stopwatch sw;
+    for (size_t i = 0; i < iters; ++i) {
+      if (!plan.ExtractAll(frames[i % frames.size()], nullptr, helpers).ok()) {
+        return 1;
+      }
+    }
+    forked_total_ms = sw.ElapsedMillis() / static_cast<double>(iters);
+  }
   for (double& ms : fused_ms) ms /= static_cast<double>(iters);
   for (double& ms : intermediate_ms) ms /= static_cast<double>(iters);
 
@@ -195,8 +237,9 @@ int main(int argc, char** argv) {
   for (uint32_t b = 0; b < vr::kNumIntermediates; ++b) {
     std::printf("%-18s %10.3f\n", vr::IntermediateName(b), intermediate_ms[b]);
   }
-  std::printf("\nwhole bank (%dx%d): fused %.2f ms\n", kWidth, kHeight,
-              fused_total_ms);
+  std::printf("\nwhole bank (%dx%d): fused %.2f ms, forked (caller + 1 "
+              "helper) %.2f ms\n",
+              kWidth, kHeight, fused_total_ms, forked_total_ms);
 
   if (smoke) {
     std::printf("\nmicro_features smoke: PASS\n");
@@ -212,8 +255,10 @@ int main(int argc, char** argv) {
                "{\n  \"benchmark\": \"features\",\n"
                "  \"frame\": \"%dx%d\",\n  \"frames\": %d,\n"
                "  \"iterations\": %zu,\n"
-               "  \"fused_total_ms\": %.3f,\n  \"extractors\": [\n",
-               kWidth, kHeight, kFrames, iters, fused_total_ms);
+               "  \"fused_total_ms\": %.3f,\n"
+               "  \"forked_total_ms\": %.3f,\n  \"extractors\": [\n",
+               kWidth, kHeight, kFrames, iters, fused_total_ms,
+               forked_total_ms);
   for (size_t e = 0; e < extractors.size(); ++e) {
     std::fprintf(json,
                  "    {\"name\": \"%s\", \"fused_ms\": %.4f}%s\n",

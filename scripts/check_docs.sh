@@ -244,11 +244,18 @@ quoted_2dp() {  # quoted_2dp <value>: the doc quotes <value> to 2 decimals
     EXPERIMENTS.md
 }
 if [[ -f BENCH_features.json ]]; then
-  fused=$(json_field BENCH_features.json fused_total_ms)
-  quoted_2dp "$fused" \
-    || err "EXPERIMENTS.md whole-bank extraction time drifted from" \
-           "BENCH_features.json (expected ~$(awk -v v="$fused" \
-           'BEGIN{printf "%.2f", v}') ms)"
+  # The serial and the forked (caller + 1 helper) whole-bank times.
+  for key in fused_total_ms forked_total_ms; do
+    bank=$(json_field BENCH_features.json "$key")
+    if [[ -z "$bank" ]]; then
+      err "BENCH_features.json has no $key"
+      continue
+    fi
+    quoted_2dp "$bank" \
+      || err "EXPERIMENTS.md whole-bank extraction time ($key) drifted" \
+             "from BENCH_features.json (expected ~$(awk -v v="$bank" \
+             'BEGIN{printf "%.2f", v}') ms)"
+  done
 fi
 if [[ -f BENCH_quality.json ]]; then
   # Table 1's equal-weight Combined row quotes the recorded precision

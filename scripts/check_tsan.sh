@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Builds the tree with ThreadSanitizer and runs the concurrency-focused
-# suites (thread pool, service, wire/server, engine reader-writer
-# stress, network chaos / fuzz / retry). Any data-race report fails
-# the run.
+# suites (thread pool, fork-join and forked extraction, service,
+# wire/server, engine reader-writer stress, network chaos / fuzz /
+# retry). Any data-race report fails the run.
 #
 # Usage: scripts/check_tsan.sh [build-dir] [ctest-args...]
 set -euo pipefail
@@ -23,5 +23,5 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 export VR_LOCK_ORDER_DEBUG=1
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'ThreadPool|Service|Wire|Concurrency|IngestPipeline|Chaos|Fuzz|Retry|LockOrder' "$@"
+  -R 'ThreadPool|Fork|Service|Wire|Concurrency|IngestPipeline|Chaos|Fuzz|Retry|LockOrder' "$@"
 echo "tsan run clean"

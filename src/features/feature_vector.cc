@@ -92,6 +92,27 @@ Result<FeatureVector> FeatureExtractor::Extract(const Image& img) const {
   return ExtractShared(img, ctx);
 }
 
+Status FeatureExtractor::ExtractPrologue(const Image&, PlanContext&) const {
+  return Status::NotImplemented(std::string(name()) + " has no parts");
+}
+
+Status FeatureExtractor::ExtractPart(size_t, const PlanContext&, PlanContext&,
+                                     double*) const {
+  return Status::NotImplemented(std::string(name()) + " has no parts");
+}
+
+Result<FeatureVector> FeatureExtractor::SplitExtract(const Image& img,
+                                                     PlanContext& ctx) const {
+  const std::vector<size_t> bounds = PartBounds();
+  VR_RETURN_NOT_OK(ExtractPrologue(img, ctx));
+  std::vector<double> values(bounds.empty() ? 0 : bounds.back());
+  for (size_t part = 0; part + 1 < bounds.size(); ++part) {
+    VR_RETURN_NOT_OK(
+        ExtractPart(part, ctx, ctx, values.data() + bounds[part]));
+  }
+  return FeatureVector(name(), std::move(values));
+}
+
 double FeatureExtractor::DistanceSpan(const double* a, size_t na,
                                       const double* b, size_t nb) const {
   return MetricDistance(code_metric(), a, na, b, nb);

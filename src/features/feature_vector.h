@@ -120,6 +120,34 @@ class FeatureExtractor {
   virtual Result<FeatureVector> ExtractShared(const Image& img,
                                               PlanContext& ctx) const = 0;
 
+  /// \name Split extraction.
+  /// An extractor whose body is a serial prologue followed by stretches
+  /// of output values that do not depend on each other may expose the
+  /// stretches as parts. A forked ExtractionPlan runs the prologue
+  /// once, then each part as a unit of its own, possibly on another
+  /// thread. The prologue followed by every part in order, all on one
+  /// context, must be ExtractShared bit for bit (SplitExtract runs
+  /// exactly that).
+  /// @{
+  /// Value boundaries of the parts: part p writes values
+  /// [b[p], b[p + 1]) of the output, and b.back() is its size. Empty
+  /// (the default) means the extractor runs whole, via ExtractShared.
+  virtual std::vector<size_t> PartBounds() const { return {}; }
+  /// The serial prologue on \p ctx, bound to \p img; the parts read
+  /// what it leaves in ctx's scratch slot of kind().
+  virtual Status ExtractPrologue(const Image& img, PlanContext& ctx) const;
+  /// Writes the values of part \p part to \p out. It reads the
+  /// prologue from \p prologue and works in \p ctx, which is either
+  /// \p prologue itself or another thread's context bound to the same
+  /// frame with PlanContext::BeginFrameSharing. It must write nothing
+  /// else of \p prologue.
+  virtual Status ExtractPart(size_t part, const PlanContext& prologue,
+                             PlanContext& ctx, double* out) const;
+  /// The prologue and then every part on \p ctx: ExtractShared of a
+  /// split extractor.
+  Result<FeatureVector> SplitExtract(const Image& img, PlanContext& ctx) const;
+  /// @}
+
   /// Dissimilarity between two vectors produced by this extractor.
   /// Smaller is more similar; must be >= 0 and 0 for identical inputs.
   /// Delegates to DistanceSpan — the two are always bit-identical.

@@ -25,15 +25,11 @@ namespace {
 /// filter, so the adds of different filters overlap in the pipeline.
 constexpr size_t kStatGroup = 3;
 
-/// Per-plan Gabor state: the FFT twiddle/bit-reversal plan, the filter
-/// bank evaluated once (one float transfer-function plane per scale and
-/// orientation), and all working rasters. After the first frame,
+/// Per-context Gabor working rasters. The prologue's context holds the
+/// frame's transform (spectrum) for the parts to read; a context that
+/// only runs parts sizes just the filter buffers. After the first frame,
 /// extraction allocates nothing.
 struct GaborScratch : PlanContext::Scratch {
-  std::unique_ptr<Fft2DPlan> fft;
-  /// [m * orientations + n], transposed: frequency (kx, ky) at
-  /// kx * ws + ky, the layout Fft2DPlan::RunTransposed takes.
-  std::vector<std::vector<float>> filters;
   Image small;
   FloatImage f;
   std::vector<Complex> spectrum;  ///< the frame's transform, transposed
@@ -41,15 +37,25 @@ struct GaborScratch : PlanContext::Scratch {
   std::vector<Complex> transposed;  ///< filter product / FFT scratch
   /// |response| of each filter of a statistics group.
   std::array<std::vector<float>, kStatGroup> mags;
+
+  /// Sizes the buffers the filters use (the prologue's forward
+  /// transform uses the first two as well).
+  void SizeFilterBuffers(int ws) {
+    if (response.width == ws) return;
+    const size_t pixels = static_cast<size_t>(ws) * ws;
+    response = ComplexImage(ws, ws);
+    transposed.resize(pixels);
+    for (std::vector<float>& plane : mags) plane.resize(pixels);
+  }
 };
 
-/// Appends the mean and the standard deviation of each of the G planes
-/// in \p mags (each \p pixels long) to \p feature, plane by plane.
-/// Each plane's sums run in pixel order, exactly as one plane at a time
+/// Writes the mean and the standard deviation of each of the G planes
+/// in \p mags (each \p pixels long) to \p out, plane by plane. Each
+/// plane's sums run in pixel order, exactly as one plane at a time
 /// would; the G chains only share the loop.
 template <size_t G>
-void AppendPlaneStats(const std::array<std::vector<float>, kStatGroup>& mags,
-                      size_t pixels, std::vector<double>* feature) {
+void PlaneStats(const std::array<std::vector<float>, kStatGroup>& mags,
+                size_t pixels, double* out) {
   const double n = static_cast<double>(pixels);
   double mean[G] = {};
   for (size_t i = 0; i < pixels; ++i) {
@@ -64,8 +70,8 @@ void AppendPlaneStats(const std::array<std::vector<float>, kStatGroup>& mags,
     }
   }
   for (size_t g = 0; g < G; ++g) {
-    feature->push_back(mean[g]);
-    feature->push_back(std::sqrt(var[g] / n));
+    out[2 * g] = mean[g];
+    out[2 * g + 1] = std::sqrt(var[g] / n);
   }
 }
 
@@ -75,20 +81,16 @@ uint32_t GaborTexture::SharedIntermediates() const {
   return static_cast<uint32_t>(Intermediate::kGray);
 }
 
-Result<FeatureVector> GaborTexture::ExtractShared(const Image& img,
-                                                  PlanContext& ctx) const {
-  if (img.empty()) return Status::InvalidArgument("empty image");
-  GaborScratch* scratch = ctx.ScratchFor<GaborScratch>(kind());
-  const int ws = working_size_;
-  const size_t pixels = static_cast<size_t>(ws) * ws;
-
-  if (!scratch->fft) {
-    scratch->fft = std::make_unique<Fft2DPlan>(ws, ws);
-    // The filter bank: g depends only on (m, n, kx, ky), never on the
-    // frame — a one-sided Gaussian around the center frequency (u0, v0),
+const GaborTexture::Bank& GaborTexture::bank() const {
+  std::call_once(bank_once_, [this] {
+    const int ws = working_size_;
+    const size_t pixels = static_cast<size_t>(ws) * ws;
+    auto bank = std::make_unique<Bank>(ws);
+    // g depends only on (m, n, kx, ky), never on the frame — a
+    // one-sided Gaussian around the center frequency (u0, v0),
     // evaluated in double and stored as float.
     const double f_max = 0.4;
-    scratch->filters.reserve(static_cast<size_t>(scales_) * orientations_);
+    bank->filters.reserve(static_cast<size_t>(scales_) * orientations_);
     for (int m = 0; m < scales_; ++m) {
       const double f0 = f_max / std::pow(std::sqrt(2.0), m);
       const double sigma_f = f0 / 2.0;
@@ -110,14 +112,37 @@ Result<FeatureVector> GaborTexture::ExtractShared(const Image& img,
             plane[static_cast<size_t>(kx) * ws + ky] = static_cast<float>(g);
           }
         }
-        scratch->filters.push_back(std::move(plane));
+        bank->filters.push_back(std::move(plane));
       }
     }
+    bank_ = std::move(bank);
+  });
+  return *bank_;
+}
+
+std::vector<size_t> GaborTexture::PartBounds() const {
+  const size_t filters = static_cast<size_t>(scales_) * orientations_;
+  const size_t groups = (filters + kStatGroup - 1) / kStatGroup;
+  const size_t split = (groups + 1) / 2 * kStatGroup;
+  if (split >= filters) return {0, 2 * filters};
+  return {0, 2 * split, 2 * filters};
+}
+
+Result<FeatureVector> GaborTexture::ExtractShared(const Image& img,
+                                                  PlanContext& ctx) const {
+  return SplitExtract(img, ctx);
+}
+
+Status GaborTexture::ExtractPrologue(const Image& img, PlanContext& ctx) const {
+  if (img.empty()) return Status::InvalidArgument("empty image");
+  const Bank& b = bank();
+  GaborScratch* scratch = ctx.ScratchFor<GaborScratch>(kind());
+  const int ws = working_size_;
+  const size_t pixels = static_cast<size_t>(ws) * ws;
+  scratch->SizeFilterBuffers(ws);
+  if (scratch->f.width() != ws) {
     scratch->f = FloatImage(ws, ws);
     scratch->spectrum.resize(pixels);
-    scratch->response = ComplexImage(ws, ws);
-    scratch->transposed.resize(pixels);
-    for (std::vector<float>& plane : scratch->mags) plane.resize(pixels);
   }
 
   // Gray, fixed working size, zero-mean unit-variance, fed from the
@@ -149,39 +174,55 @@ Result<FeatureVector> GaborTexture::ExtractShared(const Image& img,
   for (size_t i = 0; i < pixels; ++i) {
     response.data[i] = Complex(f.data()[i], 0.0f);
   }
-  VR_RETURN_NOT_OK(scratch->fft->Run(&response, /*inverse=*/false,
-                                      &scratch->transposed));
-  const Complex* spectrum = scratch->spectrum.data();
+  VR_RETURN_NOT_OK(b.fft.Run(&response, /*inverse=*/false,
+                             &scratch->transposed));
   Transpose(response.data.data(), ws, ws, scratch->spectrum.data());
+  return Status::OK();
+}
 
-  std::vector<double> feature;
-  feature.reserve(dimensions());
+Status GaborTexture::ExtractPart(size_t part, const PlanContext& prologue,
+                                 PlanContext& ctx, double* out) const {
+  const std::vector<size_t> bounds = PartBounds();
+  const Bank& b = bank();
+  // The spectrum is read through the prologue's scratch; when ctx is the
+  // prologue's own context, the filters' buffers are the same object's
+  // other members.
+  const Complex* spectrum =
+      prologue.ScratchOf<GaborScratch>(kind()).spectrum.data();
+  GaborScratch* scratch = ctx.ScratchFor<GaborScratch>(kind());
+  const int ws = working_size_;
+  const size_t pixels = static_cast<size_t>(ws) * ws;
+  scratch->SizeFilterBuffers(ws);
+
   Complex* product = scratch->transposed.data();
-  const size_t bank = static_cast<size_t>(scales_) * orientations_;
-  for (size_t first = 0; first < bank; first += kStatGroup) {
-    const size_t group = std::min(kStatGroup, bank - first);
+  const size_t first = bounds[part] / 2;
+  const size_t last = bounds[part + 1] / 2;
+  for (size_t at = first; at < last; at += kStatGroup) {
+    const size_t group = std::min(kStatGroup, last - at);
     for (size_t g = 0; g < group; ++g) {
-      const float* filter = scratch->filters[first + g].data();
+      const float* filter = b.filters[at + g].data();
       for (size_t i = 0; i < pixels; ++i) {
         product[i] = spectrum[i] * filter[i];
       }
-      VR_RETURN_NOT_OK(
-          scratch->fft->RunTransposed(product, /*inverse=*/true, &response));
-      Magnitudes(response.data.data(), pixels, scratch->mags[g].data());
+      VR_RETURN_NOT_OK(b.fft.RunTransposed(product, /*inverse=*/true,
+                                           &scratch->response));
+      Magnitudes(scratch->response.data.data(), pixels,
+                 scratch->mags[g].data());
     }
+    double* stats = out + 2 * (at - first);
     switch (group) {
       case 1:
-        AppendPlaneStats<1>(scratch->mags, pixels, &feature);
+        PlaneStats<1>(scratch->mags, pixels, stats);
         break;
       case 2:
-        AppendPlaneStats<2>(scratch->mags, pixels, &feature);
+        PlaneStats<2>(scratch->mags, pixels, stats);
         break;
       default:
-        AppendPlaneStats<3>(scratch->mags, pixels, &feature);
+        PlaneStats<3>(scratch->mags, pixels, stats);
         break;
     }
   }
-  return FeatureVector(name(), std::move(feature));
+  return Status::OK();
 }
 
 }  // namespace vr

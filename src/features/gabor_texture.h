@@ -3,7 +3,12 @@
 
 #pragma once
 
+#include <memory>
+#include <mutex>
+#include <vector>
+
 #include "features/feature_vector.h"
+#include "imaging/fft.h"
 
 namespace vr {
 
@@ -32,6 +37,13 @@ namespace vr {
 ///    accumulator still adds its own plane in pixel order, so the sums
 ///    round exactly as one filter at a time would; the interleaving
 ///    only hides the latency of each chain's adds behind the others.
+///
+/// The bank splits in two (PartBounds): the prologue resizes,
+/// normalizes and transforms the frame once, and each part filters a
+/// range of whole statistics groups, so a forked plan runs the two
+/// halves of the bank on two threads. The filter planes and the FFT
+/// plan do not depend on the frame: the extractor builds them once, on
+/// first use, and every context and thread reads the same copy.
 class GaborTexture : public FeatureExtractor {
  public:
   GaborTexture(int scales = 5, int orientations = 6, int working_size = 128);
@@ -40,6 +52,13 @@ class GaborTexture : public FeatureExtractor {
   uint32_t SharedIntermediates() const override;
   Result<FeatureVector> ExtractShared(const Image& img,
                                       PlanContext& ctx) const override;
+  /// Two parts of whole statistics groups (one when the bank has a
+  /// single group), the first as large as the second or one group
+  /// larger.
+  std::vector<size_t> PartBounds() const override;
+  Status ExtractPrologue(const Image& img, PlanContext& ctx) const override;
+  Status ExtractPart(size_t part, const PlanContext& prologue,
+                     PlanContext& ctx, double* out) const override;
   /// Plain L2: block 0 = one block over the whole vector, evaluated
   /// as the default distance (tail mass on a length mismatch).
   /// Length-mismatched rows are forced by the kernel, which covers the
@@ -56,9 +75,25 @@ class GaborTexture : public FeatureExtractor {
   }
 
  private:
+  /// The frame-independent half of the extraction, read-only once
+  /// built: the FFT plan and one float transfer-function plane per
+  /// scale and orientation (30 planes of 128 x 128, 1.9 MB at the
+  /// defaults).
+  struct Bank {
+    explicit Bank(int ws) : fft(ws, ws) {}
+    Fft2DPlan fft;
+    /// [m * orientations + n], transposed: frequency (kx, ky) at
+    /// kx * ws + ky, the layout Fft2DPlan::RunTransposed takes.
+    std::vector<std::vector<float>> filters;
+  };
+  /// The bank, built by the first caller (thread-safe).
+  const Bank& bank() const;
+
   int scales_;
   int orientations_;
   int working_size_;
+  mutable std::once_flag bank_once_;
+  mutable std::unique_ptr<const Bank> bank_;
 };
 
 }  // namespace vr

@@ -39,17 +39,24 @@ PlanContext::PlanContext() : arena_(1u << 16) {}
 
 void PlanContext::BeginFrame(const Image& img) {
   frame_ = &img;
-  have_gray_ = false;
-  have_histogram_ = false;
-  have_hsv_ = false;
-  have_gray_float_ = false;
   gray_view_ = nullptr;
+  histogram_view_ = nullptr;
+  hsv_view_ = nullptr;
+  gray_float_view_ = nullptr;
   arena_.Reset();
   intermediate_ns_.fill(0);
 }
 
+void PlanContext::BeginFrameSharing(const PlanContext& parent) {
+  BeginFrame(*parent.frame_);
+  gray_view_ = parent.gray_view_;
+  histogram_view_ = parent.histogram_view_;
+  hsv_view_ = parent.hsv_view_;
+  gray_float_view_ = parent.gray_float_view_;
+}
+
 const Image& PlanContext::Gray() {
-  if (!have_gray_) {
+  if (gray_view_ == nullptr) {
     Stopwatch timer;
     if (frame_->channels() == 1) {
       gray_view_ = frame_;
@@ -60,15 +67,9 @@ const Image& PlanContext::Gray() {
           gray_.height() != frame_->height() || gray_.channels() != 1) {
         gray_ = Image(frame_->width(), frame_->height(), 1);
       }
-      const Image& in = *frame_;
-      for (int y = 0; y < in.height(); ++y) {
-        for (int x = 0; x < in.width(); ++x) {
-          gray_.At(x, y) = RgbToGray(in.PixelRgb(x, y));
-        }
-      }
+      RgbToGrayPlane(frame_->data(), frame_->PixelCount(), gray_.data());
       gray_view_ = &gray_;
     }
-    have_gray_ = true;
     intermediate_ns_[BitIndex(Intermediate::kGray)] +=
         ToNanos(timer.ElapsedMillis());
   }
@@ -76,7 +77,7 @@ const Image& PlanContext::Gray() {
 }
 
 const GrayHistogram& PlanContext::Histogram() {
-  if (!have_histogram_) {
+  if (histogram_view_ == nullptr) {
     const Image& gray = Gray();
     Stopwatch timer;
     // Identical bins to ComputeGrayHistogram(frame): that helper also
@@ -85,15 +86,15 @@ const GrayHistogram& PlanContext::Histogram() {
     const uint8_t* data = gray.data();
     const size_t n = gray.PixelCount();
     for (size_t i = 0; i < n; ++i) ++histogram_.bins[data[i]];
-    have_histogram_ = true;
+    histogram_view_ = &histogram_;
     intermediate_ns_[BitIndex(Intermediate::kGrayHistogram)] +=
         ToNanos(timer.ElapsedMillis());
   }
-  return histogram_;
+  return *histogram_view_;
 }
 
 const std::vector<Hsv>& PlanContext::HsvPlane() {
-  if (!have_hsv_) {
+  if (hsv_view_ == nullptr) {
     Stopwatch timer;
     const Image& in = *frame_;
     hsv_.clear();
@@ -103,15 +104,15 @@ const std::vector<Hsv>& PlanContext::HsvPlane() {
         hsv_.push_back(RgbToHsv(in.PixelRgb(x, y)));
       }
     }
-    have_hsv_ = true;
+    hsv_view_ = &hsv_;
     intermediate_ns_[BitIndex(Intermediate::kHsvPlane)] +=
         ToNanos(timer.ElapsedMillis());
   }
-  return hsv_;
+  return *hsv_view_;
 }
 
 const FloatImage& PlanContext::GrayFloat() {
-  if (!have_gray_float_) {
+  if (gray_float_view_ == nullptr) {
     Stopwatch timer;
     const Image& in = *frame_;
     if (gray_float_.width() != in.width() ||
@@ -130,11 +131,11 @@ const FloatImage& PlanContext::GrayFloat() {
         }
       }
     }
-    have_gray_float_ = true;
+    gray_float_view_ = &gray_float_;
     intermediate_ns_[BitIndex(Intermediate::kGrayFloat)] +=
         ToNanos(timer.ElapsedMillis());
   }
-  return gray_float_;
+  return *gray_float_view_;
 }
 
 void PlanContext::Materialize(uint32_t mask) {

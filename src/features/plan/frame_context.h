@@ -17,10 +17,17 @@
 /// context per call, ExtractionPlan and KeyFrameExtractor keep one
 /// across frames. tests/data/golden_features.txt pins the results.
 ///
+/// A forked extraction runs units on several threads, each on a context
+/// of its own: BeginFrameSharing binds a helper's context to the
+/// caller's frame and lends it the intermediates the caller has already
+/// computed, read-only. Whatever else a unit needs, its own context
+/// computes and keeps.
+///
 /// Thread-safety: none; a PlanContext belongs to one owner and one
 /// extraction uses it at a time (the engine's plan pool enforces this
-/// for its plans). The REQUIRES-style contract is documented in
-/// DESIGN.md.
+/// for its plans). A context whose intermediates are lent out must not
+/// start another frame while the borrower still reads them. The
+/// REQUIRES-style contract is documented in DESIGN.md.
 
 #pragma once
 
@@ -62,6 +69,13 @@ class PlanContext {
   /// must outlive the frame.
   void BeginFrame(const Image& img);
 
+  /// Binds the context to \p parent's frame like BeginFrame, and lends
+  /// it every intermediate \p parent has computed so far: this context
+  /// then returns \p parent's planes for those, read-only, and computes
+  /// the rest itself. \p parent must not compute more or start another
+  /// frame while this context is in use.
+  void BeginFrameSharing(const PlanContext& parent);
+
   /// The frame bound by BeginFrame.
   const Image& frame() const { return *frame_; }
 
@@ -98,6 +112,14 @@ class PlanContext {
     return static_cast<T*>(slot.get());
   }
 
+  /// Read-only view of the scratch slot of \p kind, which an earlier
+  /// ScratchFor<T> must have created (an extractor's prologue, read by
+  /// its parts on other contexts).
+  template <typename T>
+  const T& ScratchOf(FeatureKind kind) const {
+    return static_cast<const T&>(*scratch_[static_cast<size_t>(kind)]);
+  }
+
   /// Nanoseconds spent computing each intermediate this frame, indexed
   /// by bit position.
   const std::array<uint64_t, kNumIntermediates>& intermediate_ns() const {
@@ -107,14 +129,15 @@ class PlanContext {
  private:
   const Image* frame_ = nullptr;
 
-  bool have_gray_ = false;
-  bool have_histogram_ = false;
-  bool have_hsv_ = false;
-  bool have_gray_float_ = false;
-
-  /// When the frame is already single-channel, Gray() aliases it
-  /// instead of copying (ToGray does the same).
+  /// The memo: each view is null until its intermediate is computed for
+  /// the frame, then points at this context's plane below, at the frame
+  /// itself (Gray() of a single-channel frame, as ToGray aliases it) or
+  /// at a parent's plane (BeginFrameSharing).
   const Image* gray_view_ = nullptr;
+  const GrayHistogram* histogram_view_ = nullptr;
+  const std::vector<Hsv>* hsv_view_ = nullptr;
+  const FloatImage* gray_float_view_ = nullptr;
+
   Image gray_;
   GrayHistogram histogram_;
   std::vector<Hsv> hsv_;

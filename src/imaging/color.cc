@@ -49,19 +49,39 @@ Rgb HsvToRgb(const Hsv& hsv) {
   return {to8(r), to8(g), to8(b)};
 }
 
+namespace {
+
+/// c * i for every byte i, each the same double product the luma
+/// expression forms.
+struct LumaTable {
+  double v[256];
+};
+constexpr LumaTable MakeLumaTable(double c) {
+  LumaTable t{};
+  for (int i = 0; i < 256; ++i) t.v[i] = c * i;
+  return t;
+}
+constexpr LumaTable kLumaR = MakeLumaTable(0.299);
+constexpr LumaTable kLumaG = MakeLumaTable(0.587);
+constexpr LumaTable kLumaB = MakeLumaTable(0.114);
+
+}  // namespace
+
 uint8_t RgbToGray(Rgb rgb) {
-  return static_cast<uint8_t>(
-      std::lround(0.299 * rgb.r + 0.587 * rgb.g + 0.114 * rgb.b));
+  const double luma = kLumaR.v[rgb.r] + kLumaG.v[rgb.g] + kLumaB.v[rgb.b];
+  return static_cast<uint8_t>(static_cast<int>(luma + 0.5));
+}
+
+void RgbToGrayPlane(const uint8_t* rgb, size_t pixels, uint8_t* gray) {
+  for (size_t i = 0; i < pixels; ++i, rgb += 3) {
+    gray[i] = RgbToGray({rgb[0], rgb[1], rgb[2]});
+  }
 }
 
 Image ToGray(const Image& img) {
   if (img.channels() == 1) return img;
   Image out(img.width(), img.height(), 1);
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < img.width(); ++x) {
-      out.At(x, y) = RgbToGray(img.PixelRgb(x, y));
-    }
-  }
+  RgbToGrayPlane(img.data(), img.PixelCount(), out.data());
   return out;
 }
 

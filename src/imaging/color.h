@@ -3,6 +3,8 @@
 
 #pragma once
 
+#include <cstddef>
+
 #include "imaging/image.h"
 
 namespace vr {
@@ -20,8 +22,15 @@ Hsv RgbToHsv(Rgb rgb);
 /// Converts one HSV triple back to RGB.
 Rgb HsvToRgb(const Hsv& hsv);
 
-/// BT.601 luma of an RGB pixel, rounded to [0, 255].
+/// BT.601 luma of an RGB pixel, rounded to [0, 255]: lround of
+/// 0.299 r + 0.587 g + 0.114 b in double. The three products come from
+/// tables and are summed in the expression's order, so the sum has the
+/// same bits; it lies in [0, 255], where truncating sum + 0.5 rounds as
+/// lround does. A test checks every one of the 2^24 triples.
 uint8_t RgbToGray(Rgb rgb);
+
+/// RgbToGray of \p pixels interleaved RGB pixels into \p gray.
+void RgbToGrayPlane(const uint8_t* rgb, size_t pixels, uint8_t* gray);
 
 /// Converts any image to single-channel gray (BT.601). Gray input is copied.
 Image ToGray(const Image& img);

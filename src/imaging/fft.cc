@@ -291,7 +291,14 @@ ScopedKernelBuild::ScopedKernelBuild(KernelBuild build) : saved_(pinned) {
   std::abort();  // kAvx2 without AVX2: the comparison would be vacuous
 }
 
+ScopedKernelBuild::ScopedKernelBuild(const Kernels* carried)
+    : saved_(pinned) {
+  pinned = carried;
+}
+
 ScopedKernelBuild::~ScopedKernelBuild() { pinned = saved_; }
+
+const Kernels* PinnedKernels() { return pinned; }
 
 }  // namespace fft_internal
 

@@ -180,6 +180,11 @@ struct Kernels;  ///< one build's function table (fft.cc)
 /// True iff this build carries the AVX2 kernels and the CPU runs them.
 bool Avx2Supported();
 
+/// The calling thread's pinned build, or null when none is pinned. Work
+/// that a thread hands to another must carry it (ScopedKernelBuild's
+/// second constructor), or the other thread runs the process build.
+const Kernels* PinnedKernels();
+
 /// Routes the calling thread's transforms, Transpose and Magnitudes
 /// through \p build while alive, instead of the build picked for the
 /// process. kAvx2 requires Avx2Supported() (checked: the program
@@ -188,6 +193,10 @@ bool Avx2Supported();
 class ScopedKernelBuild {
  public:
   explicit ScopedKernelBuild(KernelBuild build);
+  /// Carries a pin into another thread: re-applies what
+  /// PinnedKernels() returned on the pinning thread (null pins
+  /// nothing, so this thread keeps the process build).
+  explicit ScopedKernelBuild(const Kernels* carried);
   ~ScopedKernelBuild();
   ScopedKernelBuild(const ScopedKernelBuild&) = delete;
   ScopedKernelBuild& operator=(const ScopedKernelBuild&) = delete;

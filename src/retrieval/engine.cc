@@ -77,23 +77,27 @@ Result<std::unique_ptr<RetrievalEngine>> RetrievalEngine::Open(
       }
     }
   }
-  // Rank pool: only worth spinning up when sharding can actually kick
-  // in (threshold > 0) and more than one worker would run.
-  size_t rank_workers = options.rank_workers != 0
-                            ? options.rank_workers
-                            : Thread::HardwareConcurrency();
+  // Rank shards: only when sharding can actually kick in (threshold >
+  // 0) and more than one worker would run.
+  const size_t cores = Thread::HardwareConcurrency();
+  size_t rank_workers =
+      options.rank_workers != 0 ? options.rank_workers : cores;
   if (!options.rank_oversubscribe) {
     // More rank shards than cores is pure overhead (context switches on
     // a serial machine); cap at what the hardware can actually overlap.
-    rank_workers = std::min(
-        rank_workers,
-        static_cast<size_t>(Thread::HardwareConcurrency()));
+    rank_workers = std::min(rank_workers, cores);
   }
-  if (options.parallel_rank_threshold > 0 && rank_workers > 1) {
+  engine->rank_shards_ =
+      options.parallel_rank_threshold > 0 ? std::max<size_t>(1, rank_workers)
+                                          : 1;
+  // The fork pool serves extraction helpers, which the core budget caps
+  // at cores - 1 at a time, and rank shards.
+  const size_t pool_threads = std::max(cores, engine->rank_shards_);
+  if (pool_threads > 1) {
     ThreadPoolOptions pool_options;
-    pool_options.num_threads = rank_workers;
-    pool_options.queue_capacity = rank_workers * 2;
-    engine->rank_pool_ = std::make_unique<ThreadPool>(pool_options);
+    pool_options.num_threads = pool_threads;
+    pool_options.queue_capacity = pool_threads * 2;
+    engine->fork_pool_ = std::make_unique<ThreadPool>(pool_options);
   }
   if (options.extraction_cache_capacity > 0) {
     engine->extraction_cache_ =
@@ -149,13 +153,26 @@ std::unique_ptr<ExtractionPlan> RetrievalEngine::AcquirePlan() const {
 }
 
 void RetrievalEngine::ReleasePlan(std::unique_ptr<ExtractionPlan> plan) const {
-  // Bound the pool: a plan's warm scratch (Gabor filter bank + FFT
-  // buffers) is worth ~1 MB, so keep at most a handful.
+  // Bound the pool: a plan's warm scratch (arena, Gabor and Tamura
+  // buffers, HSV plane) measures ~2 MB per context over the default
+  // bank at 128x96 frames, and a plan that has forked has two contexts,
+  // so keep at most a handful.
   static constexpr size_t kMaxPooledPlans = 8;
   MutexLock lock(plan_mutex_);
   if (plan_pool_.size() < kMaxPooledPlans) {
     plan_pool_.push_back(std::move(plan));
   }
+}
+
+Result<FeatureMap> RetrievalEngine::ExtractBank(
+    ExtractionPlan& plan, const Image& img,
+    ExtractionPlan::FrameTimings* timings) const {
+  CoreBudget::Hold hold(extract_budget_);
+  ForkHelpers helpers;
+  helpers.pool = fork_pool_.get();
+  helpers.count = 1;
+  helpers.budget = &extract_budget_;
+  return plan.ExtractAll(img, timings, helpers);
 }
 
 Result<RetrievalEngine::ExtractedQuery> RetrievalEngine::ExtractWithPlan(
@@ -174,9 +191,13 @@ Result<RetrievalEngine::ExtractedQuery> RetrievalEngine::ExtractWithPlan(
   const bool full_bank = kinds == options_.enabled_features;
   std::unique_ptr<ExtractionPlan> plan = AcquirePlan();
   if (full_bank) {
-    Result<FeatureMap> features = plan->ExtractAll(img);
+    Result<FeatureMap> features = ExtractBank(*plan, img, nullptr);
     if (!features.ok()) return features.status();
     out.features = std::move(*features);
+    if (plan->helpers_used() != 0) {
+      query_counters_.forked_extractions.fetch_add(1,
+                                                   std::memory_order_relaxed);
+    }
   } else {
     for (FeatureKind kind : kinds) {
       Result<FeatureVector> fv = plan->ExtractOne(img, kind);

@@ -30,9 +30,11 @@
 #include "retrieval/query_stats.h"
 #include "similarity/combined_scorer.h"
 #include "storage/video_store.h"
+#include "util/fork_join.h"
 #include "util/mutex.h"
 #include "util/shared_mutex.h"
 #include "util/status.h"
+#include "util/thread.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
@@ -185,7 +187,9 @@ using QueryCheckpoint = std::function<Status()>;
 ///   and run concurrently from any number of threads; the image and
 ///   video queries extract their features first and hold it only for
 ///   select, coarse, rank and fuse/top-k. Ranking shards fanned out to
-///   the internal rank pool only read under the calling query's hold.
+///   the internal fork pool only read under the calling query's hold.
+/// - Feature extraction (a query's, and PrepareKeyFrame's) may fork
+///   onto one helper from the same pool; see extraction_budget().
 /// - The *writer mutex* (private) serializes the writers — Open,
 ///   CommitPrepared (and so IngestFrames, IngestVideoFile) and
 ///   RemoveVideo — and guards the VideoStore and the persisted matrix
@@ -362,6 +366,16 @@ class RetrievalEngine {
     return matrix_.rows();
   }
 
+  /// The core budget every extraction of this engine shares. A query
+  /// that extracts (a cache miss) and PrepareKeyFrame each count their
+  /// thread in it while they extract, and fork their bank onto one
+  /// helper from the internal pool only while fewer threads than
+  /// Thread::HardwareConcurrency() are counted; the helper counts too.
+  /// So an engine whose cores are all extracting already, such as
+  /// under a 4-worker IngestPipeline on 4 cores, extracts serially.
+  /// Exposed so a caller can count threads of its own in it.
+  CoreBudget& extraction_budget() const { return extract_budget_; }
+
   /// Counters of the persisted matrix cache: file rows, tombstones,
   /// whether this open was warm (loaded from pages instead of a store
   /// scan), rewrites/appends since open. All-zero when persistence is
@@ -405,6 +419,7 @@ class RetrievalEngine {
     std::atomic<uint64_t> coarse_candidates{0};
     std::atomic<uint64_t> two_stage_fallbacks{0};
     std::atomic<uint64_t> margin_kept{0};
+    std::atomic<uint64_t> forked_extractions{0};
   };
 
   /// Rebuilds the feature cache and range index from the store; runs
@@ -436,6 +451,11 @@ class RetrievalEngine {
   /// Returns a plan to the pool (drops it when the pool is full).
   void ReleasePlan(std::unique_ptr<ExtractionPlan> plan) const
       EXCLUDES(plan_mutex_);
+  /// plan.ExtractAll of the whole bank, counted in the core budget and
+  /// forked onto one helper from fork_pool_ when the budget has a core
+  /// to spare (extraction_budget()).
+  Result<FeatureMap> ExtractBank(ExtractionPlan& plan, const Image& img,
+                                 ExtractionPlan::FrameTimings* timings) const;
 
   /// The shared tail of the single-frame queries: checkpoint -> select
   /// (timed) -> checkpoint -> Rank (timed). Fills \p stats (when
@@ -451,12 +471,13 @@ class RetrievalEngine {
       REQUIRES_SHARED(mutex_);
   /// Shard count for ranking \p candidates rows (1 = serial).
   size_t NumRankShards(size_t candidates) const;
-  /// Runs fn(shard) for every shard in [0, shards): shard 0 inline on
-  /// the caller, the rest on rank_pool_ (TrySubmit with inline
-  /// fallback), and waits for all of them. fn must not throw and must
-  /// only read state guarded by the caller's shared lock (the analysis
-  /// cannot follow the std::function hop, so fn must capture that
-  /// state through local aliases bound while the lock is held).
+  /// Runs fn(shard) for every shard in [0, shards) as a fork-join
+  /// (util/fork_join.h): the caller and up to shards - 1 helpers from
+  /// fork_pool_ claim shards, and the caller waits only on shards a
+  /// helper has started. fn must not throw and must only read state
+  /// guarded by the caller's shared lock (the analysis cannot follow
+  /// the std::function hop, so fn must capture that state through local
+  /// aliases bound while the lock is held).
   void RunSharded(size_t shards, const std::function<void(size_t)>& fn) const
       REQUIRES_SHARED(mutex_);
   /// Ranks candidate rows of matrix_. Dispatches to the two-stage path
@@ -535,14 +556,24 @@ class RetrievalEngine {
   /// Live store generation, tracked incrementally across commits and
   /// removes so persisting never needs an O(N) KeyFrameCount() walk.
   MatrixStore::Generation matrix_gen_ GUARDED_BY(writer_mutex_);
-  /// Workers for sharded ranking; null when serial-only. Created at
-  /// Open, immutable after — shard tasks only ever read query-local
-  /// buffers plus matrix_ under the caller's shared lock.
-  std::unique_ptr<ThreadPool> rank_pool_;
+  /// Resolved rank worker count: the most shards a ranking pass
+  /// splits into (1 = serial ranking). Set at Open.
+  size_t rank_shards_ = 1;
+  /// Counts the threads extracting (extraction_budget()). Declared
+  /// before fork_pool_: a helper task releases its core here as its
+  /// last action, also while the pool drains at destruction.
+  mutable CoreBudget extract_budget_{Thread::HardwareConcurrency()};
+  /// Helpers for forked extraction and sharded ranking; null on a
+  /// single-core machine without rank oversubscription. Created at
+  /// Open, immutable after. A rank shard only reads query-local
+  /// buffers plus matrix_ under the caller's shared lock; an extraction
+  /// unit only its plan's helper context and the prefix the caller
+  /// computed before the fork.
+  std::unique_ptr<ThreadPool> fork_pool_;
   /// Pool of reusable fused extraction plans. Each plan owns warm
-  /// scratch (FFT twiddles, Gabor filter bank, arena) worth keeping
-  /// across queries; the pool is a leaf mutex (never held while taking
-  /// mutex_ or any pager lock).
+  /// scratch (FFT buffers, arena, a helper lane's context) worth
+  /// keeping across queries; the pool is a leaf mutex (never held while
+  /// taking mutex_ or any pager lock).
   mutable Mutex plan_mutex_{LockLevel::kLeaf, "engine_plan_pool"};
   mutable std::vector<std::unique_ptr<ExtractionPlan>> plan_pool_
       GUARDED_BY(plan_mutex_);

@@ -64,7 +64,7 @@ Result<PreparedKeyFrame> RetrievalEngine::PrepareKeyFrame(
   ExtractionPlan::FrameTimings timings;
   {
     std::unique_ptr<ExtractionPlan> plan = AcquirePlan();
-    Result<FeatureMap> features = plan->ExtractAll(key.image, &timings);
+    Result<FeatureMap> features = ExtractBank(*plan, key.image, &timings);
     VR_RETURN_NOT_OK(features.status());
     out.features = std::move(*features);
     out.range = FindRange(plan->histogram(), options_.range);

@@ -81,42 +81,20 @@ Result<std::vector<QueryResult>> RetrievalEngine::SelectAndRank(
 }
 
 size_t RetrievalEngine::NumRankShards(size_t candidates) const {
-  if (rank_pool_ == nullptr || options_.parallel_rank_threshold == 0 ||
-      candidates < options_.parallel_rank_threshold) {
+  if (rank_shards_ <= 1 || candidates < options_.parallel_rank_threshold) {
     return 1;
   }
   const size_t by_work = (candidates + options_.parallel_rank_threshold - 1) /
                          options_.parallel_rank_threshold;
-  return std::min(rank_pool_->num_threads(), by_work);
+  return std::min(rank_shards_, by_work);
 }
 
 void RetrievalEngine::RunSharded(
     size_t shards, const std::function<void(size_t)>& fn) const {
-  if (shards <= 1) {
-    fn(0);
-    return;
-  }
-  // Fan out shards 1..N-1 (TrySubmit with inline fallback, the same
-  // admission pattern as IngestPipeline), run shard 0 on the caller,
-  // then wait. The latch mutex gives TSan the happens-before edges; the
-  // tasks themselves only read state under the caller's shared lock.
-  Mutex done_mutex{LockLevel::kLeaf, "rank_done"};
-  CondVar done_cv;
-  size_t done = 0;
-  for (size_t shard = 1; shard < shards; ++shard) {
-    auto task = [&, shard] {
-      fn(shard);
-      MutexLock lock(done_mutex);
-      ++done;
-      done_cv.NotifyOne();
-    };
-    if (!rank_pool_->TrySubmit(task)) task();
-  }
-  fn(0);
-  MutexLock lock(done_mutex);
-  while (done != shards - 1) {
-    done_cv.Wait(done_mutex);
-  }
+  ForkHelpers helpers;
+  helpers.pool = fork_pool_.get();
+  helpers.count = shards - 1;
+  ForkJoin(helpers, shards, [&fn](size_t shard, size_t) { fn(shard); });
 }
 
 bool RetrievalEngine::TwoStageEligible(const std::vector<FeatureKind>& kinds,
@@ -644,6 +622,8 @@ QueryStats RetrievalEngine::query_stats() const {
       query_counters_.two_stage_fallbacks.load(std::memory_order_relaxed);
   stats.margin_kept =
       query_counters_.margin_kept.load(std::memory_order_relaxed);
+  stats.forked_extractions =
+      query_counters_.forked_extractions.load(std::memory_order_relaxed);
   if (extraction_cache_ != nullptr) {
     const ExtractionCache::Stats cache = extraction_cache_->stats();
     stats.cache_hits = cache.hits;

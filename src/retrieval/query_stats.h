@@ -63,6 +63,9 @@ struct QueryStats {
   /// their certified score interval overlapped the cut — the price of
   /// the bit-identical top-k guarantee, summed over two-stage queries.
   uint64_t margin_kept = 0;
+  /// Query extractions that forked onto a helper thread (the core
+  /// budget had a core to spare). Not carried by the stats RPC.
+  uint64_t forked_extractions = 0;
 };
 
 }  // namespace vr

@@ -276,6 +276,131 @@ TEST_F(EngineConcurrencyTest, ShardedQueriesRaceIngest) {
   }
 }
 
+/// A query's hits as (key-frame id, score) pairs; empty on error.
+using Hits = std::vector<std::pair<int64_t, double>>;
+
+Hits HitsOf(const Result<std::vector<QueryResult>>& result) {
+  Hits out;
+  if (!result.ok()) return out;
+  for (const QueryResult& hit : *result) out.emplace_back(hit.i_id, hit.score);
+  return out;
+}
+
+/// Waits (bounded) until \p budget counts no thread: a helper task gives
+/// its core back as its last action, just after its query returned.
+bool BudgetDrains(const CoreBudget& budget) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (budget.running() != 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  return budget.running() == 0;
+}
+
+TEST_F(EngineConcurrencyTest, FullCoreBudgetKeepsExtractionSerial) {
+  CoreBudget& budget = engine_->extraction_budget();
+  ASSERT_EQ(budget.running(), 0u);
+  if (budget.cores() < 2) GTEST_SKIP() << "one core: extraction never forks";
+  // Every query frame is new to the extraction cache, so each query
+  // extracts the whole bank (two whole units here).
+  const auto frame = [](uint64_t seed) {
+    return TinyVideo(VideoCategory::kSports, 800 + seed)[0];
+  };
+  {
+    std::vector<std::unique_ptr<CoreBudget::Hold>> held;
+    for (size_t i = 0; i < budget.cores(); ++i) {
+      held.push_back(std::make_unique<CoreBudget::Hold>(budget));
+    }
+    for (uint64_t seed = 0; seed < 4; ++seed) {
+      ASSERT_TRUE(engine_->QueryByImage(frame(seed), 3).ok());
+    }
+    EXPECT_EQ(engine_->query_stats().forked_extractions, 0u);
+    EXPECT_EQ(budget.running(), budget.cores());
+  }
+  // With the cores free again the next cold query forks.
+  ASSERT_TRUE(engine_->QueryByImage(frame(4), 3).ok());
+  EXPECT_EQ(engine_->query_stats().forked_extractions, 1u);
+  EXPECT_TRUE(BudgetDrains(budget));
+}
+
+TEST_F(EngineConcurrencyTest, ForkedQueriesRacePrepareAndCommit) {
+  // The default bank, so Gabor's two parts fork, and no extraction
+  // cache, so every query extracts. Queries race the staged ingest
+  // (PrepareKeyFrame forks under the same budget) and its commits.
+  engine_.reset();
+  const std::string dir = dir_ + "_bank";
+  RemoveDirRecursive(dir);
+  EngineOptions options;
+  options.store_video_blob = false;
+  options.extraction_cache_capacity = 0;
+  std::unique_ptr<RetrievalEngine> engine =
+      RetrievalEngine::Open(dir, options).value();
+  ASSERT_TRUE(
+      engine->IngestFrames(TinyVideo(VideoCategory::kSports, 20), "base").ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> failures{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      const std::vector<Image> clip =
+          TinyVideo(VideoCategory::kCartoon, 900 + static_cast<uint64_t>(t));
+      for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        if (!engine->QueryByImage(clip[i % clip.size()], 5).ok()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  Status writer_status = Status::OK();
+  for (int v = 0; v < 2 && writer_status.ok(); ++v) {
+    const std::vector<Image> frames =
+        TinyVideo(static_cast<VideoCategory>(v), 950 + static_cast<uint64_t>(v));
+    Result<std::vector<KeyFrame>> keys = engine->ExtractKeyFrames(frames);
+    if (!keys.ok()) {
+      writer_status = keys.status();
+      break;
+    }
+    PreparedVideo video;
+    video.name = "racer";
+    for (const KeyFrame& key : *keys) {
+      Result<PreparedKeyFrame> prepared = engine->PrepareKeyFrame("racer", key);
+      if (!prepared.ok()) {
+        writer_status = prepared.status();
+        break;
+      }
+      video.keys.push_back(std::move(*prepared));
+    }
+    if (writer_status.ok()) {
+      writer_status = engine->CommitPrepared(std::move(video)).status();
+    }
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  ASSERT_TRUE(writer_status.ok()) << writer_status.ToString();
+  EXPECT_EQ(failures.load(), 0u);
+  CoreBudget& budget = engine->extraction_budget();
+  if (budget.cores() >= 4) {
+    // Two readers and a writer leave a core spare.
+    EXPECT_GT(engine->query_stats().forked_extractions, 0u);
+  }
+  EXPECT_TRUE(BudgetDrains(budget));
+
+  // Quiesced: a forked query ranks exactly like a serial one.
+  const Image query = TinyVideo(VideoCategory::kMovie, 960)[1];
+  const auto forked = engine->QueryByImage(query, 10);
+  std::vector<std::unique_ptr<CoreBudget::Hold>> held;
+  for (size_t i = 0; i < budget.cores(); ++i) {
+    held.push_back(std::make_unique<CoreBudget::Hold>(budget));
+  }
+  const auto serial = engine->QueryByImage(query, 10);
+  held.clear();
+  ASSERT_TRUE(forked.ok() && serial.ok());
+  EXPECT_EQ(HitsOf(forked), HitsOf(serial));
+  engine.reset();
+  RemoveDirRecursive(dir);
+}
+
 /// Runs \p query on a second thread while this thread holds the engine
 /// lock exclusive. Sets \p extracted when query_stats().extract_ms grew
 /// before the wait's deadline, i.e. the query extracted while locked
@@ -393,16 +518,6 @@ class SyncLatch {
   bool parked_ GUARDED_BY(mu_) = false;
   bool released_ GUARDED_BY(mu_) = true;
 };
-
-/// A query's hits as (key-frame id, score) pairs; empty on error.
-using Hits = std::vector<std::pair<int64_t, double>>;
-
-Hits HitsOf(const Result<std::vector<QueryResult>>& result) {
-  Hits out;
-  if (!result.ok()) return out;
-  for (const QueryResult& hit : *result) out.emplace_back(hit.i_id, hit.score);
-  return out;
-}
 
 TEST_F(EngineConcurrencyTest, QueriesProceedWhileWriterSyncs) {
   FaultInjectionEnv env;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "imaging/color.h"
 #include "imaging/ppm.h"
 
@@ -181,6 +184,44 @@ TEST(ColorTest, ToGrayMatchesLuma) {
   EXPECT_EQ(ToGray(img).At(0, 0), 255);
   img.SetPixel(0, 0, {0, 0, 255});  // 0.114 * 255 ~ 29
   EXPECT_NEAR(ToGray(img).At(0, 0), 29, 1);
+}
+
+TEST(ColorTest, RgbToGrayMatchesTheRoundedLumaOnEveryTriple) {
+  // The luma expression RgbToGray's tables replace, rounded as before.
+  const auto reference = [](int r, int g, int b) {
+    return static_cast<uint8_t>(std::lround(0.299 * r + 0.587 * g + 0.114 * b));
+  };
+  std::vector<uint8_t> rgb(3 * 256 * 256);
+  std::vector<uint8_t> plane(256 * 256);
+  size_t mismatches = 0;
+  for (int r = 0; r < 256; ++r) {
+    for (int g = 0; g < 256; ++g) {
+      for (int b = 0; b < 256; ++b) {
+        const size_t i = static_cast<size_t>(g) * 256 + b;
+        rgb[3 * i] = static_cast<uint8_t>(r);
+        rgb[3 * i + 1] = static_cast<uint8_t>(g);
+        rgb[3 * i + 2] = static_cast<uint8_t>(b);
+      }
+    }
+    RgbToGrayPlane(rgb.data(), plane.size(), plane.data());
+    for (int g = 0; g < 256; ++g) {
+      for (int b = 0; b < 256; ++b) {
+        const uint8_t want = reference(r, g, b);
+        const Rgb pixel{static_cast<uint8_t>(r), static_cast<uint8_t>(g),
+                        static_cast<uint8_t>(b)};
+        const uint8_t got_plane = plane[static_cast<size_t>(g) * 256 + b];
+        if (RgbToGray(pixel) != want || got_plane != want) {
+          if (++mismatches <= 5) {
+            ADD_FAILURE() << "(" << r << ", " << g << ", " << b
+                          << "): want " << int{want} << ", RgbToGray "
+                          << int{RgbToGray(pixel)} << ", plane "
+                          << int{got_plane};
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(ColorTest, ToRgbReplicatesGray) {
