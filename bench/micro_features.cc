@@ -105,9 +105,10 @@ std::string FirstGoldenMismatch(const Fixture& fixture,
 /// \p helpers — the contract the ctest suite pins, re-checked here so
 /// the bench numbers are meaningful. The forked helper runs under the
 /// caller's kernel pin. A must-fail probe then flips the lowest bit of
-/// one Gabor value (in the bank's second half, the unit a helper
-/// usually claims first) in the fixture and dies unless both
-/// comparisons reject it, so a gate that cannot fail cannot pass.
+/// one Gabor value (filter 29, a cropped one in the bank's second half,
+/// the unit a helper usually claims first) in the fixture and dies
+/// unless both comparisons reject it, so a gate that cannot fail cannot
+/// pass.
 void AssertGolden(vr::fft_internal::KernelBuild build, const char* label,
                   const vr::ForkHelpers& helpers) {
   vr::fft_internal::ScopedKernelBuild pin(build);

@@ -121,40 +121,48 @@ expect_version "newest §6.5 page-file version" \
   "$pager_version" "kPagerFormatCurrent (src/storage/pager.h)"
 
 # 3b (cont.). The kind-dependent layout docs/FORMAT.md states follows
-#     the FeatureKind enum (src/features/feature_vector.h) and
-#     FeatureKindName (feature_vector.cc): §6.1's quantization table is
-#     N × 24 B over ordinals (0–N−1) with N = kNumFeatureKinds, and
-#     §8's KEY_FRAMES list has one `FEAT_<name>` row per kind, in
-#     ordinal order, at position 7 + ordinal. A must-fail probe changes
-#     kNumFeatureKinds in a temp copy of the header and expects the
-#     comparison to reject it.
-kind_layout_errors() {  # kind_layout_errors <header>: one line per mismatch
+#     the FeatureKind enum (src/features/feature_vector.h),
+#     FeatureKindName and FeatureColumnName (feature_vector.cc): §6.1's
+#     quantization table is N × 24 B over ordinals (0–N−1) with N =
+#     kNumFeatureKinds, and §8's KEY_FRAMES list has one row per kind,
+#     in ordinal order, at position 7 + ordinal, naming the kind's
+#     FeatureColumnName, which must be `FEAT_<FeatureKindName>` plus an
+#     optional revision number. Two must-fail probes: one changes
+#     kNumFeatureKinds in a temp copy of the header, the other drops the
+#     Gabor column's revision in a temp copy of feature_vector.cc; the
+#     comparison must reject both.
+kind_strings() {  # kind_strings <.cc> <function>: "kKind <string>" per case
+  sed -n "/^const char\* $2(/,/^}/p" "$1" \
+    | awk '/case FeatureKind::/ {k = $2; sub(/^FeatureKind::/, "", k)
+                                 sub(/:$/, "", k)}
+           /return "/ && k != "" {split($0, q, "\""); print k, q[2]; k = ""}'
+}
+kind_layout_errors() {  # kind_layout_errors <header> <.cc>: one line per mismatch
   local n rows doc_rows
   n=$(code_version "$1" kNumFeatureKinds)
   [[ "$(doc_version '\| 72 \| [0-9]+' )" == "$n" ]] \
     || echo "§6.1 quantization table is not $n × 24 B"
   [[ "$(doc_version '\(0–[0-9]+')" == "$((n - 1))" ]] \
     || echo "§6.1 ordinal range is not (0–$((n - 1)))"
-  rows=$(sed -n '/^const char\* FeatureKindName/,/^}/p' \
-           src/features/feature_vector.cc \
-         | awk '/case FeatureKind::/ {k = $2; sub(/^FeatureKind::/, "", k)
-                                      sub(/:$/, "", k)}
-                /return "/ && k != "" {split($0, q, "\""); name[k] = q[2]
-                                       k = ""}
-                END {for (k in name) print k, name[k]}' \
-         | { sed -n '/^enum class FeatureKind/,/^};/p' "$1" \
-               | grep -oE '^ *k[A-Za-z]+ = [0-9]+' | tr -d ' ' | tr '=' ' '
-             echo; cat; } \
+  rows=$( { sed -n '/^enum class FeatureKind/,/^};/p' "$1" \
+              | grep -oE '^ *k[A-Za-z]+ = [0-9]+' | tr -d ' ' | tr '=' ' '
+            echo; kind_strings "$2" FeatureKindName
+            echo; kind_strings "$2" FeatureColumnName; } \
          | awk -v n="$n" '
-             !NF {names = 1; next}
-             !names {kind[NR] = $1; ord[NR] = $2; count = NR; next}
-             {name[$1] = $2}
+             !NF {section++; next}
+             section == 0 {kind[NR] = $1; ord[NR] = $2; count = NR; next}
+             section == 1 {name[$1] = $2; next}
+             {column[$1] = $2}
              END {
                if (count != n) print "enum has " count " kinds"
                for (i = 1; i <= count; ++i) {
+                 k = kind[i]
                  if (ord[i] != i - 1) print "enum ordinals are not 0..n-1"
-                 printf "| %d | `FEAT_%s` | `%s` = %d |\n", 7 + ord[i],
-                        name[kind[i]], kind[i], ord[i]
+                 if (column[k] !~ ("^FEAT_" name[k] "[0-9]*$"))
+                   print "column " column[k] " of " k " is not FEAT_" \
+                         name[k] " plus a revision"
+                 printf "| %d | `%s` | `%s` = %d |\n", 7 + ord[i],
+                        column[k], k, ord[i]
                }
              }')
   doc_rows=$(awk '/^## 8/ {on = 1} on && /^\| [0-9]+ \| `FEAT_/' docs/FORMAT.md)
@@ -162,15 +170,20 @@ kind_layout_errors() {  # kind_layout_errors <header>: one line per mismatch
     || echo "§8 KEY_FRAMES feature columns differ from the FeatureKind" \
             "enum: expected" $'\n'"$rows"
 }
-layout_errors=$(kind_layout_errors src/features/feature_vector.h)
+kinds_h=src/features/feature_vector.h
+kinds_cc=src/features/feature_vector.cc
+layout_errors=$(kind_layout_errors "$kinds_h" "$kinds_cc")
 [[ -z "$layout_errors" ]] \
   || err "docs/FORMAT.md kind layout is stale:" $'\n'"$layout_errors"
 probe=$(mktemp)
-sed -E 's/(kNumFeatureKinds = )[0-9]+/\17/' src/features/feature_vector.h \
-  > "$probe"
-[[ -n "$(kind_layout_errors "$probe")" ]] \
+sed -E 's/(kNumFeatureKinds = )[0-9]+/\17/' "$kinds_h" > "$probe"
+[[ -n "$(kind_layout_errors "$probe" "$kinds_cc")" ]] \
   || err "KIND-LAYOUT PROBE DID NOT FIRE: a changed kNumFeatureKinds" \
          "passed the check"
+sed -E 's/"FEAT_gabor[0-9]+"/"FEAT_gabor"/' "$kinds_cc" > "$probe"
+[[ -n "$(kind_layout_errors "$kinds_h" "$probe")" ]] \
+  || err "KIND-LAYOUT PROBE DID NOT FIRE: a Gabor column without its" \
+         "revision passed the check"
 rm -f "$probe"
 
 # 3c. DESIGN.md's lock-level list (`kServer=10 < kEngineWriter=15 <

@@ -31,6 +31,30 @@ const char* FeatureKindName(FeatureKind kind) {
   return "unknown";
 }
 
+const char* FeatureColumnName(FeatureKind kind) {
+  switch (kind) {
+    case FeatureKind::kColorHistogram:
+      return "FEAT_histogram";
+    case FeatureKind::kGlcm:
+      return "FEAT_glcm";
+    case FeatureKind::kGabor:
+      return "FEAT_gabor2";  // v2: cropped low-frequency scales, float |.|
+    case FeatureKind::kTamura:
+      return "FEAT_tamura";
+    case FeatureKind::kAutoCorrelogram:
+      return "FEAT_acc";
+    case FeatureKind::kNaiveSignature:
+      return "FEAT_naive";
+    case FeatureKind::kRegionGrowing:
+      return "FEAT_regions";
+    case FeatureKind::kEdgeHistogram:
+      return "FEAT_edgehist";
+    case FeatureKind::kColorSignature:
+      return "FEAT_colorsig";
+  }
+  return "FEAT_unknown";
+}
+
 Result<FeatureKind> FeatureKindFromName(const std::string& name) {
   for (int i = 0; i < kNumFeatureKinds; ++i) {
     const FeatureKind kind = static_cast<FeatureKind>(i);

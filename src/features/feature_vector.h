@@ -45,6 +45,12 @@ inline constexpr int kNumPaperFeatureKinds = 7;
 /// Short stable name ("histogram", "glcm", ...).
 const char* FeatureKindName(FeatureKind kind);
 
+/// The kind's KEY_FRAMES column: "FEAT_" + FeatureKindName, with the
+/// definition's revision appended once its values changed on purpose
+/// ("FEAT_gabor2"), so VideoStore::Open refuses a store written under
+/// an earlier definition by naming this column.
+const char* FeatureColumnName(FeatureKind kind);
+
 /// Parses a FeatureKindName back to the enum.
 Result<FeatureKind> FeatureKindFromName(const std::string& name);
 

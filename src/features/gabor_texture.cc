@@ -1,7 +1,6 @@
 #include "features/gabor_texture.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -14,16 +13,17 @@
 namespace vr {
 
 GaborTexture::GaborTexture(int scales, int orientations, int working_size)
+    : GaborTexture(scales, orientations, working_size, kCropSigmas) {}
+
+GaborTexture::GaborTexture(int scales, int orientations, int working_size,
+                           double crop_sigmas)
     : scales_(std::max(1, scales)),
       orientations_(std::max(1, orientations)),
       working_size_(static_cast<int>(
-          NextPowerOfTwo(static_cast<size_t>(std::max(16, working_size))))) {}
+          NextPowerOfTwo(static_cast<size_t>(std::max(16, working_size))))),
+      crop_sigmas_(crop_sigmas) {}
 
 namespace {
-
-/// Filters whose statistics run interleaved: one accumulator chain per
-/// filter, so the adds of different filters overlap in the pipeline.
-constexpr size_t kStatGroup = 3;
 
 /// Per-context Gabor working rasters. The prologue's context holds the
 /// frame's transform (spectrum) for the parts to read; a context that
@@ -34,45 +34,63 @@ struct GaborScratch : PlanContext::Scratch {
   FloatImage f;
   std::vector<Complex> spectrum;  ///< the frame's transform, transposed
   ComplexImage response;
+  ComplexImage crop_response;
   std::vector<Complex> transposed;  ///< filter product / FFT scratch
-  /// |response| of each filter of a statistics group.
-  std::array<std::vector<float>, kStatGroup> mags;
+  std::vector<float> mags;          ///< |response| of one filter
 
   /// Sizes the buffers the filters use (the prologue's forward
-  /// transform uses the first two as well).
+  /// transform uses `response` and `transposed` as well).
   void SizeFilterBuffers(int ws) {
     if (response.width == ws) return;
     const size_t pixels = static_cast<size_t>(ws) * ws;
     response = ComplexImage(ws, ws);
+    crop_response = ComplexImage(ws / 2, ws / 2);
     transposed.resize(pixels);
-    for (std::vector<float>& plane : mags) plane.resize(pixels);
+    mags.resize(pixels);
   }
 };
 
-/// Writes the mean and the standard deviation of each of the G planes
-/// in \p mags (each \p pixels long) to \p out, plane by plane. Each
-/// plane's sums run in pixel order, exactly as one plane at a time
-/// would; the G chains only share the loop.
-template <size_t G>
-void PlaneStats(const std::array<std::vector<float>, kStatGroup>& mags,
-                size_t pixels, double* out) {
-  const double n = static_cast<double>(pixels);
-  double mean[G] = {};
-  for (size_t i = 0; i < pixels; ++i) {
-    for (size_t g = 0; g < G; ++g) mean[g] += mags[g][i];
-  }
-  for (size_t g = 0; g < G; ++g) mean[g] /= n;
-  double var[G] = {};
-  for (size_t i = 0; i < pixels; ++i) {
-    for (size_t g = 0; g < G; ++g) {
-      const double d = mags[g][i] - mean[g];
-      var[g] += d * d;
+/// Accumulator lanes of the response statistics.
+constexpr size_t kStatLanes = 8;
+
+/// Sum of the lanes, in a fixed order.
+double SumLanes(const double (&lanes)[kStatLanes]) {
+  double sum = 0.0;
+  for (double v : lanes) sum += v;
+  return sum;
+}
+
+/// Writes \p scale times the mean and the standard deviation of the
+/// \p n samples at \p mags (n a multiple of kStatLanes) to out[0] and
+/// out[1], in one pass over the sum and the sum of squares. Each sum
+/// runs in kStatLanes accumulators, so the adds of different lanes
+/// overlap; the association is the source's, whatever the target. In
+/// double, E[m^2] - mean^2 of float samples loses ~1e-16 of E[m^2],
+/// far inside the bank's tolerance. The lane loop is unrolled whole so
+/// the accumulators stay in registers.
+void MeanStd(const float* mags, size_t n, double scale, double* out) {
+  static_assert(kStatLanes == 8, "the unroll pragma spells out kStatLanes");
+  double sum[kStatLanes] = {};
+  double squares[kStatLanes] = {};
+  for (size_t i = 0; i < n; i += kStatLanes) {
+#pragma GCC unroll 8
+    for (size_t j = 0; j < kStatLanes; ++j) {
+      const double m = mags[i + j];
+      sum[j] += m;
+      squares[j] += m * m;
     }
   }
-  for (size_t g = 0; g < G; ++g) {
-    out[2 * g] = mean[g];
-    out[2 * g + 1] = std::sqrt(var[g] / n);
-  }
+  const double count = static_cast<double>(n);
+  const double mean = SumLanes(sum) / count;
+  const double var = std::max(0.0, SumLanes(squares) / count - mean * mean);
+  out[0] = scale * mean;
+  out[1] = scale * std::sqrt(var);
+}
+
+/// Transform cost of a filter of \p size: size^2 log2(size^2).
+double FilterCost(int size) {
+  const double pixels = static_cast<double>(size) * size;
+  return pixels * std::log2(pixels);
 }
 
 }  // namespace
@@ -84,8 +102,13 @@ uint32_t GaborTexture::SharedIntermediates() const {
 const GaborTexture::Bank& GaborTexture::bank() const {
   std::call_once(bank_once_, [this] {
     const int ws = working_size_;
-    const size_t pixels = static_cast<size_t>(ws) * ws;
     auto bank = std::make_unique<Bank>(ws);
+    // The signed frequency of bin k (any integer), in cycles per pixel.
+    const auto freq = [ws](int k) {
+      const int wrapped = k & (ws - 1);
+      return (wrapped < ws / 2 ? wrapped : wrapped - ws) /
+             static_cast<double>(ws);
+    };
     // g depends only on (m, n, kx, ky), never on the frame — a
     // one-sided Gaussian around the center frequency (u0, v0),
     // evaluated in double and stored as float.
@@ -94,25 +117,30 @@ const GaborTexture::Bank& GaborTexture::bank() const {
     for (int m = 0; m < scales_; ++m) {
       const double f0 = f_max / std::pow(std::sqrt(2.0), m);
       const double sigma_f = f0 / 2.0;
+      const bool crop = crop_sigmas_ * sigma_f * ws <= ws / 4.0;
       for (int n = 0; n < orientations_; ++n) {
         const double theta = static_cast<double>(n) * M_PI / orientations_;
         const double u0 = f0 * std::cos(theta);
         const double v0 = f0 * std::sin(theta);
-        std::vector<float> plane(pixels);
-        for (int ky = 0; ky < ws; ++ky) {
-          const double v =
-              (ky < ws / 2 ? ky : ky - ws) / static_cast<double>(ws);
-          for (int kx = 0; kx < ws; ++kx) {
-            const double u =
-                (kx < ws / 2 ? kx : kx - ws) / static_cast<double>(ws);
-            const double du = u - u0;
-            const double dv = v - v0;
-            const double g =
-                std::exp(-(du * du + dv * dv) / (2.0 * sigma_f * sigma_f));
-            plane[static_cast<size_t>(kx) * ws + ky] = static_cast<float>(g);
+        Filter filter;
+        filter.size = crop ? ws / 2 : ws;
+        if (crop) {
+          filter.kx0 = static_cast<int>(std::lround(u0 * ws)) - ws / 4;
+          filter.ky0 = static_cast<int>(std::lround(v0 * ws)) - ws / 4;
+        }
+        const int size = filter.size;
+        filter.plane.resize(static_cast<size_t>(size) * size);
+        for (int kx = filter.kx0; kx < filter.kx0 + size; ++kx) {
+          const double du = freq(kx) - u0;
+          float* column = &filter.plane[static_cast<size_t>(kx & (size - 1)) *
+                                        static_cast<size_t>(size)];
+          for (int ky = filter.ky0; ky < filter.ky0 + size; ++ky) {
+            const double dv = freq(ky) - v0;
+            column[ky & (size - 1)] = static_cast<float>(
+                std::exp(-(du * du + dv * dv) / (2.0 * sigma_f * sigma_f)));
           }
         }
-        bank->filters.push_back(std::move(plane));
+        bank->filters.push_back(std::move(filter));
       }
     }
     bank_ = std::move(bank);
@@ -121,11 +149,23 @@ const GaborTexture::Bank& GaborTexture::bank() const {
 }
 
 std::vector<size_t> GaborTexture::PartBounds() const {
-  const size_t filters = static_cast<size_t>(scales_) * orientations_;
-  const size_t groups = (filters + kStatGroup - 1) / kStatGroup;
-  const size_t split = (groups + 1) / 2 * kStatGroup;
-  if (split >= filters) return {0, 2 * filters};
-  return {0, 2 * split, 2 * filters};
+  const std::vector<Filter>& filters = bank().filters;
+  double total = 0.0;
+  for (const Filter& f : filters) total += FilterCost(f.size);
+  // The split with the smallest |prefix - (total - prefix)|.
+  size_t split = 0;
+  double prefix = 0.0;
+  double best = total;
+  for (size_t i = 0; i < filters.size(); ++i) {
+    prefix += FilterCost(filters[i].size);
+    const double gap = std::abs(2.0 * prefix - total);
+    if (gap < best) {
+      best = gap;
+      split = i + 1;
+    }
+  }
+  if (split == 0 || split >= filters.size()) return {0, 2 * filters.size()};
+  return {0, 2 * split, 2 * filters.size()};
 }
 
 Result<FeatureVector> GaborTexture::ExtractShared(const Image& img,
@@ -153,16 +193,10 @@ Status GaborTexture::ExtractPrologue(const Image& img, PlanContext& ctx) const {
   for (size_t i = 0; i < pixels; ++i) {
     f.data()[i] = static_cast<float>(gray_bytes[i]);
   }
-  double mean = 0.0;
-  for (float v : f.data()) mean += v;
-  mean /= static_cast<double>(f.data().size());
-  double var = 0.0;
-  for (float v : f.data()) {
-    const double d = v - mean;
-    var += d * d;
-  }
-  var /= static_cast<double>(f.data().size());
-  const double inv_std = var > 1e-12 ? 1.0 / std::sqrt(var) : 0.0;
+  double moments[2];  // mean, std
+  MeanStd(f.data().data(), pixels, 1.0, moments);
+  const double mean = moments[0];
+  const double inv_std = moments[1] > 1e-6 ? 1.0 / moments[1] : 0.0;
   for (float& v : f.data()) {
     v = static_cast<float>((v - mean) * inv_std);
   }
@@ -191,36 +225,42 @@ Status GaborTexture::ExtractPart(size_t part, const PlanContext& prologue,
       prologue.ScratchOf<GaborScratch>(kind()).spectrum.data();
   GaborScratch* scratch = ctx.ScratchFor<GaborScratch>(kind());
   const int ws = working_size_;
-  const size_t pixels = static_cast<size_t>(ws) * ws;
   scratch->SizeFilterBuffers(ws);
 
   Complex* product = scratch->transposed.data();
   const size_t first = bounds[part] / 2;
   const size_t last = bounds[part + 1] / 2;
-  for (size_t at = first; at < last; at += kStatGroup) {
-    const size_t group = std::min(kStatGroup, last - at);
-    for (size_t g = 0; g < group; ++g) {
-      const float* filter = b.filters[at + g].data();
-      for (size_t i = 0; i < pixels; ++i) {
-        product[i] = spectrum[i] * filter[i];
+  for (size_t at = first; at < last; ++at) {
+    const Filter& filter = b.filters[at];
+    const int size = filter.size;
+    // The window's spectrum times the filter, column by column; a column
+    // splits where the window's bins wrap past a multiple of size (the
+    // spectrum wraps only at those too, as size divides ws).
+    for (int kx = filter.kx0; kx < filter.kx0 + size; ++kx) {
+      const size_t to = static_cast<size_t>(kx & (size - 1)) * size;
+      const Complex* from =
+          spectrum + static_cast<size_t>(kx & (ws - 1)) * ws;
+      const int ky1 = filter.ky0 + size;
+      for (int ky = filter.ky0; ky < ky1;) {
+        const int run = std::min(size - (ky & (size - 1)), ky1 - ky);
+        const size_t at_to = to + static_cast<size_t>(ky & (size - 1));
+        const Complex* src = from + (ky & (ws - 1));
+        const float* g = filter.plane.data() + at_to;
+        Complex* dst = product + at_to;
+        for (int i = 0; i < run; ++i) dst[i] = src[i] * g[i];
+        ky += run;
       }
-      VR_RETURN_NOT_OK(b.fft.RunTransposed(product, /*inverse=*/true,
-                                           &scratch->response));
-      Magnitudes(scratch->response.data.data(), pixels,
-                 scratch->mags[g].data());
     }
-    double* stats = out + 2 * (at - first);
-    switch (group) {
-      case 1:
-        PlaneStats<1>(scratch->mags, pixels, stats);
-        break;
-      case 2:
-        PlaneStats<2>(scratch->mags, pixels, stats);
-        break;
-      default:
-        PlaneStats<3>(scratch->mags, pixels, stats);
-        break;
-    }
+    const bool cropped = size != ws;
+    ComplexImage& response =
+        cropped ? scratch->crop_response : scratch->response;
+    VR_RETURN_NOT_OK((cropped ? b.crop_fft : b.fft)
+                         .RunTransposed(product, /*inverse=*/true, &response));
+    const size_t pixels = static_cast<size_t>(size) * size;
+    Magnitudes(response.data.data(), pixels, scratch->mags.data());
+    // A half-size inverse transform carries 1/(ws/2)^2, not 1/ws^2.
+    const double scale = cropped ? 0.25 : 1.0;
+    MeanStd(scratch->mags.data(), pixels, scale, out + 2 * (at - first));
   }
   return Status::OK();
 }

@@ -3,14 +3,17 @@
 ///
 /// Used by the Gabor texture extractor: the image is transformed once,
 /// each Gabor filter is applied as an analytic frequency-domain Gaussian,
-/// and one inverse transform per filter yields the complex response.
-/// Direct spatial convolution with 30 large kernels would be ~100x
-/// slower; on the 4-vCPU benchmark host the whole 31-transform bank
-/// is still the largest layer of a query's extraction.
+/// and one inverse transform per filter yields the complex response, at
+/// the full working size or, for a narrow low-frequency filter, on a
+/// half-size crop of the spectrum (features/gabor_texture.h). Direct
+/// spatial convolution with 30 large kernels would be ~100x slower; on
+/// the 4-vCPU benchmark host the bank is still the largest layer of a
+/// query's extraction.
 ///
-/// Every output bit is fixed (the golden-feature fixture pins it), so
-/// the speed comes only from reordering independent operations and from
-/// wider vectors over the same IEEE operations:
+/// The transforms are pinned bit for bit (fft_test, and the golden
+/// fixture through the Gabor bank that runs them), so the speed comes
+/// only from reordering independent operations and from wider vectors
+/// over the same IEEE operations:
 ///
 ///  - **Strips.** FftPlan::Run transforms a lockstep block kStripColumns
 ///    columns at a time: the bit reversal and every butterfly level run
@@ -30,13 +33,14 @@
 ///    `x86-64-v3`, `arch=haswell` or anything else that implies it):
 ///    GCC's default -ffp-contract=fast would then fuse a * b + c into
 ///    one rounding and move bits. Without FMA both builds run the same
-///    IEEE multiply, add and sqrt per element, 2 or 4 lanes at a time.
+///    IEEE multiply, add and sqrt per element, 2 to 8 lanes at a time.
 ///    fft_test and gabor_test compare the two builds bit for bit, and
 ///    `micro_features --smoke` checks the golden fixture on both.
 ///
 /// The kernels never use std::complex arithmetic that can take a slow
-/// path: ComplexMul and Magnitude below are written out, pinned bit for
-/// bit against std::complex by tests/fft_test.cc.
+/// path: ComplexMul and Magnitude below are written out; tests/fft_test.cc
+/// pins ComplexMul against std::complex and Magnitude against its
+/// defining float expression.
 
 #pragma once
 
@@ -60,13 +64,16 @@ inline Complex ComplexMul(Complex a, Complex b) {
                  a.real() * b.imag() + a.imag() * b.real());
 }
 
-/// |z| as glibc's hypotf computes it (sqrt of the exact double sum of
-/// squares, rounded to float), which is what std::abs(Complex) calls;
-/// inline, it avoids one libm call per pixel per filter.
+/// |z| in float: the correctly rounded sqrt of the float sum of squares
+/// re * re + im * im (each step one IEEE float operation). Unlike
+/// std::abs (glibc's hypotf, a double sqrt), it runs 8 lanes wide on
+/// AVX2. It overflows to infinity past |z| ~ 1.8e19 and loses precision
+/// below ~1e-19, far outside the Gabor responses it serves (unit-variance
+/// input).
 inline float Magnitude(Complex z) {
-  const double re = z.real();
-  const double im = z.imag();
-  return static_cast<float>(std::sqrt(re * re + im * im));
+  const float re = z.real();
+  const float im = z.imag();
+  return std::sqrt(re * re + im * im);
 }
 
 /// True iff n is a power of two (and > 0).

@@ -108,7 +108,9 @@ class MatrixStore {
   /// Header magic ("VRMX", little-endian).
   static constexpr uint32_t kMagic = 0x584D5256;
   /// Matrix cache format version (independent of the pager format).
-  static constexpr uint32_t kFormatVersion = 2;
+  /// 3: the Gabor vectors are v2's (FEAT_gabor2), so a v2 cache built
+  /// from v1 Gabor rows is rebuilt, never read.
+  static constexpr uint32_t kFormatVersion = 3;
 
  private:
   MatrixStore() = default;

@@ -54,8 +54,7 @@ Result<Schema> KeyFrameSchema() {
   };
   for (int i = 0; i < kNumFeatureKinds; ++i) {
     Column c;
-    c.name = std::string("FEAT_") +
-             ToLower(FeatureKindName(static_cast<FeatureKind>(i)));
+    c.name = FeatureColumnName(static_cast<FeatureKind>(i));
     c.type = ColumnType::kText;
     c.nullable = true;
     columns.push_back(std::move(c));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 namespace vr {
 namespace {
@@ -70,6 +71,20 @@ TEST(FeatureKindTest, NamesRoundTrip) {
     EXPECT_EQ(*back, kind);
   }
   EXPECT_FALSE(FeatureKindFromName("nonsense").ok());
+}
+
+TEST(FeatureKindTest, ColumnNamesAreFeatNamePlusRevision) {
+  for (int i = 0; i < kNumFeatureKinds; ++i) {
+    const FeatureKind kind = static_cast<FeatureKind>(i);
+    const std::string prefix = std::string("FEAT_") + FeatureKindName(kind);
+    const std::string column = FeatureColumnName(kind);
+    ASSERT_EQ(column.rfind(prefix, 0), 0u) << column;
+    const std::string revision = column.substr(prefix.size());
+    EXPECT_EQ(revision.find_first_not_of("0123456789"), std::string::npos)
+        << column;
+  }
+  // Gabor's definition changed once: v1 stores carry FEAT_gabor.
+  EXPECT_STREQ(FeatureColumnName(FeatureKind::kGabor), "FEAT_gabor2");
 }
 
 class IdentityExtractor : public FeatureExtractor {

@@ -257,7 +257,16 @@ TEST(FftTest, ComplexMulIsStdComplexProduct) {
   }
 }
 
-TEST(FftTest, MagnitudeIsStdAbs) {
+/// |z| as defined for the Gabor bank: the float sum of squares, then its
+/// correctly rounded float sqrt (taken here in double and rounded once,
+/// which is exact for a sqrt), so the reference does not lean on the
+/// expression it checks.
+float FloatMagnitude(Complex z) {
+  const float sum = z.real() * z.real() + z.imag() * z.imag();
+  return static_cast<float>(std::sqrt(static_cast<double>(sum)));
+}
+
+std::vector<Complex> MagnitudeCases() {
   std::vector<Complex> cases;
   for (float re : kEdges) {
     for (float im : kEdges) cases.push_back({re, im});
@@ -266,12 +275,15 @@ TEST(FftTest, MagnitudeIsStdAbs) {
   for (uint64_t i = 0; i < 400000; ++i) {
     cases.push_back({RandomFinite(&rng), RandomFinite(&rng)});
   }
-  for (const Complex& z : cases) {
-    ASSERT_EQ(Bits(Magnitude(z)), Bits(std::abs(z)))
-        << "Magnitude" << z << " = " << Magnitude(z) << " but std::abs = "
-        << std::abs(z) << ": the C library's hypotf no longer computes "
-        << "float(sqrt(double(re)^2 + double(im)^2)), so Gabor features "
-        << "would drift from the golden-feature fixture";
+  return cases;
+}
+
+TEST(FftTest, MagnitudeIsFloatSqrtOfSquares) {
+  for (const Complex& z : MagnitudeCases()) {
+    ASSERT_EQ(Bits(Magnitude(z)), Bits(FloatMagnitude(z)))
+        << "Magnitude" << z << " = " << Magnitude(z) << ", expected "
+        << FloatMagnitude(z) << ": Gabor features would drift from the "
+        << "golden-feature fixture";
   }
 }
 
@@ -366,6 +378,27 @@ TEST(FftTest, KernelBuildsAgreeBitwiseTransposeAndMagnitudes) {
     Magnitudes(d->data(), d->size(), mags.data());
     for (size_t i = 0; i < d->size(); ++i) (*d)[i] = Complex(mags[i], 0.0f);
   });
+}
+
+TEST(FftTest, MagnitudesKernelIsFloatSqrtOfSquaresOnEveryBuild) {
+  // The packed |.| of each kernel build, element by element against the
+  // scalar definition, so neither build can move a bit unnoticed.
+  const std::vector<Complex> cases = MagnitudeCases();
+  std::vector<KernelBuild> builds = {KernelBuild::kPortable};
+  if (fft_internal::Avx2Supported()) builds.push_back(KernelBuild::kAvx2);
+  for (KernelBuild build : builds) {
+    SCOPED_TRACE(build == KernelBuild::kPortable ? "portable" : "AVX2");
+    ScopedKernelBuild pin(build);
+    std::vector<float> mags(cases.size());
+    Magnitudes(cases.data(), cases.size(), mags.data());
+    for (size_t i = 0; i < cases.size(); ++i) {
+      ASSERT_EQ(Bits(mags[i]), Bits(FloatMagnitude(cases[i])))
+          << "|" << cases[i] << "| = " << mags[i];
+    }
+  }
+  if (builds.size() == 1) {
+    GTEST_SKIP() << "CPU lacks AVX2: only the portable kernels ran";
+  }
 }
 
 TEST(FftTest, RunTransposedIsRunBitwise) {

@@ -4,11 +4,19 @@
 
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <string>
+#include <vector>
 
+#include "eval/corpus.h"
+#include "features/plan/extraction_plan.h"
 #include "golden_features.h"
 #include "imaging/draw.h"
 #include "imaging/fft.h"
+#include "util/fork_join.h"
 #include "util/rng.h"
+#include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace vr {
 namespace {
@@ -156,6 +164,100 @@ TEST(GaborTest, KernelBuildsAgreeOnEveryGoldenFrame) {
                           got[0].size() * sizeof(double)),
               0);
   }
+}
+
+/// The frames tests/data/gabor_v1.txt names: the golden frames and the
+/// 40 vr-bench query frames.
+std::map<std::string, Image> ReferenceFrames() {
+  std::map<std::string, Image> frames;
+  for (golden::Frame& frame : golden::Frames()) {
+    frames[frame.name] = std::move(frame.image);
+  }
+  CorpusSpec spec;
+  spec.width = 128;
+  spec.height = 96;
+  for (int i = 0; i < 40; ++i) {
+    const auto category = static_cast<VideoCategory>(i % kNumCategories);
+    frames[StringPrintf("query_%02d", i)] =
+        MakeQueryFrame(spec, category, static_cast<uint64_t>(i)).value();
+  }
+  return frames;
+}
+
+/// The largest |v - v1| / |v1| of \p extractor's values v against the
+/// gabor_v1 reference, over every reference row; \p where names it.
+double WorstRelativeError(const GaborTexture& extractor, std::string* where) {
+  const auto reference = golden::LoadFixture(VR_GABOR_V1);
+  EXPECT_TRUE(reference.ok()) << reference.status().ToString();
+  if (!reference.ok()) return INFINITY;
+  EXPECT_EQ(reference->size(), 47u);  // 7 golden + 40 query frames
+  const std::map<std::string, Image> frames = ReferenceFrames();
+  double worst = 0.0;
+  for (const auto& [key, v1] : *reference) {
+    const std::string frame = key.substr(0, key.find(' '));
+    const FeatureVector v = extractor.Extract(frames.at(frame)).value();
+    EXPECT_EQ(v.size(), v1.size()) << key;
+    for (size_t i = 0; i < std::min(v.size(), v1.size()); ++i) {
+      const double error = std::abs(v[i] - v1[i]) / std::abs(v1[i]);
+      if (!(error <= worst)) {
+        worst = error;
+        *where = StringPrintf("%s dim %zu", frame.c_str(), i);
+      }
+    }
+  }
+  return worst;
+}
+
+TEST(GaborTest, StaysWithinToleranceOfTheFirstDefinition) {
+  const Result<double> eps = golden::GaborTolerance(VR_GOLDEN_FEATURES);
+  ASSERT_TRUE(eps.ok()) << eps.status().ToString();
+  std::string where;
+  const double worst = WorstRelativeError(GaborTexture(), &where);
+  EXPECT_LE(worst, *eps) << "worst relative error at " << where;
+}
+
+/// The bank with the crop rule at 2.4 sigmas: scale 2 (sigma_f * ws =
+/// 12.8 bins, 2.4 * 12.8 <= 32) is cropped as well, scale 1 (18.1 bins)
+/// is not.
+class OneScaleMoreCropped : public GaborTexture {
+ public:
+  OneScaleMoreCropped() : GaborTexture(5, 6, 128, 2.4) {}
+};
+
+TEST(GaborTest, ToleranceRejectsCroppingOneScaleMore) {
+  // The must-fail probe of the tolerance test: a bank that crops one
+  // scale more than the rule allows must break the stated bound.
+  const Result<double> eps = golden::GaborTolerance(VR_GOLDEN_FEATURES);
+  ASSERT_TRUE(eps.ok()) << eps.status().ToString();
+  std::string where;
+  EXPECT_GT(WorstRelativeError(OneScaleMoreCropped(), &where), *eps);
+}
+
+TEST(GaborTest, ForkedCostSplitHalvesEqualTheSerialBank) {
+  const GaborTexture extractor;
+  // 18 full-size filters and 12 cropped ones, each ~4.7x cheaper: the
+  // halves split after 10 of the 30 filters by cost, not after 15.
+  EXPECT_EQ(extractor.PartBounds(), (std::vector<size_t>{0, 20, 60}));
+  auto fixture = golden::LoadFixture(VR_GOLDEN_FEATURES);
+  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+  ThreadPool pool(ThreadPoolOptions{.num_threads = 1});
+  ForkHelpers helpers;
+  helpers.pool = &pool;
+  helpers.count = 1;
+  ExtractionPlan forked({&extractor});
+  size_t forks = 0;
+  for (const golden::Frame& frame : golden::Frames()) {
+    SCOPED_TRACE(frame.name);
+    const FeatureVector serial = extractor.Extract(frame.image).value();
+    Result<FeatureMap> got = forked.ExtractAll(frame.image, nullptr, helpers);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    forks += forked.helpers_used();
+    EXPECT_EQ(golden::Mismatch(serial, got->at(FeatureKind::kGabor)), "");
+    EXPECT_EQ(golden::Mismatch(fixture->at(golden::Key(frame.name, "gabor")),
+                               serial),
+              "");
+  }
+  EXPECT_GT(forks, 0u);
 }
 
 TEST(GaborTest, RejectsEmptyImage) {

@@ -8,12 +8,17 @@
 /// fixture is bitwise. The values were produced by the standalone
 /// per-extractor implementations that predate the fused ExtractShared
 /// paths, so the fixture pins the numbers every stored feature column
-/// was built with. Shared by tests/extraction_plan_test.cc and the
-/// `micro_features --smoke` gate.
+/// was built with; the Gabor rows were re-recorded for the bank's
+/// second definition, and tests/data/gabor_v1.txt keeps the first,
+/// which the second must track within the tolerance the fixture header
+/// states (GaborTolerance). Shared by tests/extraction_plan_test.cc,
+/// gabor_test, golden_distances_test and the `micro_features --smoke`
+/// gate.
 
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -121,6 +126,22 @@ inline Result<std::map<std::string, FeatureVector>> LoadFixture(
     out.emplace(line.substr(0, label_end), std::move(fv));
   }
   return out;
+}
+
+/// The relative tolerance between the current Gabor bank and the
+/// gabor_v1 reference, from the fixture's "# gabor_v1 tolerance: <eps>"
+/// header line at \p path.
+inline Result<double> GaborTolerance(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return Status::IOError("cannot open golden fixture " + path);
+  const std::string tag = "# gabor_v1 tolerance: ";
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(tag, 0) == 0) {
+      return std::strtod(line.c_str() + tag.size(), nullptr);
+    }
+  }
+  return Status::Corruption("no gabor_v1 tolerance line in " + path);
 }
 
 /// Empty when \p got reproduces \p want bit for bit, else a description

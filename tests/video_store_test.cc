@@ -217,6 +217,22 @@ TEST(VideoStoreTest, RejectsKeyFramesWithARenamedFeatureColumn) {
   EXPECT_NE(st.message().find("FEAT_renamed"), std::string::npos) << st;
 }
 
+TEST(VideoStoreTest, RefusesAStoreWrittenWithGaborV1) {
+  // A store written with the first Gabor definition has the same layout
+  // with FEAT_gabor at position 9; its values must never be ranked
+  // against the second definition's.
+  std::vector<Column> columns = KeyFrameColumns("vs_gabor_v1_layout");
+  ASSERT_EQ(columns[9].name, "FEAT_gabor2");
+  columns[9].name = "FEAT_gabor";
+  const Status st = OpenOverKeyFrames("vs_gabor_v1", columns);
+  ASSERT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_NE(st.message().find("KEY_FRAMES"), std::string::npos) << st;
+  EXPECT_NE(st.message().find("column 9 is FEAT_gabor, expected FEAT_gabor2"),
+            std::string::npos)
+      << st;
+}
+
 TEST(VideoStoreTest, RejectsKeyFramesWithAMissingFeatureColumn) {
   std::vector<Column> columns = KeyFrameColumns("vs_missing_layout");
   const std::string missing = columns.back().name;
