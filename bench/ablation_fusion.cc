@@ -5,9 +5,7 @@
 ///
 /// Not a table in the paper, but the design choice (multi-feature
 /// combination) the paper's conclusion rests on; DESIGN.md calls this
-/// out as the ablation bench. A third table adds each extension kind
-/// (edge histogram, color signature) to the default seven on two
-/// corpus seeds. Every row is written to
+/// out as the ablation bench. Every row is written to
 /// BENCH_ablation.json in the working directory, which
 /// scripts/check_docs.sh ties to EXPERIMENTS.md § Ablations.
 ///
@@ -76,7 +74,6 @@ int main(int argc, char** argv) {
   const int queries =
       argc > 2 ? static_cast<int>(vr::ParseInt64(argv[2]).ValueOr(8)) : 8;
   const uint64_t seed = 77;
-  const uint64_t extension_seeds[] = {77, 2012};
 
   // Cumulative feature sets, cheapest first.
   const std::vector<std::pair<const char*, std::vector<vr::FeatureKind>>>
@@ -115,58 +112,35 @@ int main(int argc, char** argv) {
   struct Row {
     const char* table;
     std::string label;
-    uint64_t seed;
     double precision;
   };
   std::vector<Row> rows;
   const auto measure = [&](const char* table, std::string label,
                            const std::vector<vr::FeatureKind>& features,
-                           vr::NormalizationKind normalization,
-                           uint64_t corpus_seed) {
-    auto p = CombinedPrecision(features, normalization, videos, queries,
-                               corpus_seed);
+                           vr::NormalizationKind normalization) {
+    auto p =
+        CombinedPrecision(features, normalization, videos, queries, seed);
     if (!p.ok()) {
       std::fprintf(stderr, "%s: %s\n", label.c_str(),
                    p.status().ToString().c_str());
       return false;
     }
-    rows.push_back({table, std::move(label), corpus_seed, *p});
+    rows.push_back({table, std::move(label), *p});
     return true;
   };
 
   for (const auto& [label, features] : sets) {
-    if (!measure("fusion", label, features, vr::NormalizationKind::kMinMax,
-                 seed)) {
+    if (!measure("fusion", label, features, vr::NormalizationKind::kMinMax)) {
       return 1;
     }
   }
   // min-max over all seven at this seed is the last fusion row.
   const double all_seven_p = rows.back().precision;
-  rows.push_back({"normalization", "min-max", seed, all_seven_p});
+  rows.push_back({"normalization", "min-max", all_seven_p});
   for (auto [kind, name] :
        {std::make_pair(vr::NormalizationKind::kGaussian, "gaussian"),
         std::make_pair(vr::NormalizationKind::kRank, "rank")}) {
-    if (!measure("normalization", name, all_seven, kind, seed)) return 1;
-  }
-  for (uint64_t s : extension_seeds) {
-    const std::string at_seed =
-        vr::StringPrintf(", seed %llu", static_cast<unsigned long long>(s));
-    if (s == seed) {
-      rows.push_back({"extensions", "all seven" + at_seed, s, all_seven_p});
-    } else if (!measure("extensions", "all seven" + at_seed, all_seven,
-                        vr::NormalizationKind::kMinMax, s)) {
-      return 1;
-    }
-    for (vr::FeatureKind extra :
-         {vr::FeatureKind::kEdgeHistogram, vr::FeatureKind::kColorSignature}) {
-      std::vector<vr::FeatureKind> features = all_seven;
-      features.push_back(extra);
-      if (!measure("extensions",
-                   std::string("+ ") + vr::FeatureKindName(extra) + at_seed,
-                   features, vr::NormalizationKind::kMinMax, s)) {
-        return 1;
-      }
-    }
+    if (!measure("normalization", name, all_seven, kind)) return 1;
   }
 
   const auto print = [&](const char* title, const char* table,
@@ -182,8 +156,6 @@ int main(int argc, char** argv) {
   print("feature fusion", "fusion", "feature set");
   print("score normalization, all seven features", "normalization",
         "normalization");
-  print("extension kinds added to the default seven", "extensions",
-        "feature set, corpus seed");
 
   const char* json_path = "BENCH_ablation.json";
   std::FILE* json = std::fopen(json_path, "w");
@@ -202,7 +174,7 @@ int main(int argc, char** argv) {
                  "    {\"table\": \"%s\", \"label\": \"%s\", "
                  "\"seed\": %llu, \"precision_at_20\": %.5f}%s\n",
                  r.table, r.label.c_str(),
-                 static_cast<unsigned long long>(r.seed), r.precision,
+                 static_cast<unsigned long long>(seed), r.precision,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");

@@ -9,8 +9,7 @@
 /// frames vr-bench's image_cold workload sends) it reports:
 ///  - per-extractor time inside each ExtractShared (excludes shared
 ///    intermediates);
-///  - per-intermediate time (gray plane, gray histogram, HSV plane,
-///    float luma);
+///  - per-intermediate time (gray plane, gray histogram, HSV plane);
 ///  - the whole-bank ExtractAll cost, serial and forked onto one
 ///    helper thread (the caller plus one helper, the fork a query makes
 ///    when the engine has a core to spare) — the number the query

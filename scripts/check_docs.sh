@@ -127,10 +127,10 @@ expect_version "newest §6.5 page-file version" \
 #     kNumFeatureKinds, and §8's KEY_FRAMES list has one row per kind,
 #     in ordinal order, at position 7 + ordinal, naming the kind's
 #     FeatureColumnName, which must be `FEAT_<FeatureKindName>` plus an
-#     optional revision number. Two must-fail probes: one changes
-#     kNumFeatureKinds in a temp copy of the header, the other drops the
-#     Gabor column's revision in a temp copy of feature_vector.cc; the
-#     comparison must reject both.
+#     optional revision number. Two must-fail probes: one raises
+#     kNumFeatureKinds by one in a temp copy of the header, the other
+#     drops the Gabor column's revision in a temp copy of
+#     feature_vector.cc; the comparison must reject both.
 kind_strings() {  # kind_strings <.cc> <function>: "kKind <string>" per case
   sed -n "/^const char\* $2(/,/^}/p" "$1" \
     | awk '/case FeatureKind::/ {k = $2; sub(/^FeatureKind::/, "", k)
@@ -176,7 +176,8 @@ layout_errors=$(kind_layout_errors "$kinds_h" "$kinds_cc")
 [[ -z "$layout_errors" ]] \
   || err "docs/FORMAT.md kind layout is stale:" $'\n'"$layout_errors"
 probe=$(mktemp)
-sed -E 's/(kNumFeatureKinds = )[0-9]+/\17/' "$kinds_h" > "$probe"
+kinds=$(code_version "$kinds_h" kNumFeatureKinds)
+sed -E "s/(kNumFeatureKinds = )[0-9]+/\1$((kinds + 1))/" "$kinds_h" > "$probe"
 [[ -n "$(kind_layout_errors "$probe" "$kinds_cc")" ]] \
   || err "KIND-LAYOUT PROBE DID NOT FIRE: a changed kNumFeatureKinds" \
          "passed the check"

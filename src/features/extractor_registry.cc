@@ -2,8 +2,6 @@
 
 #include "features/auto_correlogram.h"
 #include "features/color_histogram.h"
-#include "features/color_signature.h"
-#include "features/edge_histogram.h"
 #include "features/gabor_texture.h"
 #include "features/glcm_texture.h"
 #include "features/naive_signature.h"
@@ -28,10 +26,6 @@ std::unique_ptr<FeatureExtractor> MakeExtractor(FeatureKind kind) {
       return std::make_unique<NaiveSignature>();
     case FeatureKind::kRegionGrowing:
       return std::make_unique<SimpleRegionGrowing>();
-    case FeatureKind::kEdgeHistogram:
-      return std::make_unique<EdgeHistogram>();
-    case FeatureKind::kColorSignature:
-      return std::make_unique<ColorSignatureFeature>();
   }
   return nullptr;
 }

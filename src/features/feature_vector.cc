@@ -1,7 +1,5 @@
 #include "features/feature_vector.h"
 
-#include <cmath>
-
 #include "features/plan/frame_context.h"
 #include "util/string_util.h"
 
@@ -23,10 +21,6 @@ const char* FeatureKindName(FeatureKind kind) {
       return "naive";
     case FeatureKind::kRegionGrowing:
       return "regions";
-    case FeatureKind::kEdgeHistogram:
-      return "edgehist";
-    case FeatureKind::kColorSignature:
-      return "colorsig";
   }
   return "unknown";
 }
@@ -47,10 +41,6 @@ const char* FeatureColumnName(FeatureKind kind) {
       return "FEAT_naive";
     case FeatureKind::kRegionGrowing:
       return "FEAT_regions";
-    case FeatureKind::kEdgeHistogram:
-      return "FEAT_edgehist";
-    case FeatureKind::kColorSignature:
-      return "FEAT_colorsig";
   }
   return "FEAT_unknown";
 }
@@ -92,24 +82,6 @@ Result<FeatureVector> FeatureVector::FromString(const std::string& text) {
   return FeatureVector(tokens[0], std::move(values));
 }
 
-double FeatureVector::Sum() const {
-  double s = 0.0;
-  for (double v : values_) s += v;
-  return s;
-}
-
-double FeatureVector::Norm() const {
-  double s = 0.0;
-  for (double v : values_) s += v * v;
-  return std::sqrt(s);
-}
-
-void FeatureVector::NormalizeL1() {
-  const double s = Sum();
-  if (s == 0.0) return;
-  for (double& v : values_) v /= s;
-}
-
 Result<FeatureVector> FeatureExtractor::Extract(const Image& img) const {
   PlanContext ctx;
   ctx.BeginFrame(img);
@@ -135,11 +107,6 @@ Result<FeatureVector> FeatureExtractor::SplitExtract(const Image& img,
         ExtractPart(part, ctx, ctx, values.data() + bounds[part]));
   }
   return FeatureVector(name(), std::move(values));
-}
-
-double FeatureExtractor::DistanceSpan(const double* a, size_t na,
-                                      const double* b, size_t nb) const {
-  return MetricDistance(code_metric(), a, na, b, nb);
 }
 
 }  // namespace vr

@@ -21,9 +21,8 @@ namespace vr {
 
 class PlanContext;  // features/plan/frame_context.h
 
-/// The feature families. The first seven are the paper's (Table 1
-/// evaluates them individually); the last two implement the paper's
-/// stated future work of "integrating more features".
+/// The feature families: the paper's seven (Table 1 evaluates them
+/// individually).
 enum class FeatureKind : int {
   kColorHistogram = 0,
   kGlcm = 1,
@@ -32,15 +31,9 @@ enum class FeatureKind : int {
   kAutoCorrelogram = 4,
   kNaiveSignature = 5,
   kRegionGrowing = 6,
-  // Extensions beyond the paper:
-  kEdgeHistogram = 7,
-  kColorSignature = 8,
 };
 
-inline constexpr int kNumFeatureKinds = 9;
-
-/// The features the paper itself ships (extensions excluded).
-inline constexpr int kNumPaperFeatureKinds = 7;
+inline constexpr int kNumFeatureKinds = 7;
 
 /// Short stable name ("histogram", "glcm", ...).
 const char* FeatureKindName(FeatureKind kind);
@@ -73,15 +66,6 @@ class FeatureVector {
 
   /// Parses the ToString() format.
   static Result<FeatureVector> FromString(const std::string& text);
-
-  /// Sum of values.
-  double Sum() const;
-
-  /// L2 norm.
-  double Norm() const;
-
-  /// Scales values so they sum to 1 (no-op when the sum is 0).
-  void NormalizeL1();
 
   bool operator==(const FeatureVector&) const = default;
 
@@ -164,11 +148,11 @@ class FeatureExtractor {
 
   /// The same dissimilarity over raw value arrays — the columnar path
   /// used when candidate features live in a FeatureMatrix column. It is
-  /// MetricDistance(code_metric(), ...): the spec is the distance. Only
-  /// a kind whose distance is not a flat reduction over the values
-  /// (color-signature EMD) overrides this, and it tags itself kNone.
-  virtual double DistanceSpan(const double* a, size_t na, const double* b,
-                              size_t nb) const;
+  /// MetricDistance(code_metric(), ...): the spec is the distance.
+  double DistanceSpan(const double* a, size_t na, const double* b,
+                      size_t nb) const {
+    return MetricDistance(code_metric(), a, na, b, nb);
+  }
 
   /// The single definition of this extractor's distance
   /// (similarity/metrics.h): DistanceSpan evaluates it exactly, and the

@@ -8,6 +8,7 @@
 #include "features/plan/frame_context.h"
 #include "imaging/color.h"
 #include "imaging/fft.h"
+#include "imaging/float_image.h"
 #include "imaging/resize.h"
 
 namespace vr {

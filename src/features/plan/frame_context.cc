@@ -28,8 +28,6 @@ const char* IntermediateName(uint32_t bit) {
       return "gray_histogram";
     case 2:
       return "hsv_plane";
-    case 3:
-      return "gray_float";
     default:
       return "unknown";
   }
@@ -42,7 +40,6 @@ void PlanContext::BeginFrame(const Image& img) {
   gray_view_ = nullptr;
   histogram_view_ = nullptr;
   hsv_view_ = nullptr;
-  gray_float_view_ = nullptr;
   arena_.Reset();
   intermediate_ns_.fill(0);
 }
@@ -52,7 +49,6 @@ void PlanContext::BeginFrameSharing(const PlanContext& parent) {
   gray_view_ = parent.gray_view_;
   histogram_view_ = parent.histogram_view_;
   hsv_view_ = parent.hsv_view_;
-  gray_float_view_ = parent.gray_float_view_;
 }
 
 const Image& PlanContext::Gray() {
@@ -111,38 +107,10 @@ const std::vector<Hsv>& PlanContext::HsvPlane() {
   return *hsv_view_;
 }
 
-const FloatImage& PlanContext::GrayFloat() {
-  if (gray_float_view_ == nullptr) {
-    Stopwatch timer;
-    const Image& in = *frame_;
-    if (gray_float_.width() != in.width() ||
-        gray_float_.height() != in.height()) {
-      gray_float_ = FloatImage(in.width(), in.height());
-    }
-    // FloatImage::FromImage's arithmetic: the unrounded float luma for
-    // RGB, the raw byte for single-channel frames.
-    for (int y = 0; y < in.height(); ++y) {
-      for (int x = 0; x < in.width(); ++x) {
-        if (in.channels() == 1) {
-          gray_float_.At(x, y) = static_cast<float>(in.At(x, y));
-        } else {
-          const Rgb p = in.PixelRgb(x, y);
-          gray_float_.At(x, y) = 0.299f * p.r + 0.587f * p.g + 0.114f * p.b;
-        }
-      }
-    }
-    gray_float_view_ = &gray_float_;
-    intermediate_ns_[BitIndex(Intermediate::kGrayFloat)] +=
-        ToNanos(timer.ElapsedMillis());
-  }
-  return *gray_float_view_;
-}
-
 void PlanContext::Materialize(uint32_t mask) {
   if (mask & static_cast<uint32_t>(Intermediate::kGray)) Gray();
   if (mask & static_cast<uint32_t>(Intermediate::kGrayHistogram)) Histogram();
   if (mask & static_cast<uint32_t>(Intermediate::kHsvPlane)) HsvPlane();
-  if (mask & static_cast<uint32_t>(Intermediate::kGrayFloat)) GrayFloat();
 }
 
 }  // namespace vr

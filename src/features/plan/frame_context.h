@@ -3,19 +3,18 @@
 ///
 /// Several extractors read the same intermediates of a frame: the gray
 /// plane (GLCM, Gabor, Tamura, region growing), its histogram (region
-/// growing's threshold and the range finder's bucket), the per-pixel
+/// growing's threshold and the range finder's bucket) and the per-pixel
 /// HSV plane (the auto correlogram, on frames within its 256 px
-/// working cap) and the float luma plane (edge histogram). PlanContext
-/// computes each at most once per frame and hands every consumer the
-/// same memoized view.
+/// working cap). PlanContext computes each at most once per frame and
+/// hands every consumer the same memoized view.
 ///
 /// Each producer computes exactly what the standalone imaging helper
-/// would (Gray() is ToGray, Histogram() is ComputeGrayHistogram of it,
-/// GrayFloat() is FloatImage::FromImage), so an extractor's output does
-/// not depend on which other extractors share the context. Every
-/// extraction runs on one: FeatureExtractor::Extract binds a one-off
-/// context per call, ExtractionPlan and KeyFrameExtractor keep one
-/// across frames. tests/data/golden_features.txt pins the results.
+/// would (Gray() is ToGray, Histogram() is ComputeGrayHistogram of
+/// it), so an extractor's output does not depend on which other
+/// extractors share the context. Every extraction runs on one:
+/// FeatureExtractor::Extract binds a one-off context per call,
+/// ExtractionPlan and KeyFrameExtractor keep one across frames.
+/// tests/data/golden_features.txt pins the results.
 ///
 /// A forked extraction runs units on several threads, each on a context
 /// of its own: BeginFrameSharing binds a helper's context to the
@@ -39,7 +38,6 @@
 #include "features/feature_vector.h"
 #include "features/plan/arena.h"
 #include "imaging/color.h"
-#include "imaging/float_image.h"
 #include "imaging/histogram.h"
 #include "imaging/image.h"
 
@@ -51,10 +49,9 @@ enum class Intermediate : uint32_t {
   kGray = 1u << 0,           ///< u8 gray plane (BT.601, rounded)
   kGrayHistogram = 1u << 1,  ///< 256-bin histogram of the gray plane
   kHsvPlane = 1u << 2,       ///< per-pixel RgbToHsv, row-major
-  kGrayFloat = 1u << 3,      ///< float luma plane (BT.601, unrounded)
 };
 
-inline constexpr uint32_t kNumIntermediates = 4;
+inline constexpr uint32_t kNumIntermediates = 3;
 
 /// Stable name of the intermediate at bit position \p bit.
 const char* IntermediateName(uint32_t bit);
@@ -86,7 +83,6 @@ class PlanContext {
   const Image& Gray();
   const GrayHistogram& Histogram();
   const std::vector<Hsv>& HsvPlane();
-  const FloatImage& GrayFloat();
   /// @}
 
   /// Eagerly computes every intermediate in \p mask (bits of
@@ -136,12 +132,10 @@ class PlanContext {
   const Image* gray_view_ = nullptr;
   const GrayHistogram* histogram_view_ = nullptr;
   const std::vector<Hsv>* hsv_view_ = nullptr;
-  const FloatImage* gray_float_view_ = nullptr;
 
   Image gray_;
   GrayHistogram histogram_;
   std::vector<Hsv> hsv_;
-  FloatImage gray_float_;
 
   Arena arena_;
   std::array<std::unique_ptr<Scratch>, kNumFeatureKinds> scratch_;

@@ -5,80 +5,6 @@
 
 namespace vr {
 
-Kernel MakeGaussianKernel(double sigma, int radius) {
-  if (radius < 0) radius = static_cast<int>(std::ceil(3.0 * sigma));
-  radius = std::max(radius, 1);
-  const int size = 2 * radius + 1;
-  Kernel k;
-  k.width = size;
-  k.height = size;
-  k.weights.resize(static_cast<size_t>(size) * size);
-  double total = 0.0;
-  for (int y = -radius; y <= radius; ++y) {
-    for (int x = -radius; x <= radius; ++x) {
-      const double w = std::exp(-(x * x + y * y) / (2.0 * sigma * sigma));
-      k.weights[static_cast<size_t>(y + radius) * size + (x + radius)] =
-          static_cast<float>(w);
-      total += w;
-    }
-  }
-  for (auto& w : k.weights) w = static_cast<float>(w / total);
-  return k;
-}
-
-FloatImage Convolve(const FloatImage& img, const Kernel& kernel) {
-  FloatImage out(img.width(), img.height());
-  const int rx = kernel.width / 2;
-  const int ry = kernel.height / 2;
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < img.width(); ++x) {
-      float acc = 0.f;
-      for (int ky = 0; ky < kernel.height; ++ky) {
-        for (int kx = 0; kx < kernel.width; ++kx) {
-          acc += kernel.At(kx, ky) *
-                 img.AtClamped(x + kx - rx, y + ky - ry);
-        }
-      }
-      out.At(x, y) = acc;
-    }
-  }
-  return out;
-}
-
-FloatImage GaussianBlur(const FloatImage& img, double sigma) {
-  const int radius = std::max(1, static_cast<int>(std::ceil(3.0 * sigma)));
-  std::vector<float> k(static_cast<size_t>(2 * radius + 1));
-  double total = 0.0;
-  for (int i = -radius; i <= radius; ++i) {
-    const double w = std::exp(-(i * i) / (2.0 * sigma * sigma));
-    k[static_cast<size_t>(i + radius)] = static_cast<float>(w);
-    total += w;
-  }
-  for (auto& w : k) w = static_cast<float>(w / total);
-
-  FloatImage tmp(img.width(), img.height());
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < img.width(); ++x) {
-      float acc = 0.f;
-      for (int i = -radius; i <= radius; ++i) {
-        acc += k[static_cast<size_t>(i + radius)] * img.AtClamped(x + i, y);
-      }
-      tmp.At(x, y) = acc;
-    }
-  }
-  FloatImage out(img.width(), img.height());
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < img.width(); ++x) {
-      float acc = 0.f;
-      for (int i = -radius; i <= radius; ++i) {
-        acc += k[static_cast<size_t>(i + radius)] * tmp.AtClamped(x, y + i);
-      }
-      out.At(x, y) = acc;
-    }
-  }
-  return out;
-}
-
 GradientField Sobel(const FloatImage& img) {
   GradientField g;
   SobelInto(img, &g);

@@ -1,5 +1,5 @@
 /// \file filter.h
-/// \brief Spatial filtering: generic convolution, Gaussian blur, Sobel.
+/// \brief Spatial filtering: Sobel gradients and box averages.
 
 #pragma once
 
@@ -8,27 +8,6 @@
 #include "imaging/float_image.h"
 
 namespace vr {
-
-/// \brief Dense convolution kernel with odd width and height.
-struct Kernel {
-  int width = 0;
-  int height = 0;
-  std::vector<float> weights;  // row-major, size width*height
-
-  float At(int x, int y) const {
-    return weights[static_cast<size_t>(y) * width + x];
-  }
-};
-
-/// Builds a normalized Gaussian kernel with the given sigma;
-/// radius defaults to ceil(3*sigma).
-Kernel MakeGaussianKernel(double sigma, int radius = -1);
-
-/// Convolves \p img with \p kernel (edge pixels use clamped reads).
-FloatImage Convolve(const FloatImage& img, const Kernel& kernel);
-
-/// Gaussian-blurs \p img (separable implementation).
-FloatImage GaussianBlur(const FloatImage& img, double sigma);
 
 /// \brief Per-pixel gradient from the Sobel operator.
 struct GradientField {

@@ -17,9 +17,6 @@ class FloatImage {
   /// Zero-filled float raster.
   FloatImage(int width, int height);
 
-  /// Builds a gray float raster from \p img (RGB converted via BT.601).
-  static FloatImage FromImage(const Image& img);
-
   int width() const { return width_; }
   int height() const { return height_; }
   bool empty() const { return width_ == 0 || height_ == 0; }
@@ -30,9 +27,6 @@ class FloatImage {
   float& At(int x, int y) {
     return data_[static_cast<size_t>(y) * width_ + x];
   }
-
-  /// Clamped read: coordinates outside the raster use the nearest edge.
-  float AtClamped(int x, int y) const;
 
   const std::vector<float>& data() const { return data_; }
   std::vector<float>& data() { return data_; }

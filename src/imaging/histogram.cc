@@ -54,17 +54,4 @@ GrayHistogram ComputeGrayHistogram(const Image& img) {
   return h;
 }
 
-RgbHistogram ComputeRgbHistogram(const Image& img) {
-  RgbHistogram h;
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < img.width(); ++x) {
-      const Rgb p = img.PixelRgb(x, y);
-      ++h.r[p.r];
-      ++h.g[p.g];
-      ++h.b[p.b];
-    }
-  }
-  return h;
-}
-
 }  // namespace vr

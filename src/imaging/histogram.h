@@ -1,5 +1,5 @@
 /// \file histogram.h
-/// \brief Gray-level and per-channel histograms.
+/// \brief Gray-level histograms.
 
 #pragma once
 
@@ -29,15 +29,5 @@ struct GrayHistogram {
 
 /// Computes the gray-level histogram of \p img (RGB converted via BT.601).
 GrayHistogram ComputeGrayHistogram(const Image& img);
-
-/// \brief Per-channel 256-bin RGB histogram (r, g, b planes).
-struct RgbHistogram {
-  std::array<uint64_t, 256> r{};
-  std::array<uint64_t, 256> g{};
-  std::array<uint64_t, 256> b{};
-};
-
-/// Computes per-channel histograms of \p img.
-RgbHistogram ComputeRgbHistogram(const Image& img);
 
 }  // namespace vr

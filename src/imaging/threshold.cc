@@ -7,35 +7,6 @@
 
 namespace vr {
 
-int OtsuThreshold(const GrayHistogram& hist) {
-  const double total = static_cast<double>(hist.Total());
-  if (total <= 0) return 127;
-  double sum_all = 0.0;
-  for (int i = 0; i < 256; ++i) {
-    sum_all += i * static_cast<double>(hist.bins[static_cast<size_t>(i)]);
-  }
-  double sum_bg = 0.0;
-  double weight_bg = 0.0;
-  double best_var = -1.0;
-  int best_t = 127;
-  for (int t = 0; t < 256; ++t) {
-    weight_bg += static_cast<double>(hist.bins[static_cast<size_t>(t)]);
-    if (weight_bg == 0) continue;
-    const double weight_fg = total - weight_bg;
-    if (weight_fg == 0) break;
-    sum_bg += t * static_cast<double>(hist.bins[static_cast<size_t>(t)]);
-    const double mean_bg = sum_bg / weight_bg;
-    const double mean_fg = (sum_all - sum_bg) / weight_fg;
-    const double between =
-        weight_bg * weight_fg * (mean_bg - mean_fg) * (mean_bg - mean_fg);
-    if (between > best_var) {
-      best_var = between;
-      best_t = t;
-    }
-  }
-  return best_t;
-}
-
 int MinFuzzinessThreshold(const GrayHistogram& hist) {
   // Huang & Wang (1995): choose t minimizing Shannon fuzzy entropy of the
   // membership function mu(g) = 1 / (1 + |g - mu_class(g)| / C).

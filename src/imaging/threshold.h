@@ -1,9 +1,9 @@
 /// \file threshold.h
-/// \brief Global thresholding: Otsu and Huang's minimum-fuzziness method.
+/// \brief Global thresholding: Huang's minimum-fuzziness method.
 ///
 /// The paper's region-growing preprocessing calls JAI's
 /// `getMinFuzzinessThreshold`, which implements Huang & Wang (1995)
-/// fuzzy thresholding; both that and Otsu's method are provided.
+/// fuzzy thresholding.
 
 #pragma once
 
@@ -11,9 +11,6 @@
 #include "imaging/image.h"
 
 namespace vr {
-
-/// Otsu's between-class-variance-maximizing threshold from a histogram.
-int OtsuThreshold(const GrayHistogram& hist);
 
 /// Huang & Wang minimum-fuzziness threshold from a histogram
 /// (JAI's getMinFuzzinessThreshold).

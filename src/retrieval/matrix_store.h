@@ -109,8 +109,10 @@ class MatrixStore {
   static constexpr uint32_t kMagic = 0x584D5256;
   /// Matrix cache format version (independent of the pager format).
   /// 3: the Gabor vectors are v2's (FEAT_gabor2), so a v2 cache built
-  /// from v1 Gabor rows is rebuilt, never read.
-  static constexpr uint32_t kFormatVersion = 3;
+  /// from v1 Gabor rows is rebuilt, never read. 4: seven kinds (the
+  /// edge histogram and colour signature are gone), so the quantization
+  /// table and each data record shrink.
+  static constexpr uint32_t kFormatVersion = 4;
 
  private:
   MatrixStore() = default;

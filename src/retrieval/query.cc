@@ -274,11 +274,8 @@ Result<std::vector<QueryResult>> RetrievalEngine::RankExact(
   // infallible pure compute.
   struct KindState {
     FeatureKind kind;
-    const FeatureExtractor* extractor;
-    /// code_metric(), resolved once: for any family but kNone it is the
-    /// whole distance, so rows call MetricDistance directly; a kNone
-    /// kind may override DistanceSpan (colorsig's EMD) and keeps the
-    /// virtual call.
+    /// code_metric(), resolved once: it is the whole distance, so rows
+    /// call MetricDistance directly.
     CodeMetricSpec metric;
     const FeatureVector* query;
     const FeatureMatrix::Column* column;
@@ -302,7 +299,7 @@ Result<std::vector<QueryResult>> RetrievalEngine::RankExact(
           std::string("feature not enabled: ") + FeatureKindName(kind));
     }
     const auto col_it = columns.emplace(kind, std::vector<double>(n)).first;
-    states.push_back(KindState{kind, extractor, extractor->code_metric(),
+    states.push_back(KindState{kind, extractor->code_metric(),
                                &q_it->second, &matrix_.column(kind),
                                col_it->second.data()});
   }
@@ -322,7 +319,6 @@ Result<std::vector<QueryResult>> RetrievalEngine::RankExact(
     if (begin >= end) return;
     for (const KindState& st : states) {
       const FeatureMatrix::Column& col = *st.column;
-      const bool virtual_span = st.metric.family == CodeMetricFamily::kNone;
       for (size_t i = begin; i < end; ++i) {
         const size_t row = candidates[i];
         // A key frame ingested without this feature ranks last for it.
@@ -331,13 +327,8 @@ Result<std::vector<QueryResult>> RetrievalEngine::RankExact(
           continue;
         }
         const double* values = ColumnBase(col) + row * col.stride;
-        st.out[i] = virtual_span
-                        ? st.extractor->DistanceSpan(
-                              st.query->values().data(), st.query->size(),
-                              values, col.lengths[row])
-                        : MetricDistance(st.metric, st.query->values().data(),
-                                         st.query->size(), values,
-                                         col.lengths[row]);
+        st.out[i] = MetricDistance(st.metric, st.query->values().data(),
+                                   st.query->size(), values, col.lengths[row]);
       }
     }
   });

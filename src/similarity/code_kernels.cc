@@ -27,15 +27,6 @@ inline uint32_t AbsDiff(uint8_t a, uint8_t b) {
   return static_cast<uint32_t>(d < 0 ? -d : d);
 }
 
-/// step * SAD; the u32 accumulator is exact (worst case 255 * n for
-/// any realistic vector length).
-inline double ScoreL1(const CodeKernelQuery& q, const uint8_t* b) {
-  const uint8_t* a = q.codes.data();
-  uint32_t sad = 0;
-  for (size_t i = 0; i < q.length; ++i) sad += AbsDiff(a[i], b[i]);
-  return q.step * static_cast<double>(sad);
-}
-
 /// Per-block integer SSD -> sqrt; remainder elements are ignored,
 /// matching the exact metrics (triples for NaiveSignature, the whole
 /// prefix for plain L2).
@@ -196,11 +187,6 @@ bool PrepareCodeKernelQuery(const CodeMetricSpec& spec, const double* q,
   switch (spec.family) {
     case CodeMetricFamily::kNone:
       return false;
-    case CodeMetricFamily::kL1: {
-      quantize_with_error(&err);
-      for (size_t i = 0; i < qn; ++i) uniform += err[i] + out->delta;
-      break;
-    }
     case CodeMetricFamily::kL2Blocked: {
       quantize_with_error(&err);
       const size_t block = spec.block != 0 ? spec.block : qn;
@@ -280,9 +266,6 @@ bool CodeKernelScoreRow(const CodeKernelQuery& q, const uint8_t* row_codes,
   switch (q.spec.family) {
     case CodeMetricFamily::kNone:
       return false;
-    case CodeMetricFamily::kL1:
-      coarse = ScoreL1(q, row_codes);
-      break;
     case CodeMetricFamily::kL2Blocked:
       coarse = ScoreL2Blocked(q, row_codes);
       break;
@@ -310,12 +293,6 @@ void CodeKernelBatch(const CodeKernelQuery& q, const CodeBatchSpan& s) {
   switch (q.spec.family) {
     case CodeMetricFamily::kNone:
       for (size_t i = 0; i < s.count; ++i) s.forced[i] = 1;
-      break;
-    case CodeMetricFamily::kL1:
-      ForEachRow(s, q.length, [&](size_t i, uint32_t r) {
-        s.score[i] += w * ScoreL1(q, s.codes + r * s.stride);
-        s.slack[i] += wu;
-      });
       break;
     case CodeMetricFamily::kL2Blocked:
       ForEachRow(s, q.length, [&](size_t i, uint32_t r) {

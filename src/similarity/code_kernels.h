@@ -6,7 +6,7 @@
 /// The coarse stage of a two-stage query scores candidates directly on
 /// those codes: the query vector is quantized once per kind, then each
 /// candidate row is scored by a per-metric-family kernel that stays in
-/// u8/u32 integer space (L1/L2 families) or runs one flat double loop
+/// u8/u32 integer space (blocked L2) or runs one flat double loop
 /// over the raw codes (ratio families) — no per-row dequantization
 /// buffer and no virtual dispatch inside the row loop.
 ///
@@ -51,7 +51,7 @@ struct CodeKernelQuery {
   /// without a bound claim) because truncation/tail-mass semantics of
   /// the exact metrics would invalidate the per-element analysis.
   uint32_t length = 0;
-  /// Quantized query (kL1, kL2Blocked, kD1, and kCanberraL1 tails).
+  /// Quantized query (kL2Blocked, kD1, and kCanberraL1 tails).
   std::vector<uint8_t> codes;
   /// Exact query values: q/sum(q) for kNormalizedL1, a plain copy for
   /// kCanberraL1 (those families keep the query side exact, so only

@@ -21,12 +21,6 @@ double L2WithTail(const double* a, size_t na, const double* b, size_t nb) {
   return std::sqrt(acc);
 }
 
-double L1(const double* a, const double* b, size_t n) {
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) acc += std::fabs(a[i] - b[i]);
-  return acc;
-}
-
 double L2Blocked(size_t block, const double* a, const double* b, size_t n) {
   double acc = 0.0;
   for (size_t off = 0; off + block <= n; off += block) {
@@ -87,8 +81,6 @@ double MetricDistance(const CodeMetricSpec& spec, const double* a, size_t na,
   switch (spec.family) {
     case CodeMetricFamily::kNone:
       break;
-    case CodeMetricFamily::kL1:
-      return L1(a, b, n);
     case CodeMetricFamily::kL2Blocked:
       if (spec.block == 0) break;
       return L2Blocked(spec.block, a, b, n);

@@ -19,12 +19,8 @@ namespace vr {
 enum class CodeMetricFamily : uint8_t {
   /// The default distance: L2 over the common prefix plus the squared
   /// mass of the longer vector's tail. No code-space kernel; a kind
-  /// tagged kNone opts the whole query out of the coarse stage (e.g.
-  /// signature EMD, whose matching is not a flat per-element reduction
-  /// and keeps its own DistanceSpan).
+  /// tagged kNone opts the whole query out of the coarse stage.
   kNone = 0,
-  /// sum |a_i - b_i| over the common prefix — integer SAD times step.
-  kL1,
   /// sum over fixed-size blocks of sqrt(block SSD) — integer SSD per
   /// block; min(na, nb) / block whole blocks, remainder ignored.
   /// block == 0 means one block spanning the whole vector: plain L2,

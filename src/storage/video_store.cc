@@ -351,19 +351,6 @@ Result<std::vector<int64_t>> VideoStore::KeyFrameIdsOfVideo(
   return out;
 }
 
-Result<std::vector<int64_t>> VideoStore::KeyFrameIdsInRange(
-    int64_t min, int64_t max) const {
-  VR_RETURN_NOT_OK(RequireHealthy(key_frames_, kKeyFrameTable));
-  const int64_t packed = (min << 8) | max;
-  std::vector<int64_t> out;
-  VR_RETURN_NOT_OK(key_frames_->ScanIndexRange(
-      kRangeIndex, packed, packed, [&](int64_t pk) {
-        out.push_back(pk);
-        return true;
-      }));
-  return out;
-}
-
 Status VideoStore::ScanKeyFrames(
     const std::function<bool(const KeyFrameRecord&)>& cb) const {
   VR_RETURN_NOT_OK(RequireHealthy(key_frames_, kKeyFrameTable));

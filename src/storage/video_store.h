@@ -91,10 +91,6 @@ class VideoStore {
   Status DeleteKeyFrame(int64_t i_id);
   /// Key-frame ids belonging to a video (via the V_ID index).
   Result<std::vector<int64_t>> KeyFrameIdsOfVideo(int64_t v_id) const;
-  /// Key-frame ids whose (MIN, MAX) bucket equals the given range
-  /// (via the composite index).
-  Result<std::vector<int64_t>> KeyFrameIdsInRange(int64_t min,
-                                                  int64_t max) const;
   /// Scans all key frames without materializing image blobs; the
   /// callback returns false to stop.
   Status ScanKeyFrames(

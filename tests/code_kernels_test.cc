@@ -43,7 +43,6 @@ const std::vector<KindCase>& Cases() {
       {FeatureKind::kAutoCorrelogram, 32, true},
       {FeatureKind::kNaiveSignature, 24, false},
       {FeatureKind::kRegionGrowing, 15, false},
-      {FeatureKind::kEdgeHistogram, 16, false},
   };
   return cases;
 }
@@ -192,14 +191,14 @@ TEST(CodeKernelsTest, PrepareRejectsInvalidConfigurations) {
   const double q[4] = {0.1, 0.2, 0.3, 0.4};
   // kNone opts out entirely.
   EXPECT_FALSE(PrepareCodeKernelQuery({}, q, 4, 0.0, 1.0, &out));
-  const CodeMetricSpec l1{.family = CodeMetricFamily::kL1};
+  const CodeMetricSpec l2{.family = CodeMetricFamily::kL2Blocked};
   // Degenerate, inverted, and non-finite ranges.
-  EXPECT_FALSE(PrepareCodeKernelQuery(l1, q, 4, 1.0, 1.0, &out));
-  EXPECT_FALSE(PrepareCodeKernelQuery(l1, q, 4, 2.0, 1.0, &out));
+  EXPECT_FALSE(PrepareCodeKernelQuery(l2, q, 4, 1.0, 1.0, &out));
+  EXPECT_FALSE(PrepareCodeKernelQuery(l2, q, 4, 2.0, 1.0, &out));
   EXPECT_FALSE(
-      PrepareCodeKernelQuery(l1, q, 4, 0.0, std::nan(""), &out));
+      PrepareCodeKernelQuery(l2, q, 4, 0.0, std::nan(""), &out));
   const double bad[2] = {0.0, std::nan("")};
-  EXPECT_FALSE(PrepareCodeKernelQuery(l1, bad, 2, 0.0, 1.0, &out));
+  EXPECT_FALSE(PrepareCodeKernelQuery(l2, bad, 2, 0.0, 1.0, &out));
   // Normalized L1 needs the non-negative quadrant and a positive sum.
   const CodeMetricSpec norm{.family = CodeMetricFamily::kNormalizedL1};
   EXPECT_FALSE(PrepareCodeKernelQuery(norm, q, 4, -0.5, 1.0, &out));
@@ -218,7 +217,7 @@ TEST(CodeKernelsTest, PrepareRejectsInvalidConfigurations) {
                            .l1_tail = true};
   EXPECT_FALSE(PrepareCodeKernelQuery(tam, q, 1, 0.0, 1.0, &out));
   // Sanity: a valid configuration still prepares.
-  EXPECT_TRUE(PrepareCodeKernelQuery(l1, q, 4, 0.0, 1.0, &out));
+  EXPECT_TRUE(PrepareCodeKernelQuery(l2, q, 4, 0.0, 1.0, &out));
   EXPECT_EQ(out.length, 4u);
   EXPECT_GT(out.uniform_slack, 0.0);
 }
@@ -239,7 +238,7 @@ TEST(CodeKernelsTest, QuantizeCodeMatchesAffineRounding) {
 TEST(CodeKernelsTest, MatrixRequantizesOnWideningAndBoundStillHolds) {
   std::mt19937_64 rng(7);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
-  const auto extractor = MakeExtractor(FeatureKind::kEdgeHistogram);
+  const auto extractor = MakeExtractor(FeatureKind::kGabor);
   const CodeMetricSpec spec = extractor->code_metric();
   constexpr size_t kLen = 16;
 
@@ -247,8 +246,7 @@ TEST(CodeKernelsTest, MatrixRequantizesOnWideningAndBoundStillHolds) {
   std::vector<std::vector<double>> stored;
   const auto append = [&](std::vector<double> vals) {
     FeatureMap features;
-    features[FeatureKind::kEdgeHistogram] =
-        FeatureVector("edge", vals);
+    features[FeatureKind::kGabor] = FeatureVector("gabor", vals);
     matrix.Append(static_cast<int64_t>(stored.size()), 0, GrayRange{},
                   features);
     stored.push_back(std::move(vals));
@@ -259,7 +257,7 @@ TEST(CodeKernelsTest, MatrixRequantizesOnWideningAndBoundStillHolds) {
     append(std::move(vals));
   }
 
-  const auto& col = matrix.column(FeatureKind::kEdgeHistogram);
+  const auto& col = matrix.column(FeatureKind::kGabor);
   std::vector<double> query(kLen);
   for (double& v : query) v = unit(rng);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "imaging/draw.h"
 #include "util/rng.h"
 
@@ -16,7 +18,8 @@ TEST(ColorHistogramTest, BinsSumToPixelCount) {
   Result<FeatureVector> fv = extractor.Extract(img);
   ASSERT_TRUE(fv.ok());
   EXPECT_EQ(fv->size(), 256u);
-  EXPECT_DOUBLE_EQ(fv->Sum(), 200.0);
+  EXPECT_DOUBLE_EQ(
+      std::accumulate(fv->values().begin(), fv->values().end(), 0.0), 200.0);
 }
 
 TEST(ColorHistogramTest, SolidColorConcentratesInOneBin) {
@@ -100,7 +103,8 @@ TEST(ColorHistogramTest, HsvSpaceQuantizes) {
   img.Fill({255, 0, 0});
   SimpleColorHistogram extractor(HistogramSpace::kHsv256);
   const FeatureVector fv = extractor.Extract(img).value();
-  EXPECT_DOUBLE_EQ(fv.Sum(), 16.0);
+  EXPECT_DOUBLE_EQ(
+      std::accumulate(fv.values().begin(), fv.values().end(), 0.0), 16.0);
   int nonzero = 0;
   for (double v : fv.values()) {
     if (v > 0) ++nonzero;

@@ -234,7 +234,7 @@ class ForkProbe : public FeatureExtractor {
  public:
   ForkProbe(bool forked, bool bleed) : forked_(forked), bleed_(bleed) {}
 
-  FeatureKind kind() const override { return FeatureKind::kColorSignature; }
+  FeatureKind kind() const override { return FeatureKind::kNaiveSignature; }
   Result<FeatureVector> ExtractShared(const Image& img,
                                       PlanContext& ctx) const override {
     return SplitExtract(img, ctx);
@@ -284,7 +284,7 @@ TEST(ExtractionPlanTest, ForkProbeCatchesAUnitWritingItsNeighboursSlot) {
   ForkProbe serial_probe(/*forked=*/false, /*bleed=*/false);
   ExtractionPlan serial({&serial_probe});
   const FeatureMap want = serial.ExtractAll(img).value();
-  ASSERT_EQ(want.at(FeatureKind::kColorSignature).values(),
+  ASSERT_EQ(want.at(FeatureKind::kNaiveSignature).values(),
             (std::vector<double>{1, 2, 3, 4, 11, 12, 13, 14}));
 
   // A well-behaved split forks, runs its parts on two threads and
@@ -304,7 +304,7 @@ TEST(ExtractionPlanTest, ForkProbeCatchesAUnitWritingItsNeighboursSlot) {
   const FeatureMap bled =
       bleeding_plan.ExtractAll(img, nullptr, fork.helpers).value();
   EXPECT_NE(bleeding.thread(0), bleeding.thread(1));
-  EXPECT_EQ(MapMismatch(want, bled).rfind("colorsig dim 3:", 0), 0u)
+  EXPECT_EQ(MapMismatch(want, bled).rfind("naive dim 3:", 0), 0u)
       << MapMismatch(want, bled);
 }
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
 
 namespace vr {
@@ -46,21 +45,6 @@ TEST(FeatureVectorTest, EmptyVectorRoundTrips) {
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back->empty());
   EXPECT_EQ(back->type(), "acc");
-}
-
-TEST(FeatureVectorTest, SumNormAndNormalize) {
-  FeatureVector fv("histogram", {1.0, 3.0});
-  EXPECT_DOUBLE_EQ(fv.Sum(), 4.0);
-  EXPECT_DOUBLE_EQ(fv.Norm(), std::sqrt(10.0));
-  fv.NormalizeL1();
-  EXPECT_DOUBLE_EQ(fv.Sum(), 1.0);
-  EXPECT_DOUBLE_EQ(fv[0], 0.25);
-}
-
-TEST(FeatureVectorTest, NormalizeL1NoopOnZeroSum) {
-  FeatureVector fv("x", {0.0, 0.0});
-  fv.NormalizeL1();
-  EXPECT_DOUBLE_EQ(fv[0], 0.0);
 }
 
 TEST(FeatureKindTest, NamesRoundTrip) {

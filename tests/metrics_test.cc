@@ -30,7 +30,12 @@ template <CodeMetricSpec kSpec>
 double Metric(const Vec& a, const Vec& b) {
   return MetricDistance(kSpec, a.data(), a.size(), b.data(), b.size());
 }
-constexpr auto L1 = &Metric<CodeMetricSpec{.family = CodeMetricFamily::kL1}>;
+/// Plain L1: the tail Canberra scores after an empty Canberra range
+/// (the same loop that scores Tamura's directionality histogram).
+constexpr auto L1 =
+    &Metric<CodeMetricSpec{.family = CodeMetricFamily::kCanberraL1,
+                           .canberra_end = 0,
+                           .l1_tail = true}>;
 constexpr auto L2 =
     &Metric<CodeMetricSpec{.family = CodeMetricFamily::kL2Blocked}>;
 constexpr auto Canberra =

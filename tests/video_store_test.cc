@@ -68,18 +68,6 @@ TEST(VideoStoreTest, KeyFrameRoundTripWithFeatures) {
             "histogram");
 }
 
-TEST(VideoStoreTest, RangeIndexLookup) {
-  auto store = VideoStore::Open(FreshDir("vs_range")).value();
-  ASSERT_TRUE(store->PutKeyFrame(MakeKeyFrame(1, 1, 0, 31)).ok());
-  ASSERT_TRUE(store->PutKeyFrame(MakeKeyFrame(2, 1, 0, 31)).ok());
-  ASSERT_TRUE(store->PutKeyFrame(MakeKeyFrame(3, 1, 128, 255)).ok());
-  const auto dark = store->KeyFrameIdsInRange(0, 31).value();
-  EXPECT_EQ(dark, (std::vector<int64_t>{1, 2}));
-  const auto bright = store->KeyFrameIdsInRange(128, 255).value();
-  EXPECT_EQ(bright, (std::vector<int64_t>{3}));
-  EXPECT_TRUE(store->KeyFrameIdsInRange(32, 63).value().empty());
-}
-
 TEST(VideoStoreTest, VideoIdIndexLookup) {
   auto store = VideoStore::Open(FreshDir("vs_vid")).value();
   for (int64_t i = 1; i <= 6; ++i) {
@@ -97,7 +85,7 @@ TEST(VideoStoreTest, DeleteVideoCascades) {
   ASSERT_TRUE(store->DeleteVideo(1).ok());
   EXPECT_TRUE(store->GetVideo(1).status().IsNotFound());
   EXPECT_EQ(store->KeyFrameCount().value(), 0u);
-  EXPECT_TRUE(store->KeyFrameIdsInRange(0, 31).value().empty());
+  EXPECT_TRUE(store->KeyFrameIdsOfVideo(1).value().empty());
 }
 
 TEST(VideoStoreTest, ListVideosSkipsBlobs) {
@@ -175,7 +163,7 @@ TEST(VideoStoreTest, PersistsAcrossReopen) {
     auto store = VideoStore::Open(dir).value();
     EXPECT_EQ(store->GetVideo(1).value().v_name, "keepme");
     EXPECT_EQ(store->GetKeyFrame(1).value().min, 32);
-    EXPECT_EQ(store->KeyFrameIdsInRange(32, 63).value().size(), 1u);
+    EXPECT_EQ(store->KeyFrameIdsOfVideo(1).value().size(), 1u);
   }
 }
 
