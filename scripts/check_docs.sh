@@ -306,9 +306,9 @@ if [[ -f BENCH_scale.json ]]; then
            "exact scan ($exact ms) at the largest corpus"
 fi
 
-# 6b. The bulk-ingest speedups, the ablation tables and the
-#     per-extractor and per-intermediate extraction times quote their
-#     records: each row of BENCH_ingest.json and BENCH_ablation.json,
+# 6b. The bulk-ingest speedups and commit times, the ablation tables
+#     and the per-extractor and per-intermediate extraction times quote
+#     their records: each row of BENCH_ingest.json and BENCH_ablation.json,
 #     and each extractors[] and intermediates[] entry of
 #     BENCH_features.json, has a table row "| <label> | ..." in its
 #     EXPERIMENTS.md section whose value cell quotes the recorded
@@ -357,6 +357,7 @@ check_record() {  # check_record <json> <section> <label-key> <value-key>
   rm -f "$probe"
 }
 check_record BENCH_ingest.json "Bulk ingest" config speedup 4 2
+check_record BENCH_ingest.json "Bulk ingest" config commit_ms_per_video 5 2
 check_record BENCH_ablation.json "Ablations" label precision_at_20 2 3
 check_record BENCH_features.json "Feature extraction" name fused_ms 2 2
 check_record BENCH_features.json "Feature extraction" name ms 2 2

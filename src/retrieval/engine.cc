@@ -250,7 +250,25 @@ Status RetrievalEngine::RemoveVideo(int64_t v_id) {
       matrix_store_.reset();
     }
   }
+  CheckpointIfJournalFull();
   return Status::OK();
+}
+
+Status RetrievalEngine::Checkpoint() {
+  MutexLock writer(writer_mutex_);
+  return store_->Checkpoint();
+}
+
+void RetrievalEngine::CheckpointIfJournalFull() {
+  const Result<uint64_t> bytes = store_->database()->JournalBytes();
+  if (bytes.ok() && *bytes < kJournalCheckpointBytes) return;
+  // The write that got here is durable in the journal either way; a
+  // failed checkpoint leaves the journal to the next write's attempt.
+  const Status checkpointed =
+      bytes.ok() ? store_->Checkpoint() : bytes.status();
+  if (!checkpointed.ok()) {
+    VR_LOG(Warn) << "journal checkpoint failed: " << checkpointed.ToString();
+  }
 }
 
 }  // namespace vr

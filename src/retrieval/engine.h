@@ -163,7 +163,8 @@ struct PreparedKeyFrame {
 struct PreparedVideo {
   std::string name;
   std::vector<PreparedKeyFrame> keys;
-  /// Re-encoded .vsv container bytes for the VIDEO column; empty when
+  /// .vsv container bytes for the VIDEO column: a file ingest's file as
+  /// given, EncodeVideoBlob's bytes for in-memory frames. Empty when
   /// EngineOptions::store_video_blob is false.
   std::vector<uint8_t> video_blob;
 };
@@ -191,12 +192,13 @@ using QueryCheckpoint = std::function<Status()>;
 /// - Feature extraction (a query's, and PrepareKeyFrame's) may fork
 ///   onto one helper from the same pool; see extraction_budget().
 /// - The *writer mutex* (private) serializes the writers — Open,
-///   CommitPrepared (and so IngestFrames, IngestVideoFile) and
-///   RemoveVideo — and guards the VideoStore and the persisted matrix
-///   cache. A writer persists to the store under it alone, takes the
-///   query lock exclusive only to apply the rows in memory (all of a
-///   video or none of it, in microseconds), then holds the query lock
-///   shared while the matrix cache file syncs.
+///   CommitGroup (and so CommitPrepared, IngestFrames,
+///   IngestVideoFile), RemoveVideo and Checkpoint — and guards the
+///   VideoStore and the persisted matrix cache. A writer persists to
+///   the store under it alone, takes the query lock exclusive only to
+///   apply the rows in memory (all of a group or none of it, in
+///   microseconds), then holds the query lock shared while the matrix
+///   cache file syncs. A checkpoint holds the writer mutex alone.
 ///
 /// ApplyRelevanceFeedback takes the query lock exclusive (it rewrites
 /// only in-memory scorer weights). The ingest *preparation* methods
@@ -226,7 +228,9 @@ class RetrievalEngine {
   /// blocks concurrent queries.
   Result<int64_t> IngestFrames(const std::vector<Image>& frames,
                                const std::string& name);
-  /// Ingests a .vsv file.
+  /// Ingests a .vsv file: reads it into memory once, decodes the
+  /// frames from that buffer (verifying every frame checksum) and
+  /// stores the buffer as the VIDEO blob, byte for byte.
   Result<int64_t> IngestVideoFile(const std::string& path,
                                   const std::string& name);
   /// Removes a video and all of its key frames under the writer mutex:
@@ -235,6 +239,23 @@ class RetrievalEngine {
   /// exclusive hold of the query lock. Queries keep running through
   /// the journal and matrix cache syncs.
   Status RemoveVideo(int64_t v_id) EXCLUDES(writer_mutex_, mutex_);
+  /// Flushes the store's tables and truncates the journal under the
+  /// writer mutex alone, so queries keep running through its syncs.
+  /// The writers call it themselves once the journal passes
+  /// kJournalCheckpointBytes; call it directly to empty the journal
+  /// sooner.
+  Status Checkpoint() EXCLUDES(writer_mutex_);
+
+  /// Journal size past which a commit or remove ends with a
+  /// Checkpoint(), so the journal holds at most this much plus one
+  /// commit group. The journal carries every video blob, so without a
+  /// bound it grows by the size of every ingested video until Close,
+  /// and a reopen after a crash replays all of it. 64 MiB is about 20
+  /// Table 1 videos of 2.9 MB: a checkpoint then comes once per 20
+  /// videos and syncs what they wrote (40-90 ms on a 4-vCPU host),
+  /// while recovery replays at most that much, whatever the length of
+  /// the session.
+  static constexpr uint64_t kJournalCheckpointBytes = uint64_t{64} << 20;
   /// @}
 
   /// \name Staged ingest (the building blocks of IngestPipeline).
@@ -243,11 +264,12 @@ class RetrievalEngine {
   /// only state that is immutable after Open (options, extractors, the
   /// key-frame detector) — they are safe to call concurrently from any
   /// number of threads, including while queries and commits run.
-  /// CommitPrepared is the only mutating step; it takes the writer
-  /// mutex, assigns v_id/i_id in call order and publishes the video
-  /// all-or-nothing. Feeding prepared videos to CommitPrepared
-  /// in submission order therefore yields rows byte-identical to a
-  /// serial IngestFrames loop (the determinism contract that
+  /// CommitGroup (and CommitPrepared, a group of one) is the only
+  /// mutating step; it takes the writer mutex, assigns v_id/i_id in
+  /// call order and publishes the group all-or-nothing. Feeding
+  /// prepared videos to it in submission order therefore yields rows
+  /// byte-identical to a serial IngestFrames loop, however the videos
+  /// are grouped (the determinism contract that
   /// tests/ingest_pipeline_test.cc enforces).
   /// @{
   /// Stage 1: key-frame detection (§4.1) over an ordered frame list.
@@ -259,17 +281,27 @@ class RetrievalEngine {
   Result<PreparedKeyFrame> PrepareKeyFrame(const std::string& video_name,
                                            const KeyFrame& key) const
       EXCLUDES(mutex_);
-  /// Stage 1b: re-encode the frames into the .vsv blob stored in the
-  /// VIDEO column. Returns an empty blob when store_video_blob is off.
+  /// Stage 1b, for in-memory frames only: encode them into the .vsv
+  /// blob stored in the VIDEO column. A file ingest stores the file's
+  /// own bytes instead. Returns an empty blob when store_video_blob is
+  /// off.
   Result<std::vector<uint8_t>> EncodeVideoBlob(
       const std::vector<Image>& frames) const EXCLUDES(mutex_);
-  /// Stage 3: assign ids, persist the VIDEO_STORE row and its
-  /// KEY_FRAMES rows as one journal batch (one sync, all or nothing
-  /// across a crash), and publish to the range index and feature
-  /// cache; returns the new v_id. Id assignment, feature text
-  /// formatting and the syncs run under the writer mutex only; the
-  /// query lock is exclusive just for the in-memory publish, so a
-  /// concurrent query sees all of the video or none of it.
+  /// Stage 3: commits \p videos in order as one group and returns their
+  /// v_ids. Ids are assigned in order, under the writer mutex; every
+  /// VIDEO_STORE row and KEY_FRAMES row of the group is journaled as
+  /// one batch (one sync, all or nothing across a crash); the range
+  /// index and feature cache take the whole group in one exclusive
+  /// hold of the query lock, so a concurrent query sees all of the
+  /// group or none of it; and matrix.vrm gets one append. Then, past
+  /// kJournalCheckpointBytes, the journal is checkpointed. Any error
+  /// fails the whole group and publishes none of it: InvalidArgument
+  /// before anything is written when a video has no key frames, and a
+  /// storage error otherwise (the ids it took stay consumed, as for a
+  /// failed single commit).
+  Result<std::vector<int64_t>> CommitGroup(std::vector<PreparedVideo> videos)
+      EXCLUDES(writer_mutex_, mutex_);
+  /// CommitGroup of the one video; returns its v_id.
   Result<int64_t> CommitPrepared(PreparedVideo video)
       EXCLUDES(writer_mutex_, mutex_);
   /// @}
@@ -338,15 +370,16 @@ class RetrievalEngine {
   /// it internally; it is exposed for helpers that mutate the scorer
   /// weights from outside. It does not guard the store: a writer
   /// journals and syncs without it. Lock hierarchy: acquire it before
-  /// any pager mutex and never while calling CommitPrepared or
-  /// RemoveVideo, whose writer mutex ranks above it (DESIGN.md § Lock
+  /// any pager mutex and never while calling CommitGroup,
+  /// CommitPrepared, RemoveVideo or Checkpoint, whose writer mutex
+  /// ranks above it (DESIGN.md § Lock
   /// hierarchy).
   SharedMutex& rw_lock() const RETURN_CAPABILITY(mutex_) { return mutex_; }
 
   /// The persistent store. The returned pointer itself is stable for
   /// the engine's lifetime. The store is guarded by the engine's
   /// private writer mutex, not by rw_lock(): call through it only when
-  /// no CommitPrepared or RemoveVideo can run at the same time — from
+  /// no commit, remove or checkpoint can run at the same time — from
   /// the one thread that does all the writing, or with ingest quiesced.
   /// The pager stats (GetPagerStats) are self-serializing and always
   /// safe.
@@ -421,6 +454,16 @@ class RetrievalEngine {
     std::atomic<uint64_t> margin_kept{0};
     std::atomic<uint64_t> forked_extractions{0};
   };
+
+  /// Key-frame detection and preparation of every key frame, serially:
+  /// the video IngestFrames and IngestVideoFile commit, blob aside.
+  Result<PreparedVideo> PrepareFrames(const std::vector<Image>& frames,
+                                      const std::string& name) const
+      EXCLUDES(mutex_);
+  /// Checkpoint() when the journal has passed kJournalCheckpointBytes;
+  /// the tail of every commit and remove. A failure is logged, not
+  /// returned: the write before it is already durable.
+  void CheckpointIfJournalFull() REQUIRES(writer_mutex_);
 
   /// Rebuilds the feature cache and range index from the store; runs
   /// under both locks purely to satisfy the guarded-state contracts
@@ -530,10 +573,10 @@ class RetrievalEngine {
 
   EngineOptions options_;
   KeyFrameExtractor key_frames_;  ///< stateless after construction
-  /// Serializes the writers (Open, CommitPrepared, RemoveVideo) and
-  /// guards the store and the persisted matrix cache. Ranked above the
-  /// query lock: a writer takes it first and holds it across its
-  /// journal and matrix cache syncs.
+  /// Serializes the writers (Open, CommitGroup, RemoveVideo,
+  /// Checkpoint) and guards the store and the persisted matrix cache.
+  /// Ranked above the query lock: a writer takes it first and holds it
+  /// across its journal, table and matrix cache syncs.
   mutable Mutex writer_mutex_{LockLevel::kEngineWriter, "engine_writer"};
   /// The query lock: guards index_, matrix_, cache_by_id_ and scorer_.
   /// Shared for queries and for a writer's matrix cache sync;

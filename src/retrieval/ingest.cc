@@ -108,61 +108,81 @@ Result<std::vector<uint8_t>> RetrievalEngine::EncodeVideoBlob(
 }
 
 Result<int64_t> RetrievalEngine::CommitPrepared(PreparedVideo video) {
-  if (video.keys.empty()) {
-    return Status::InvalidArgument("prepared video has no key frames");
+  std::vector<PreparedVideo> group;
+  group.push_back(std::move(video));
+  VR_ASSIGN_OR_RETURN(std::vector<int64_t> v_ids, CommitGroup(std::move(group)));
+  return v_ids.front();
+}
+
+Result<std::vector<int64_t>> RetrievalEngine::CommitGroup(
+    std::vector<PreparedVideo> videos) {
+  if (videos.empty()) return std::vector<int64_t>{};
+  for (const PreparedVideo& video : videos) {
+    if (video.keys.empty()) {
+      return Status::InvalidArgument("prepared video has no key frames");
+    }
   }
   Stopwatch timer;
   // Writers are serialized by the writer mutex; ids are assigned here,
   // in commit order, which is what makes parallel preparation reproduce
   // serial ingest bit-for-bit. Queries keep running until the publish.
   MutexLock writer(writer_mutex_);
-  const int64_t v_id = store_->NextVideoId();
-
-  std::vector<KeyFrameRecord> records;
-  std::vector<int64_t> key_ids;
-  records.reserve(video.keys.size());
-  key_ids.reserve(video.keys.size());
-  for (PreparedKeyFrame& key : video.keys) {
-    KeyFrameRecord record;
-    record.i_id = store_->NextKeyFrameId();
-    record.i_name = std::move(key.i_name);
-    record.image = std::move(key.image);
-    record.min = key.range.min;
-    record.max = key.range.max;
-    record.major_regions = key.major_regions;
-    record.v_id = v_id;
-    record.features = std::move(key.features);
-    key_ids.push_back(record.i_id);
-    records.push_back(std::move(record));
-  }
-
-  VideoRecord video_row;
-  video_row.v_id = v_id;
-  video_row.v_name = video.name;
-  video_row.stream = EncodeStream(key_ids);
   Env* env = options_.env != nullptr ? options_.env : Env::Default();
   const std::time_t now = static_cast<std::time_t>(env->NowUnixSeconds());
   char date[32];
   std::tm utc{};
   gmtime_r(&now, &utc);  // gmtime() proper keeps a shared static buffer
   std::strftime(date, sizeof(date), "%Y-%m-%d", &utc);
-  video_row.dostore = date;
-  video_row.video = std::move(video.video_blob);
-  // One journal batch and one sync for the video row and every key
-  // frame: a crash leaves the video whole or absent.
-  VR_RETURN_NOT_OK(store_->PutVideoWithKeyFrames(video_row, records));
+
+  std::vector<VideoWithKeyFrames> rows(videos.size());
+  std::vector<int64_t> v_ids;
+  v_ids.reserve(videos.size());
+  size_t key_frames = 0;
+  for (size_t v = 0; v < videos.size(); ++v) {
+    PreparedVideo& video = videos[v];
+    VideoWithKeyFrames& row = rows[v];
+    const int64_t v_id = store_->NextVideoId();
+    v_ids.push_back(v_id);
+    std::vector<int64_t> key_ids;
+    key_ids.reserve(video.keys.size());
+    row.key_frames.reserve(video.keys.size());
+    for (PreparedKeyFrame& key : video.keys) {
+      KeyFrameRecord record;
+      record.i_id = store_->NextKeyFrameId();
+      record.i_name = std::move(key.i_name);
+      record.image = std::move(key.image);
+      record.min = key.range.min;
+      record.max = key.range.max;
+      record.major_regions = key.major_regions;
+      record.v_id = v_id;
+      record.features = std::move(key.features);
+      key_ids.push_back(record.i_id);
+      row.key_frames.push_back(std::move(record));
+    }
+    key_frames += key_ids.size();
+    row.video.v_id = v_id;
+    row.video.v_name = std::move(video.name);
+    row.video.stream = EncodeStream(key_ids);
+    row.video.dostore = date;
+    row.video.video = std::move(video.video_blob);
+  }
+  // One journal batch and one sync for every row of the group: a crash
+  // leaves each video of it whole or absent.
+  VR_RETURN_NOT_OK(store_->PutVideosWithKeyFrames(rows));
 
   // Publish to the in-memory structures only after everything persisted.
   size_t first_new_row = 0;
   {
     WriterMutexLock lock(mutex_);
     first_new_row = matrix_.rows();
-    for (const KeyFrameRecord& record : records) {
-      const GrayRange range{static_cast<int>(record.min),
-                            static_cast<int>(record.max), 0};
-      index_.InsertAt(record.i_id, range);
-      cache_by_id_.emplace(record.i_id, matrix_.rows());
-      matrix_.Append(record.i_id, v_id, range, record.features);
+    for (const VideoWithKeyFrames& row : rows) {
+      for (const KeyFrameRecord& record : row.key_frames) {
+        const GrayRange range{static_cast<int>(record.min),
+                              static_cast<int>(record.max), 0};
+        index_.InsertAt(record.i_id, range);
+        cache_by_id_.emplace(record.i_id, matrix_.rows());
+        matrix_.Append(record.i_id, record.v_id, range, record.features);
+      }
     }
   }
   if (matrix_store_ != nullptr) {
@@ -170,7 +190,7 @@ Result<int64_t> RetrievalEngine::CommitPrepared(PreparedVideo video) {
     // file is best-effort — the store above is the source of truth and
     // already committed — so a persist failure only demotes the cache
     // to memory-only for this run (the next open rebuilds it).
-    matrix_gen_.key_frame_count += records.size();
+    matrix_gen_.key_frame_count += key_frames;
     matrix_gen_.next_key_frame_id = store_->PeekNextKeyFrameId();
     // Writers are serialized, so a shared hold keeps matrix_ still
     // while queries go on reading it through the cache file's syncs.
@@ -183,16 +203,18 @@ Result<int64_t> RetrievalEngine::CommitPrepared(PreparedVideo video) {
       matrix_store_.reset();
     }
   }
-  ingest_counters_.videos_ingested.fetch_add(1, std::memory_order_relaxed);
-  ingest_counters_.keyframes_kept.fetch_add(records.size(),
+  ingest_counters_.videos_ingested.fetch_add(videos.size(),
+                                             std::memory_order_relaxed);
+  ingest_counters_.keyframes_kept.fetch_add(key_frames,
                                             std::memory_order_relaxed);
+  CheckpointIfJournalFull();
   ingest_counters_.commit_ns.fetch_add(ToNanos(timer.ElapsedMillis()),
                                        std::memory_order_relaxed);
-  return v_id;
+  return v_ids;
 }
 
-Result<int64_t> RetrievalEngine::IngestFrames(const std::vector<Image>& frames,
-                                              const std::string& name) {
+Result<PreparedVideo> RetrievalEngine::PrepareFrames(
+    const std::vector<Image>& frames, const std::string& name) const {
   VR_ASSIGN_OR_RETURN(std::vector<KeyFrame> keys, ExtractKeyFrames(frames));
   PreparedVideo video;
   video.name = name;
@@ -201,6 +223,12 @@ Result<int64_t> RetrievalEngine::IngestFrames(const std::vector<Image>& frames,
     VR_ASSIGN_OR_RETURN(PreparedKeyFrame prepared, PrepareKeyFrame(name, key));
     video.keys.push_back(std::move(prepared));
   }
+  return video;
+}
+
+Result<int64_t> RetrievalEngine::IngestFrames(const std::vector<Image>& frames,
+                                              const std::string& name) {
+  VR_ASSIGN_OR_RETURN(PreparedVideo video, PrepareFrames(frames, name));
   VR_ASSIGN_OR_RETURN(video.video_blob, EncodeVideoBlob(frames));
   return CommitPrepared(std::move(video));
 }
@@ -208,12 +236,16 @@ Result<int64_t> RetrievalEngine::IngestFrames(const std::vector<Image>& frames,
 Result<int64_t> RetrievalEngine::IngestVideoFile(const std::string& path,
                                                  const std::string& name) {
   Stopwatch timer;
+  VR_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadVideoFile(path));
   VideoReader reader;
-  VR_RETURN_NOT_OK(reader.Open(path));
+  VR_RETURN_NOT_OK(reader.OpenMemory(bytes));
   VR_ASSIGN_OR_RETURN(std::vector<Image> frames, reader.ReadAll());
   ingest_counters_.decode_ns.fetch_add(ToNanos(timer.ElapsedMillis()),
                                        std::memory_order_relaxed);
-  return IngestFrames(frames, name);
+  VR_ASSIGN_OR_RETURN(PreparedVideo video, PrepareFrames(frames, name));
+  // The decode verified every frame's checksum: store the file as given.
+  if (options_.store_video_blob) video.video_blob = std::move(bytes);
+  return CommitPrepared(std::move(video));
 }
 
 IngestStats RetrievalEngine::ingest_stats() const {

@@ -82,12 +82,18 @@ void IngestPipeline::RunDecode(std::shared_ptr<VideoTask> task,
                                IngestJob job) {
   task->name = std::move(job.name);
   std::vector<Image> frames = std::move(job.frames);
-  if (frames.empty() && !job.path.empty()) {
+  const bool from_file = frames.empty() && !job.path.empty();
+  if (from_file) {
+    // Read the file once, decode from that buffer (every frame checksum
+    // verified), and store the same buffer as the VIDEO blob.
     const auto t0 = std::chrono::steady_clock::now();
-    VideoReader reader;
-    Status st = reader.Open(job.path);
+    Result<std::vector<uint8_t>> bytes = ReadVideoFile(job.path);
+    Status st = bytes.status();
     if (st.ok()) {
-      Result<std::vector<Image>> decoded = reader.ReadAll();
+      VideoReader reader;
+      st = reader.OpenMemory(*bytes);
+      Result<std::vector<Image>> decoded =
+          st.ok() ? reader.ReadAll() : Result<std::vector<Image>>(st);
       if (decoded.ok()) {
         frames = std::move(decoded).value();
       } else {
@@ -99,6 +105,9 @@ void IngestPipeline::RunDecode(std::shared_ptr<VideoTask> task,
       EnqueueReady(task->ticket, st);
       return;
     }
+    if (engine_->options().store_video_blob) {
+      task->video_blob = std::move(bytes).value();
+    }
   }
 
   Result<std::vector<KeyFrame>> keys = engine_->ExtractKeyFrames(frames);
@@ -108,17 +117,21 @@ void IngestPipeline::RunDecode(std::shared_ptr<VideoTask> task,
   }
   task->keys = std::move(keys).value();
 
-  Result<std::vector<uint8_t>> blob = engine_->EncodeVideoBlob(frames);
-  if (!blob.ok()) {
-    EnqueueReady(task->ticket, blob.status());
-    return;
+  if (!from_file) {
+    Result<std::vector<uint8_t>> blob = engine_->EncodeVideoBlob(frames);
+    if (!blob.ok()) {
+      EnqueueReady(task->ticket, blob.status());
+      return;
+    }
+    task->video_blob = std::move(blob).value();
   }
-  task->video_blob = std::move(blob).value();
   frames.clear();
 
   const size_t n = task->keys.size();
   if (n == 0) {
-    AssembleAndEnqueue(task);
+    // Fail this ticket here: in a commit group it would fail the group.
+    EnqueueReady(task->ticket,
+                 Status::InvalidArgument("prepared video has no key frames"));
     return;
   }
   task->slots.assign(n, Status::Internal("key frame pending"));
@@ -169,8 +182,8 @@ void IngestPipeline::EnqueueReady(uint64_t ticket,
 
 void IngestPipeline::CommitterLoop() {
   for (;;) {
-    Result<PreparedVideo> prepared = Status::Internal("uninitialized");
-    uint64_t ticket = 0;
+    uint64_t first = 0;
+    std::vector<PreparedVideo> group;
     {
       MutexLock lock(mutex_);
       while (ready_.count(next_commit_) == 0 &&
@@ -179,24 +192,39 @@ void IngestPipeline::CommitterLoop() {
       }
       auto it = ready_.find(next_commit_);
       if (it == ready_.end()) return;  // finishing and fully drained
-      ticket = it->first;
-      prepared = std::move(it->second);
-      ready_.erase(it);
-    }
-    // Commit outside the pipeline mutex: CommitPrepared takes the
-    // engine's writer lock and does storage I/O.
-    Result<int64_t> outcome =
-        prepared.ok() ? engine_->CommitPrepared(std::move(prepared).value())
-                      : Result<int64_t>(prepared.status());
-    {
-      MutexLock lock(mutex_);
-      if (outcome.ok()) {
-        ++committed_;
-      } else {
+      first = next_commit_;
+      if (!it->second.ok()) {
+        // A failed ticket commits nothing: record its error and go on.
+        results_[first] = it->second.status();
         ++failed_;
+        ++next_commit_;
+        ready_.erase(it);
+      } else {
+        // The group: the prepared tickets ready in a row from here. A
+        // failed or missing ticket ends it.
+        while (it != ready_.end() && it->first == first + group.size() &&
+               it->second.ok()) {
+          group.push_back(std::move(it->second).value());
+          it = ready_.erase(it);
+        }
       }
-      results_[ticket] = std::move(outcome);
-      ++next_commit_;
+    }
+    if (!group.empty()) {
+      // Commit outside the pipeline mutex: CommitGroup takes the
+      // engine's writer lock and does storage I/O.
+      const size_t n = group.size();
+      Result<std::vector<int64_t>> v_ids = engine_->CommitGroup(std::move(group));
+      MutexLock lock(mutex_);
+      for (size_t i = 0; i < n; ++i) {
+        if (v_ids.ok()) {
+          results_[first + i] = (*v_ids)[i];
+          ++committed_;
+        } else {
+          results_[first + i] = v_ids.status();
+          ++failed_;
+        }
+      }
+      next_commit_ += n;
     }
     capacity_cv_.NotifyAll();
     ready_cv_.NotifyAll();

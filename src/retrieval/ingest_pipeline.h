@@ -9,19 +9,32 @@
 ///
 ///   Submit(job) ─┐  workers (ThreadPool)                committer thread
 ///                ▼                                            ▼
-///   [decode .vsv / take frames]──►[extract features     [reorder buffer:
-///   [key-frame detection     ]    per key frame,         commit strictly
-///   [.vsv blob re-encode     ]    fan-out w/ inline      in Submit order]
-///                                 fallback]                   │
+///   [read .vsv into memory and]──►[extract features     [reorder buffer:
+///   [decode it, or take frames]    per key frame,         drain every
+///   [key-frame detection      ]    fan-out w/ inline      prepared ticket
+///                                  fallback]              ready in Submit
+///                                                         order]
+///                                                             │
 ///                                                             ▼
-///                                              RetrievalEngine::CommitPrepared
-///                                              (writer mutex, one batched
-///                                               journal sync per video)
+///                                              RetrievalEngine::CommitGroup
+///                                              (writer mutex, one journal
+///                                               sync and one matrix.vrm
+///                                               append per group)
 ///
-/// Determinism: v_id / i_id are assigned by CommitPrepared in commit
+/// A file job stores the file's own bytes as the VIDEO blob (its frames
+/// decoded and checksum-verified from the same buffer); a frames job
+/// has its blob encoded on the worker (EncodeVideoBlob).
+///
+/// Group commit: the committer takes every consecutive ticket that is
+/// ready and prepared, starting at the next one to commit, and commits
+/// them as one group. A ticket that failed to prepare ends a group and
+/// is recorded on its own, so its error stays with its ticket. A
+/// storage error fails every ticket of the group it hit.
+///
+/// Determinism: v_id / i_id are assigned by CommitGroup in commit
 /// order, and the committer commits strictly in Submit order, so the
 /// stored rows are byte-identical to a serial IngestFrames loop over
-/// the same jobs regardless of worker count (enforced by
+/// the same jobs regardless of worker count or grouping (enforced by
 /// tests/ingest_pipeline_test.cc, including under TSan).
 ///
 /// Backpressure: at most `max_in_flight` submitted-but-uncommitted
@@ -31,8 +44,8 @@
 /// pool queue is full), so the pipeline cannot deadlock.
 ///
 /// Query latency stays bounded during bulk ingest because the engine
-/// lock is only held exclusive inside CommitPrepared — preparation, the
-/// expensive part, runs lock-free.
+/// lock is only held exclusive inside CommitGroup's in-memory publish —
+/// preparation, the expensive part, runs lock-free.
 ///
 /// Thread-safety: Submit/Finish are intended for one producer thread
 /// (the administrator); GetStats is safe from any thread. A pipeline is
@@ -111,7 +124,8 @@ class IngestPipeline {
 
   /// Waits for every submitted job to commit or fail, stops the
   /// committer and returns one Result per ticket: the assigned v_id, or
-  /// the error of whichever stage failed that job. Idempotent.
+  /// the error of whichever stage failed that job (for a storage error,
+  /// every ticket of its commit group). Idempotent.
   const std::vector<Result<int64_t>>& Finish() EXCLUDES(mutex_);
 
   /// Point-in-time pipeline counters. Thread-safe.

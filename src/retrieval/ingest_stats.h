@@ -32,15 +32,17 @@ struct IngestStats {
   uint64_t frames_decoded = 0;
   /// Key frames that survived run-collapsing and were committed.
   uint64_t keyframes_kept = 0;
-  /// Wall time of the decode stage: .vsv decode (when the engine or
-  /// pipeline does it), key-frame detection and video-blob re-encode.
+  /// Wall time of the decode stage: .vsv read and decode (when the
+  /// engine or pipeline does it), key-frame detection and, for
+  /// in-memory frames, the video-blob encode.
   double decode_ms = 0.0;
   /// Wall time of per-key-frame preparation: the enabled feature
   /// extractors, range-finder bucketing and key-frame image encoding.
   double extract_ms = 0.0;
-  /// Wall time spent inside CommitPrepared (row batching, WAL sync,
-  /// index + cache publish, matrix cache sync), writer-mutex wait
-  /// included. Queries are held off only for the in-memory publish.
+  /// Wall time spent inside CommitGroup (row batching, WAL sync, index
+  /// + cache publish, matrix cache sync, and a journal checkpoint when
+  /// one falls due), writer-mutex wait included, summed per group.
+  /// Queries are held off only for the in-memory publish.
   double commit_ms = 0.0;
   /// Per-extractor share of extract_ms, indexed by FeatureKind.
   /// Disabled extractors stay 0.

@@ -72,10 +72,12 @@ Status Database::ReplayJournal() {
   // The journal is non-empty, so the last shutdown was not a clean
   // checkpoint: table files may hold partially applied mutations.
   // First drop heap records the pk index does not vouch for (heap
-  // synced before the index), then replay.
+  // synced before the index), rebuild the secondary indexes from what
+  // is left, then replay.
   size_t scrubbed = 0;
   for (auto& [name, table] : tables_) {
     VR_ASSIGN_OR_RETURN(uint64_t n, table->ScrubOrphans());
+    VR_RETURN_NOT_OK(table->RebuildSecondaryIndexes());
     scrubbed += n;
   }
 

@@ -219,18 +219,17 @@ Result<uint32_t> Pager::Allocate(PageType type) {
     page->set_type(type);
     VR_RETURN_NOT_OK(MarkDirtyLocked(page_id));
   } else {
+    // A fresh page is born dirty in the cache and reaches the file once,
+    // at eviction or flush (see the class comment for why no durable
+    // meta page can count it before then).
     page_id = page_count_;
     ++page_count_;
-    Page fresh;
-    fresh.set_type(type);
-    VR_RETURN_NOT_OK(WritePageToDisk(page_id, fresh));
-    // Bring it into the cache.
     auto page = std::make_shared<Page>();
-    std::memcpy(page->data(), fresh.data(), kPageSize);
+    page->set_type(type);
     lru_.push_front(page_id);
     CacheEntry entry;
-    entry.page = page;
-    entry.dirty = false;
+    entry.page = std::move(page);
+    entry.dirty = true;
     entry.lru_it = lru_.begin();
     cache_.emplace(page_id, std::move(entry));
     VR_RETURN_NOT_OK(EvictIfNeeded());

@@ -13,6 +13,16 @@
 /// corruption into a Corruption status at Open or Fetch time. A meta
 /// page whose version field is anything but kPagerFormatCurrent is
 /// Corruption too; no other format is read or written.
+///
+/// Each page write reaches the file once. Allocate does not pre-write a
+/// zero page: a page past the end enters the cache dirty and is first
+/// written when it is evicted or flushed. That is safe because the meta
+/// page, which holds page_count, is written only by the flush
+/// (FlushLocked), and the flush writes every dirty page before it.
+/// So a meta page on disk never counts a page the file does not hold,
+/// and a page read from disk was written with its checksum. A hole a
+/// later page's eviction leaves behind lies past the on-disk
+/// page_count until the flush that fills it.
 
 #pragma once
 
@@ -86,7 +96,8 @@ class Pager {
   Status MarkDirty(uint32_t page_id) EXCLUDES(mutex_);
 
   /// Allocates a page (reusing the free list when possible); the page is
-  /// fetched, zeroed, typed and marked dirty.
+  /// zeroed, typed and marked dirty in the cache. A page past the end
+  /// is not written to the file here (see the file comment).
   Result<uint32_t> Allocate(PageType type) EXCLUDES(mutex_);
 
   /// Returns a page to the free list.

@@ -353,6 +353,22 @@ Result<uint64_t> Table::ScrubOrphans() {
   return static_cast<uint64_t>(orphans.size());
 }
 
+Status Table::RebuildSecondaryIndexes() {
+  Env* env = env_ != nullptr ? env_ : Env::Default();
+  std::vector<IndexSpec> specs;
+  for (auto& idx : secondary_) {
+    specs.push_back(idx->spec);
+    const std::string path = idx->pager->path();
+    idx->tree.reset();
+    idx->pager.reset();
+    VR_RETURN_NOT_OK(env->DeleteFile(path));
+  }
+  secondary_.clear();
+  // An empty index file is backfilled from the heap as it opens.
+  for (const IndexSpec& spec : specs) VR_RETURN_NOT_OK(CreateIndex(spec));
+  return Status::OK();
+}
+
 Status Table::ForceRemove(int64_t pk) {
   Result<Rid> rid = pk_index_->Get(pk);
   if (rid.ok()) {

@@ -112,6 +112,14 @@ class Table {
   /// records removed.
   Result<uint64_t> ScrubOrphans();
 
+  /// Recreates every secondary index from the heap. After a crash an
+  /// index can disagree with the heap both ways: Open backfills an
+  /// index file that never reached disk from heap records ScrubOrphans
+  /// then drops, and a crash inside a checkpoint can leave heap and pk
+  /// index synced while the secondary index is not. Replay runs this
+  /// after ScrubOrphans, so the indexes match the heap it replays onto.
+  Status RebuildSecondaryIndexes();
+
   /// Best-effort removal of a possibly half-written row: every step
   /// (blob chain free, index entries, heap slot, pk entry) proceeds
   /// even when earlier ones fail. Used by replay before re-applying a

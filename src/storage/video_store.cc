@@ -115,16 +115,18 @@ Result<std::unique_ptr<VideoStore>> VideoStore::Open(
   if (frames.ok()) {
     VR_RETURN_NOT_OK(CheckSchema(kKeyFrameTable, frames.value()->schema(),
                                  KeyFrameSchema()));
+    for (const IndexSpec& index : frames.value()->indexes()) {
+      if (index.name == kRetiredRangeIndex) {
+        return Status::InvalidArgument(StringPrintf(
+            "%s has the retired index %s; re-ingest into a new store",
+            kKeyFrameTable, kRetiredRangeIndex));
+      }
+    }
     store->key_frames_ = frames.value();
   } else if (frames.status().IsNotFound()) {
     VR_ASSIGN_OR_RETURN(Schema schema, KeyFrameSchema());
     VR_ASSIGN_OR_RETURN(store->key_frames_,
                         store->db_->CreateTable(kKeyFrameTable, schema));
-    IndexSpec range_index;
-    range_index.name = kRangeIndex;
-    range_index.columns = {"MIN", "MAX"};
-    range_index.bits = {8, 8};
-    VR_RETURN_NOT_OK(store->db_->CreateIndex(kKeyFrameTable, range_index));
     IndexSpec vid_index;
     vid_index.name = kVideoIdIndex;
     vid_index.columns = {"V_ID"};
@@ -279,32 +281,46 @@ Result<int64_t> VideoStore::PutKeyFrame(const KeyFrameRecord& record) {
   return pk;
 }
 
-Status VideoStore::PutKeyFrames(const std::vector<KeyFrameRecord>& records) {
-  return PutBatch(nullptr, records);
-}
-
-Status VideoStore::PutVideoWithKeyFrames(
-    const VideoRecord& video, const std::vector<KeyFrameRecord>& key_frames) {
-  return PutBatch(&video, key_frames);
-}
-
-Status VideoStore::PutBatch(const VideoRecord* video,
-                            const std::vector<KeyFrameRecord>& key_frames) {
-  std::vector<Database::TableRow> rows;
-  rows.reserve(key_frames.size() + 1);
-  // The video row goes first: a journal torn inside the batch then
-  // leaves a video whose remaining key frames RemoveVideo can reach.
-  if (video != nullptr) rows.emplace_back(kVideoTable, VideoToRow(*video));
+Status VideoStore::AddKeyFrameRows(
+    const std::vector<KeyFrameRecord>& key_frames,
+    std::vector<Database::TableRow>* rows) {
   for (const KeyFrameRecord& record : key_frames) {
     VR_ASSIGN_OR_RETURN(Row row, KeyFrameToRow(record));
-    rows.emplace_back(kKeyFrameTable, std::move(row));
+    rows->emplace_back(kKeyFrameTable, std::move(row));
   }
-  VR_RETURN_NOT_OK(db_->InsertBatch(rows));
-  if (video != nullptr) {
-    next_video_id_ = std::max(next_video_id_, video->v_id + 1);
-  }
+  return Status::OK();
+}
+
+void VideoStore::AdvanceKeyFrameIds(
+    const std::vector<KeyFrameRecord>& key_frames) {
   for (const KeyFrameRecord& record : key_frames) {
     next_key_frame_id_ = std::max(next_key_frame_id_, record.i_id + 1);
+  }
+}
+
+Status VideoStore::PutKeyFrames(const std::vector<KeyFrameRecord>& records) {
+  std::vector<Database::TableRow> rows;
+  rows.reserve(records.size());
+  VR_RETURN_NOT_OK(AddKeyFrameRows(records, &rows));
+  VR_RETURN_NOT_OK(db_->InsertBatch(rows));
+  AdvanceKeyFrameIds(records);
+  return Status::OK();
+}
+
+Status VideoStore::PutVideosWithKeyFrames(
+    const std::vector<VideoWithKeyFrames>& videos) {
+  std::vector<Database::TableRow> rows;
+  for (const VideoWithKeyFrames& video : videos) {
+    // Each video row goes before its key frames: a journal torn inside
+    // the batch then leaves a video whose remaining key frames
+    // RemoveVideo can reach.
+    rows.emplace_back(kVideoTable, VideoToRow(video.video));
+    VR_RETURN_NOT_OK(AddKeyFrameRows(video.key_frames, &rows));
+  }
+  VR_RETURN_NOT_OK(db_->InsertBatch(rows));
+  for (const VideoWithKeyFrames& video : videos) {
+    next_video_id_ = std::max(next_video_id_, video.video.v_id + 1);
+    AdvanceKeyFrameIds(video.key_frames);
   }
   return Status::OK();
 }

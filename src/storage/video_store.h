@@ -44,11 +44,20 @@ struct KeyFrameRecord {
   std::map<FeatureKind, FeatureVector> features;
 };
 
+/// \brief One video of an ingest commit: its VIDEO_STORE row and its
+/// KEY_FRAMES rows.
+struct VideoWithKeyFrames {
+  VideoRecord video;
+  std::vector<KeyFrameRecord> key_frames;
+};
+
 /// \brief Typed facade over the two tables, with the paper's indexes.
 class VideoStore {
  public:
   /// Opens/creates the store inside a database directory. Creates the
-  /// (MIN, MAX) range index and the V_ID foreign-key index.
+  /// V_ID foreign-key index. Refuses (InvalidArgument, naming it) a
+  /// store that still has the retired (MIN, MAX) index kRetiredRangeIndex,
+  /// which every write paid for and nothing read.
   static Result<std::unique_ptr<VideoStore>> Open(const std::string& dir);
 
   /// Same, with explicit database options (degraded open, custom Env).
@@ -82,11 +91,11 @@ class VideoStore {
   /// applied in order. All-or-nothing on journaling errors; see
   /// Database::InsertBatch for the contract.
   Status PutKeyFrames(const std::vector<KeyFrameRecord>& records);
-  /// The ingest commit: the VIDEO_STORE row and all of its KEY_FRAMES
-  /// rows as one journal batch (one fsync), so a crash leaves the video
-  /// whole or absent, never key frames without their video row.
-  Status PutVideoWithKeyFrames(const VideoRecord& video,
-                               const std::vector<KeyFrameRecord>& key_frames);
+  /// The ingest commit: every video's VIDEO_STORE row and all of its
+  /// KEY_FRAMES rows, in order, as one journal batch (one fsync), so a
+  /// crash leaves each video whole or absent, never key frames without
+  /// their video row.
+  Status PutVideosWithKeyFrames(const std::vector<VideoWithKeyFrames>& videos);
   Result<KeyFrameRecord> GetKeyFrame(int64_t i_id) const;
   Status DeleteKeyFrame(int64_t i_id);
   /// Key-frame ids belonging to a video (via the V_ID index).
@@ -127,8 +136,10 @@ class VideoStore {
 
   static constexpr const char* kVideoTable = "VIDEO_STORE";
   static constexpr const char* kKeyFrameTable = "KEY_FRAMES";
-  static constexpr const char* kRangeIndex = "idx_min_max";
   static constexpr const char* kVideoIdIndex = "idx_v_id";
+  /// The KEY_FRAMES (MIN, MAX) index older stores carry; Open refuses
+  /// them (candidate selection reads the in-memory RangeBucketIndex).
+  static constexpr const char* kRetiredRangeIndex = "idx_min_max";
 
  private:
   VideoStore() = default;
@@ -136,10 +147,11 @@ class VideoStore {
   Result<KeyFrameRecord> RowToKeyFrame(const Row& row) const;
   static Result<Row> KeyFrameToRow(const KeyFrameRecord& record);
   static Row VideoToRow(const VideoRecord& record);
-  /// Journals \p video (when non-null) and \p key_frames as one batch
-  /// and advances the id watermarks past them.
-  Status PutBatch(const VideoRecord* video,
-                  const std::vector<KeyFrameRecord>& key_frames);
+  /// Appends the KEY_FRAMES rows of \p key_frames to \p rows.
+  static Status AddKeyFrameRows(const std::vector<KeyFrameRecord>& key_frames,
+                                std::vector<Database::TableRow>* rows);
+  /// Advances the key-frame id watermark past \p key_frames.
+  void AdvanceKeyFrameIds(const std::vector<KeyFrameRecord>& key_frames);
   /// Corruption when \p table (quarantined by a degraded open) is null.
   Status RequireHealthy(const Table* table, const char* name) const;
 

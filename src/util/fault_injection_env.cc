@@ -12,8 +12,9 @@ class FaultInjectionFile : public EnvFile {
  public:
   using FileState = FaultInjectionEnv::FileState;
 
-  FaultInjectionFile(FaultInjectionEnv* env, std::shared_ptr<FileState> state)
-      : env_(env), state_(std::move(state)) {}
+  FaultInjectionFile(FaultInjectionEnv* env, std::string path,
+                     std::shared_ptr<FileState> state)
+      : env_(env), path_(std::move(path)), state_(std::move(state)) {}
 
   Result<size_t> ReadAt(uint64_t offset, void* out, size_t n) override {
     const std::vector<uint8_t>& live = state_->live;
@@ -43,7 +44,7 @@ class FaultInjectionFile : public EnvFile {
     VR_RETURN_NOT_OK(env_->OnSync());
     state_->durable = state_->live;
     state_->exists_durable = true;
-    if (env_->sync_observer_) env_->sync_observer_();
+    if (env_->sync_observer_) env_->sync_observer_(path_);
     return Status::OK();
   }
 
@@ -59,6 +60,7 @@ class FaultInjectionFile : public EnvFile {
 
  private:
   FaultInjectionEnv* env_;
+  std::string path_;  ///< the path it was opened under
   std::shared_ptr<FileState> state_;
 };
 
@@ -119,7 +121,7 @@ Result<std::unique_ptr<EnvFile>> FaultInjectionEnv::Open(
     state->exists_live = true;
     files_[path] = state;
   }
-  return std::unique_ptr<EnvFile>(new FaultInjectionFile(this, state));
+  return std::unique_ptr<EnvFile>(new FaultInjectionFile(this, path, state));
 }
 
 bool FaultInjectionEnv::FileExists(const std::string& path) {

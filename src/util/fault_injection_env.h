@@ -69,8 +69,9 @@ class FaultInjectionEnv : public Env {
   void CorruptNthWrite(uint64_t n, uint64_t bit_index);
   /// @}
 
-  /// Invoked after every successful Sync (torture tests snapshot here).
-  void SetSyncObserver(std::function<void()> observer) {
+  /// Invoked after every successful Sync with the synced file's path
+  /// (torture tests snapshot here).
+  void SetSyncObserver(std::function<void(const std::string&)> observer) {
     sync_observer_ = std::move(observer);
   }
 
@@ -100,7 +101,7 @@ class FaultInjectionEnv : public Env {
   uint64_t fail_sync_at_ = 0;
   uint64_t corrupt_write_at_ = 0;
   uint64_t corrupt_bit_ = 0;
-  std::function<void()> sync_observer_;
+  std::function<void(const std::string&)> sync_observer_;
 };
 
 }  // namespace vr

@@ -45,9 +45,10 @@ enum class LockLevel : int32_t {
   /// Held only for registry mutation, never across a request.
   kServer = 10,
 
-  /// RetrievalEngine's writer mutex: serializes Open, CommitPrepared
-  /// and RemoveVideo and is held across their journal and matrix cache
-  /// syncs, so it ranks above the query lock it then takes.
+  /// RetrievalEngine's writer mutex: serializes Open, CommitGroup,
+  /// RemoveVideo and Checkpoint and is held across their journal, table
+  /// and matrix cache syncs, so it ranks above the query lock it then
+  /// takes.
   kEngineWriter = 15,
 
   /// RetrievalEngine's query lock (reader/writer): queries and a
@@ -56,7 +57,7 @@ enum class LockLevel : int32_t {
   kEngine = 20,
 
   /// IngestPipeline reorder buffer + counters. Ranked between engine
-  /// and pager: the committer must release it before CommitPrepared
+  /// and pager: the committer must release it before CommitGroup
   /// takes the engine locks (docs promise it is never held across a
   /// call into the engine; the validator now enforces the half of
   /// that promise that orders it against the storage layer below).

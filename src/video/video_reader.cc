@@ -1,54 +1,78 @@
 #include "video/video_reader.h"
 
+#include <cstdio>
 #include <cstring>
 
 #include "util/string_util.h"
 
 namespace vr {
 
-namespace {
-
-Status ReadBytes(std::FILE* f, void* data, size_t size) {
-  if (std::fread(data, 1, size, f) != size) {
-    return Status::Corruption("unexpected end of video file");
+Result<std::vector<uint8_t>> ReadVideoFile(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    return Status::IOError("cannot open video file: " + path);
   }
-  return Status::OK();
+  std::vector<uint8_t> bytes;
+  bool ok = std::fseek(file, 0, SEEK_END) == 0;
+  const long size = ok ? std::ftell(file) : -1;
+  ok = size >= 0 && std::fseek(file, 0, SEEK_SET) == 0;
+  if (ok) {
+    bytes.resize(static_cast<size_t>(size));
+    ok = std::fread(bytes.data(), 1, bytes.size(), file) == bytes.size();
+  }
+  std::fclose(file);
+  if (!ok) return Status::IOError("cannot read video file: " + path);
+  return bytes;
 }
-
-template <typename T>
-Result<T> ReadScalar(std::FILE* f) {
-  T v{};
-  VR_RETURN_NOT_OK(ReadBytes(f, &v, sizeof(v)));
-  return v;
-}
-
-}  // namespace
-
-VideoReader::~VideoReader() { Close(); }
 
 void VideoReader::Close() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
+  owned_.clear();
+  data_ = {};
+  open_ = false;
 }
 
 Status VideoReader::Open(const std::string& path) {
   Close();
-  file_ = std::fopen(path.c_str(), "rb");
-  if (file_ == nullptr) {
-    return Status::IOError("cannot open video file: " + path);
+  VR_ASSIGN_OR_RETURN(owned_, ReadVideoFile(path));
+  return OpenMemory(owned_);
+}
+
+Status VideoReader::Seek(uint64_t offset) {
+  if (offset > data_.size()) return Status::Corruption("bad video offset");
+  pos_ = offset;
+  return Status::OK();
+}
+
+Status VideoReader::ReadBytes(void* out, size_t size) {
+  if (size > data_.size() - pos_) {
+    return Status::Corruption("unexpected end of video file");
   }
+  std::memcpy(out, data_.data() + pos_, size);
+  pos_ += size;
+  return Status::OK();
+}
+
+template <typename T>
+Result<T> VideoReader::ReadScalar() {
+  T v{};
+  VR_RETURN_NOT_OK(ReadBytes(&v, sizeof(v)));
+  return v;
+}
+
+Status VideoReader::OpenMemory(std::span<const uint8_t> bytes) {
+  open_ = false;
+  data_ = bytes;
+  pos_ = 0;
   char magic[4];
-  VR_RETURN_NOT_OK(ReadBytes(file_, magic, 4));
+  VR_RETURN_NOT_OK(ReadBytes(magic, 4));
   if (std::memcmp(magic, kVsvMagic, 4) != 0) {
-    return Status::Corruption("not a .vsv file: " + path);
+    return Status::Corruption("not a .vsv file");
   }
-  VR_ASSIGN_OR_RETURN(uint32_t w, ReadScalar<uint32_t>(file_));
-  VR_ASSIGN_OR_RETURN(uint32_t h, ReadScalar<uint32_t>(file_));
-  VR_ASSIGN_OR_RETURN(uint32_t c, ReadScalar<uint32_t>(file_));
-  VR_ASSIGN_OR_RETURN(uint32_t fps, ReadScalar<uint32_t>(file_));
-  VR_ASSIGN_OR_RETURN(uint64_t count, ReadScalar<uint64_t>(file_));
+  VR_ASSIGN_OR_RETURN(uint32_t w, ReadScalar<uint32_t>());
+  VR_ASSIGN_OR_RETURN(uint32_t h, ReadScalar<uint32_t>());
+  VR_ASSIGN_OR_RETURN(uint32_t c, ReadScalar<uint32_t>());
+  VR_ASSIGN_OR_RETURN(uint32_t fps, ReadScalar<uint32_t>());
+  VR_ASSIGN_OR_RETURN(uint64_t count, ReadScalar<uint64_t>());
   if (w == 0 || h == 0 || (c != 1 && c != 3)) {
     return Status::Corruption("bad video header");
   }
@@ -59,23 +83,27 @@ Status VideoReader::Open(const std::string& path) {
   header_.frame_count = count;
 
   // Load the footer offset table.
-  if (std::fseek(file_, -static_cast<long>(sizeof(uint64_t) + 4), SEEK_END) !=
-      0) {
+  constexpr size_t kTrailer = sizeof(uint64_t) + 4;
+  if (data_.size() < kTrailer) {
     return Status::Corruption("video file too short for footer");
   }
-  VR_ASSIGN_OR_RETURN(uint64_t footer_start, ReadScalar<uint64_t>(file_));
+  VR_RETURN_NOT_OK(Seek(data_.size() - kTrailer));
+  VR_ASSIGN_OR_RETURN(uint64_t footer_start, ReadScalar<uint64_t>());
   char footer_magic[4];
-  VR_RETURN_NOT_OK(ReadBytes(file_, footer_magic, 4));
+  VR_RETURN_NOT_OK(ReadBytes(footer_magic, 4));
   if (std::memcmp(footer_magic, kVsvFooterMagic, 4) != 0) {
     return Status::Corruption("missing video footer (unfinished write?)");
   }
-  if (std::fseek(file_, static_cast<long>(footer_start), SEEK_SET) != 0) {
+  if (footer_start > data_.size() ||
+      count > (data_.size() - footer_start) / sizeof(uint64_t)) {
     return Status::Corruption("bad footer offset");
   }
+  VR_RETURN_NOT_OK(Seek(footer_start));
   offsets_.resize(count);
   for (uint64_t i = 0; i < count; ++i) {
-    VR_ASSIGN_OR_RETURN(offsets_[i], ReadScalar<uint64_t>(file_));
+    VR_ASSIGN_OR_RETURN(offsets_[i], ReadScalar<uint64_t>());
   }
+  open_ = true;
   return Rewind();
 }
 
@@ -87,21 +115,19 @@ Status VideoReader::Rewind() {
 
 Result<std::vector<uint8_t>> VideoReader::DecodeFrameAt(
     uint64_t offset, const std::vector<uint8_t>& prev, FrameEncoding* enc_out) {
-  if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
-    return Status::Corruption("bad frame offset");
-  }
-  VR_ASSIGN_OR_RETURN(uint8_t enc_raw, ReadScalar<uint8_t>(file_));
+  VR_RETURN_NOT_OK(Seek(offset));
+  VR_ASSIGN_OR_RETURN(uint8_t enc_raw, ReadScalar<uint8_t>());
   if (enc_raw > 2) return Status::Corruption("unknown frame encoding");
   const FrameEncoding enc = static_cast<FrameEncoding>(enc_raw);
-  VR_ASSIGN_OR_RETURN(uint32_t payload_size, ReadScalar<uint32_t>(file_));
-  VR_ASSIGN_OR_RETURN(uint64_t checksum, ReadScalar<uint64_t>(file_));
+  VR_ASSIGN_OR_RETURN(uint32_t payload_size, ReadScalar<uint32_t>());
+  VR_ASSIGN_OR_RETURN(uint64_t checksum, ReadScalar<uint64_t>());
   const size_t frame_bytes = static_cast<size_t>(header_.width) *
                              header_.height * header_.channels;
   if (payload_size > frame_bytes + frame_bytes / 64 + 1024) {
     return Status::Corruption("frame payload implausibly large");
   }
   std::vector<uint8_t> payload(payload_size);
-  VR_RETURN_NOT_OK(ReadBytes(file_, payload.data(), payload.size()));
+  VR_RETURN_NOT_OK(ReadBytes(payload.data(), payload.size()));
 
   std::vector<uint8_t> raw;
   switch (enc) {
@@ -133,7 +159,7 @@ Result<std::vector<uint8_t>> VideoReader::DecodeFrameAt(
 }
 
 Result<Image> VideoReader::Next() {
-  if (file_ == nullptr) return Status::Internal("reader not open");
+  if (!open_) return Status::Internal("reader not open");
   if (next_index_ >= header_.frame_count) {
     return Status::OutOfRange("end of video");
   }
@@ -147,7 +173,7 @@ Result<Image> VideoReader::Next() {
 }
 
 Result<Image> VideoReader::ReadFrame(uint64_t index) {
-  if (file_ == nullptr) return Status::Internal("reader not open");
+  if (!open_) return Status::Internal("reader not open");
   if (index >= header_.frame_count) {
     return Status::OutOfRange(
         StringPrintf("frame %llu out of range (count %llu)",
@@ -161,10 +187,8 @@ Result<Image> VideoReader::ReadFrame(uint64_t index) {
   std::vector<FrameEncoding> encs;
   // Peek encodings going backwards.
   while (true) {
-    if (std::fseek(file_, static_cast<long>(offsets_[start]), SEEK_SET) != 0) {
-      return Status::Corruption("bad frame offset");
-    }
-    VR_ASSIGN_OR_RETURN(uint8_t enc_raw, ReadScalar<uint8_t>(file_));
+    VR_RETURN_NOT_OK(Seek(offsets_[start]));
+    VR_ASSIGN_OR_RETURN(uint8_t enc_raw, ReadScalar<uint8_t>());
     if (enc_raw > 2) return Status::Corruption("unknown frame encoding");
     if (static_cast<FrameEncoding>(enc_raw) != FrameEncoding::kDeltaRle ||
         start == 0) {

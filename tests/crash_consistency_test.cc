@@ -149,7 +149,7 @@ TEST(CrashConsistencyTest, TortureKillAtEverySyncPoint) {
   Model model;
   std::optional<PendingOp> pending;
   std::vector<SyncPoint> points;
-  env.SetSyncObserver([&] {
+  env.SetSyncObserver([&](const std::string&) {
     points.push_back(SyncPoint{env.DurableSnapshot(), model, pending});
   });
 
@@ -423,31 +423,58 @@ std::string AnswerOf(RetrievalEngine* engine, int64_t i_id) {
   return out;
 }
 
-Answers AnswersOf(RetrievalEngine* engine, const TwoVideos& videos) {
+/// One video a test commits or removes, with its key-frame ids.
+struct Victim {
+  int64_t v_id = 0;
+  std::vector<int64_t> key_ids;
+};
+
+Answers AnswersOf(RetrievalEngine* engine, const std::vector<int64_t>& keep_ids,
+                  const std::vector<Victim>& victims) {
   Answers out;
-  for (const auto* ids : {&videos.keep_ids, &videos.victim_ids}) {
-    for (int64_t i_id : *ids) out[i_id] = AnswerOf(engine, i_id);
+  for (int64_t i_id : keep_ids) out[i_id] = AnswerOf(engine, i_id);
+  for (const Victim& victim : victims) {
+    for (int64_t i_id : victim.key_ids) out[i_id] = AnswerOf(engine, i_id);
   }
   return out;
 }
 
-/// The victim video is either whole — its VIDEO_STORE row, every
-/// KEY_FRAMES row and every answer as \p whole — or gone from all
-/// three, with every answer as \p gone.
-void ExpectAllOrNothing(RetrievalEngine* engine, const TwoVideos& videos,
+Answers AnswersOf(RetrievalEngine* engine, const TwoVideos& videos) {
+  return AnswersOf(engine, videos.keep_ids,
+                   {Victim{videos.victim, videos.victim_ids}});
+}
+
+/// Each victim video is either whole — its VIDEO_STORE row and every
+/// KEY_FRAMES row — or gone from both. The victims went in or out in
+/// one journal batch, so they are all whole or all gone, and every
+/// answer is as \p whole or as \p gone accordingly.
+void ExpectAllOrNothing(RetrievalEngine* engine,
+                        const std::vector<int64_t>& keep_ids,
+                        const std::vector<Victim>& victims,
                         const Answers& whole, const Answers& gone) {
   VideoStore* store = engine->store();
-  const bool present = store->GetVideo(videos.victim).ok();
-  size_t rows = 0;
-  for (int64_t i_id : videos.victim_ids) {
-    if (store->GetKeyFrame(i_id).ok()) ++rows;
+  size_t whole_videos = 0;
+  size_t victim_rows = 0;
+  for (const Victim& victim : victims) {
+    const bool present = store->GetVideo(victim.v_id).ok();
+    size_t rows = 0;
+    for (int64_t i_id : victim.key_ids) {
+      if (store->GetKeyFrame(i_id).ok()) ++rows;
+    }
+    EXPECT_EQ(rows, present ? victim.key_ids.size() : 0u)
+        << "video " << victim.v_id << " row "
+        << (present ? "present" : "gone") << " but " << rows << " of "
+        << victim.key_ids.size() << " key-frame rows remain";
+    if (present) {
+      ++whole_videos;
+      victim_rows += victim.key_ids.size();
+    }
   }
-  EXPECT_EQ(rows, present ? videos.victim_ids.size() : 0u)
-      << "video row " << (present ? "present" : "gone") << " but " << rows
-      << " of " << videos.victim_ids.size() << " key-frame rows remain";
-  EXPECT_EQ(engine->indexed_key_frames(),
-            videos.keep_ids.size() +
-                (present ? videos.victim_ids.size() : 0u));
+  ASSERT_TRUE(whole_videos == 0 || whole_videos == victims.size())
+      << whole_videos << " of " << victims.size()
+      << " videos of one journal batch are present";
+  const bool present = whole_videos != 0;
+  EXPECT_EQ(engine->indexed_key_frames(), keep_ids.size() + victim_rows);
   const Answers& want = present ? whole : gone;
   for (const auto& [i_id, answer] : want) {
     EXPECT_EQ(AnswerOf(engine, i_id), answer)
@@ -455,12 +482,18 @@ void ExpectAllOrNothing(RetrievalEngine* engine, const TwoVideos& videos,
   }
 }
 
+void ExpectAllOrNothing(RetrievalEngine* engine, const TwoVideos& videos,
+                        const Answers& whole, const Answers& gone) {
+  ExpectAllOrNothing(engine, videos.keep_ids,
+                     {Victim{videos.victim, videos.victim_ids}}, whole, gone);
+}
+
 TEST(CrashConsistencyTest, RemoveVideoKillAtEverySyncPoint) {
   const std::string dir = "remove_torture_db";
   FaultInjectionEnv env;
   bool recording = false;
   std::vector<FaultInjectionEnv::Snapshot> points;
-  env.SetSyncObserver([&] {
+  env.SetSyncObserver([&](const std::string&) {
     if (recording) points.push_back(env.DurableSnapshot());
   });
   TwoVideos videos;
@@ -489,67 +522,169 @@ TEST(CrashConsistencyTest, RemoveVideoKillAtEverySyncPoint) {
   }
 }
 
+/// Prepares \p frames as one video, as IngestFrames does before its
+/// commit.
+PreparedVideo Prepare(RetrievalEngine* engine, const std::vector<Image>& frames,
+                      const std::string& name) {
+  PreparedVideo video;
+  video.name = name;
+  const std::vector<KeyFrame> keys = engine->ExtractKeyFrames(frames).value();
+  for (const KeyFrame& key : keys) {
+    video.keys.push_back(engine->PrepareKeyFrame(name, key).value());
+  }
+  return video;
+}
+
 TEST(CrashConsistencyTest, CommitKillAtEverySyncPoint) {
+  // A group commit of three videos, then a checkpoint. A kill at any
+  // sync point of the commit leaves the group whole or absent; a kill
+  // at any sync point of the checkpoint leaves it whole.
   const std::string dir = "commit_torture_db";
   FaultInjectionEnv env;
   bool recording = false;
-  std::vector<FaultInjectionEnv::Snapshot> points;
-  env.SetSyncObserver([&] {
-    if (recording) points.push_back(env.DurableSnapshot());
+  std::vector<FaultInjectionEnv::Snapshot> commit_points;
+  std::vector<FaultInjectionEnv::Snapshot> checkpoint_points;
+  std::vector<FaultInjectionEnv::Snapshot>* points = &commit_points;
+  env.SetSyncObserver([&](const std::string&) {
+    if (recording) points->push_back(env.DurableSnapshot());
   });
-  TwoVideos videos;
-  videos.engine = RetrievalEngine::Open(dir, RemoveTestOptions(&env)).value();
+  std::unique_ptr<RetrievalEngine> engine =
+      RetrievalEngine::Open(dir, RemoveTestOptions(&env)).value();
   const int64_t keep =
-      videos.engine->IngestFrames(TinyVideo(VideoCategory::kSports, 3), "keep")
+      engine->IngestFrames(TinyVideo(VideoCategory::kSports, 3), "keep")
           .value();
-  videos.keep_ids = videos.engine->store()->KeyFrameIdsOfVideo(keep).value();
+  const std::vector<int64_t> keep_ids =
+      engine->store()->KeyFrameIdsOfVideo(keep).value();
 
-  // The ids the commit will assign, so the answers before it cover the
-  // victim's key frames too.
-  const std::vector<Image> frames = TinyVideo(VideoCategory::kCartoon, 4);
-  const size_t key_count =
-      videos.engine->ExtractKeyFrames(frames).value().size();
-  ASSERT_GE(key_count, 2u);
-  videos.victim = videos.engine->store()->PeekNextVideoId();
-  const int64_t first_key = videos.engine->store()->PeekNextKeyFrameId();
-  for (size_t i = 0; i < key_count; ++i) {
-    videos.victim_ids.push_back(first_key + static_cast<int64_t>(i));
+  // The ids the group will assign, so the answers before it cover the
+  // victims' key frames too.
+  const std::vector<std::vector<Image>> clips = {
+      TinyVideo(VideoCategory::kCartoon, 4),
+      TinyVideo(VideoCategory::kMovie, 5),
+      TinyVideo(VideoCategory::kNews, 6)};
+  const auto prepare_group = [&](RetrievalEngine* e) {
+    std::vector<PreparedVideo> group;
+    for (size_t v = 0; v < clips.size(); ++v) {
+      group.push_back(Prepare(e, clips[v], "victim" + std::to_string(v)));
+    }
+    return group;
+  };
+  std::vector<PreparedVideo> group = prepare_group(engine.get());
+  std::vector<Victim> victims;
+  int64_t next_key = engine->store()->PeekNextKeyFrameId();
+  for (size_t v = 0; v < group.size(); ++v) {
+    Victim victim;
+    victim.v_id = engine->store()->PeekNextVideoId() + static_cast<int64_t>(v);
+    ASSERT_GE(group[v].keys.size(), 2u);
+    for (size_t k = 0; k < group[v].keys.size(); ++k) {
+      victim.key_ids.push_back(next_key++);
+    }
+    victims.push_back(std::move(victim));
   }
-  const Answers before = AnswersOf(videos.engine.get(), videos);
+  const Answers before = AnswersOf(engine.get(), keep_ids, victims);
 
   // The disk just before the commit is a kill point too.
-  points.push_back(env.DurableSnapshot());
+  commit_points.push_back(env.DurableSnapshot());
   recording = true;
-  ASSERT_EQ(videos.engine->IngestFrames(frames, "victim").value(),
-            videos.victim);
+  const std::vector<int64_t> v_ids =
+      engine->CommitGroup(std::move(group)).value();
+  points = &checkpoint_points;
+  ASSERT_TRUE(engine->Checkpoint().ok());
   recording = false;
-  ASSERT_GE(points.size(), 2u);
-  ASSERT_EQ(videos.engine->store()->KeyFrameIdsOfVideo(videos.victim).value(),
-            videos.victim_ids);
-  const Answers after = AnswersOf(videos.engine.get(), videos);
-  videos.engine.reset();
+  ASSERT_GE(commit_points.size(), 2u);
+  ASSERT_GE(checkpoint_points.size(), 2u);
+  ASSERT_EQ(engine->store()->database()->JournalBytes().value(), 0u);
+  for (size_t v = 0; v < victims.size(); ++v) {
+    ASSERT_EQ(v_ids[v], victims[v].v_id);
+    ASSERT_EQ(engine->store()->KeyFrameIdsOfVideo(victims[v].v_id).value(),
+              victims[v].key_ids);
+  }
+  const Answers after = AnswersOf(engine.get(), keep_ids, victims);
+  engine.reset();
 
-  for (size_t i = 0; i < points.size(); ++i) {
-    SCOPED_TRACE("sync point " + std::to_string(i));
-    FaultInjectionEnv crashed(points[i]);
+  for (size_t i = 0; i < commit_points.size(); ++i) {
+    SCOPED_TRACE("commit sync point " + std::to_string(i));
+    FaultInjectionEnv crashed(commit_points[i]);
     Result<std::unique_ptr<RetrievalEngine>> reopened =
         RetrievalEngine::Open(dir, RemoveTestOptions(&crashed));
     ASSERT_TRUE(reopened.ok()) << reopened.status();
-    RetrievalEngine* engine = reopened->get();
-    ExpectAllOrNothing(engine, videos, after, before);
-    if (engine->store()->GetVideo(videos.victim).ok()) {
-      // A whole video can be removed again.
-      ASSERT_TRUE(engine->RemoveVideo(videos.victim).ok());
-      EXPECT_EQ(engine->indexed_key_frames(), videos.keep_ids.size());
+    RetrievalEngine* e = reopened->get();
+    ExpectAllOrNothing(e, keep_ids, victims, after, before);
+    if (e->store()->GetVideo(victims.front().v_id).ok()) {
+      // Whole videos can be removed again.
+      for (const Victim& victim : victims) {
+        ASSERT_TRUE(e->RemoveVideo(victim.v_id).ok());
+      }
+      EXPECT_EQ(e->indexed_key_frames(), keep_ids.size());
     } else {
-      // Nothing is orphaned: committing the video again reuses its ids
-      // and owns exactly its own key frames.
-      ASSERT_EQ(engine->IngestFrames(frames, "victim").value(),
-                videos.victim);
-      EXPECT_EQ(engine->store()->KeyFrameIdsOfVideo(videos.victim).value(),
-                videos.victim_ids);
+      // Nothing is orphaned: committing the group again reuses its ids
+      // and each video owns exactly its own key frames.
+      ASSERT_EQ(e->CommitGroup(prepare_group(e)).value(), v_ids);
+      for (const Victim& victim : victims) {
+        EXPECT_EQ(e->store()->KeyFrameIdsOfVideo(victim.v_id).value(),
+                  victim.key_ids);
+      }
     }
   }
+  for (size_t i = 0; i < checkpoint_points.size(); ++i) {
+    SCOPED_TRACE("checkpoint sync point " + std::to_string(i));
+    FaultInjectionEnv crashed(checkpoint_points[i]);
+    Result<std::unique_ptr<RetrievalEngine>> reopened =
+        RetrievalEngine::Open(dir, RemoveTestOptions(&crashed));
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    RetrievalEngine* e = reopened->get();
+    ExpectAllOrNothing(e, keep_ids, victims, after, before);
+    ASSERT_TRUE(e->store()->GetVideo(victims.front().v_id).ok())
+        << "a checkpoint lost committed videos";
+    // The V_ID index agrees with the rows, so each video can be removed
+    // whole.
+    for (const Victim& victim : victims) {
+      EXPECT_EQ(e->store()->KeyFrameIdsOfVideo(victim.v_id).value(),
+                victim.key_ids);
+      ASSERT_TRUE(e->RemoveVideo(victim.v_id).ok());
+    }
+    EXPECT_EQ(e->indexed_key_frames(), keep_ids.size());
+    EXPECT_EQ(e->store()->KeyFrameCount().value(), keep_ids.size());
+  }
+}
+
+TEST(CrashConsistencyTest, GroupCommitSyncFailureFailsTheWholeGroup) {
+  FaultInjectionEnv env;
+  std::unique_ptr<RetrievalEngine> engine =
+      RetrievalEngine::Open("group_fail_db", RemoveTestOptions(&env)).value();
+  const int64_t keep =
+      engine->IngestFrames(TinyVideo(VideoCategory::kSports, 3), "keep")
+          .value();
+  const size_t keep_rows = engine->indexed_key_frames();
+  const auto group = [&] {
+    std::vector<PreparedVideo> videos;
+    for (uint64_t v = 0; v < 3; ++v) {
+      videos.push_back(Prepare(engine.get(),
+                               TinyVideo(VideoCategory::kCartoon, 4 + v),
+                               "victim" + std::to_string(v)));
+    }
+    return videos;
+  };
+  const int64_t first = engine->store()->PeekNextVideoId();
+
+  // The group's first sync is its journal's: nothing may be applied.
+  env.FailNthSync(1);
+  const Result<std::vector<int64_t>> failed = engine->CommitGroup(group());
+  ASSERT_TRUE(failed.status().IsIOError()) << failed.status();
+  EXPECT_EQ(engine->indexed_key_frames(), keep_rows);
+  EXPECT_EQ(engine->store()->VideoCount().value(), 1u);
+  EXPECT_EQ(engine->store()->KeyFrameCount().value(), keep_rows);
+  for (int64_t v_id = first; v_id < first + 3; ++v_id) {
+    EXPECT_TRUE(engine->store()->GetVideo(v_id).status().IsNotFound());
+  }
+
+  // The failed group's ids stay consumed; the next group commits whole.
+  const std::vector<int64_t> v_ids = engine->CommitGroup(group()).value();
+  EXPECT_EQ(v_ids, (std::vector<int64_t>{first + 3, first + 4, first + 5}));
+  for (int64_t v_id : v_ids) {
+    EXPECT_FALSE(engine->store()->KeyFrameIdsOfVideo(v_id).value().empty());
+  }
+  EXPECT_TRUE(engine->store()->GetVideo(keep).ok());
 }
 
 TEST(CrashConsistencyTest, RemoveVideoSyncFailureKeepsStoreAndMemory) {

@@ -10,8 +10,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -476,22 +478,25 @@ TEST_F(EngineConcurrencyTest, QueryExtractsOutsideEngineLock) {
 }
 
 /// Parks the next store sync of a writer: the sync observer blocks on
-/// a latch until Release(), so a test can query while a commit or a
-/// remove sits inside its disk work.
+/// a latch until Release(), so a test can query while a commit, a
+/// remove or a checkpoint sits inside its disk work.
 class SyncLatch {
  public:
   explicit SyncLatch(FaultInjectionEnv* env) {
-    env->SetSyncObserver([this] {
+    env->SetSyncObserver([this](const std::string& path) {
       MutexLock lock(mu_);
-      if (!armed_) return;
+      if (!armed_ || (parks_ && !parks_(path))) return;
       armed_ = false;
       parked_ = true;
       cv_.NotifyAll();
       while (!released_) cv_.Wait(mu_);
     });
   }
-  void Arm() {
+  /// Parks the next sync of a file \p parks accepts (any file when
+  /// null).
+  void Arm(std::function<bool(const std::string&)> parks = nullptr) {
     MutexLock lock(mu_);
+    parks_ = std::move(parks);
     armed_ = true;
     parked_ = false;
     released_ = false;
@@ -514,6 +519,7 @@ class SyncLatch {
  private:
   Mutex mu_;
   CondVar cv_;
+  std::function<bool(const std::string&)> parks_ GUARDED_BY(mu_);
   bool armed_ GUARDED_BY(mu_) = false;
   bool parked_ GUARDED_BY(mu_) = false;
   bool released_ GUARDED_BY(mu_) = true;
@@ -544,13 +550,17 @@ TEST_F(EngineConcurrencyTest, QueriesProceedWhileWriterSyncs) {
   // Runs \p write with its first store sync parked and checks that the
   // queries finish meanwhile with the answers from before the write.
   // On a timeout the writer is released, so the test fails, not hangs.
-  const auto expect_queries_pass_parked_writer = [&](const char* what,
-                                                     auto write) {
+  // \p parks picks the files whose sync may park (any when null); \p
+  // changes says whether the write changes the answers.
+  const auto expect_queries_pass_parked_writer =
+      [&](const char* what, auto write,
+          std::function<bool(const std::string&)> parks = nullptr,
+          bool changes = true) {
     SCOPED_TRACE(what);
     const auto before = answers();
     ASSERT_FALSE(before.first.empty());
     ASSERT_FALSE(before.second.empty());
-    latch.Arm();
+    latch.Arm(std::move(parks));
     std::thread writer(write);
     const bool parked = latch.WaitParked(std::chrono::seconds(10));
     std::future<decltype(answers())> during;
@@ -565,7 +575,11 @@ TEST_F(EngineConcurrencyTest, QueriesProceedWhileWriterSyncs) {
     ASSERT_TRUE(parked) << "the writer never reached a store sync";
     ASSERT_TRUE(done) << "the queries waited on the parked writer";
     EXPECT_EQ(during.get(), before);
-    EXPECT_NE(answers(), before) << "the write changed no answer";
+    if (changes) {
+      EXPECT_NE(answers(), before) << "the write changed no answer";
+    } else {
+      EXPECT_EQ(answers(), before);
+    }
   };
 
   int64_t victim = 0;
@@ -578,6 +592,18 @@ TEST_F(EngineConcurrencyTest, QueriesProceedWhileWriterSyncs) {
   ASSERT_NE(victim, 0);
   expect_queries_pass_parked_writer(
       "remove", [&] { ASSERT_TRUE(engine->RemoveVideo(victim).ok()); });
+  // A checkpoint syncs the table files under the writer mutex alone;
+  // commits and removes sync only the journal and matrix.vrm, so the
+  // first table-file sync is the checkpoint's.
+  ASSERT_GT(engine->store()->database()->JournalBytes().value(), 0u);
+  expect_queries_pass_parked_writer(
+      "checkpoint", [&] { ASSERT_TRUE(engine->Checkpoint().ok()); },
+      [](const std::string& path) {
+        return path.find("journal.wal") == std::string::npos &&
+               path.find(MatrixStore::kFileName) == std::string::npos;
+      },
+      /*changes=*/false);
+  EXPECT_EQ(engine->store()->database()->JournalBytes().value(), 0u);
 }
 
 }  // namespace

@@ -426,6 +426,57 @@ TEST(EngineTest, QueryOnEmptyStoreReturnsNothing) {
   EXPECT_TRUE(results.empty());
 }
 
+TEST(EngineTest, JournalStaysBoundedUnderBlobIngest) {
+  // More than three times the checkpoint threshold of blob ingest. A
+  // commit that takes the journal past the threshold ends with a
+  // checkpoint, so after every write the journal is below it, and it
+  // never held more than that plus one commit.
+  EngineOptions options = FastOptions();
+  options.store_video_blob = true;
+  const std::string dir = FreshDir("eng_journal_bound");
+  auto engine = RetrievalEngine::Open(dir, options).value();
+  const std::vector<Image> frames = SmallVideo(VideoCategory::kNews, 5);
+  const KeyFrame key = engine->ExtractKeyFrames(frames).value().front();
+  const PreparedKeyFrame prepared = engine->PrepareKeyFrame("blob", key).value();
+
+  constexpr size_t kBlobBytes = size_t{6} << 20;
+  const uint64_t bound = RetrievalEngine::kJournalCheckpointBytes;
+  const auto journal = [&] {
+    return engine->store()->database()->JournalBytes().value();
+  };
+  uint64_t ingested = 0;
+  uint64_t last = 0;
+  int checkpoints = 0;
+  int64_t previous = 0;
+  std::vector<uint8_t> blob;
+  while (ingested <= 3 * bound) {
+    PreparedVideo video;
+    video.name = "blob";
+    video.keys = {prepared};
+    blob.assign(kBlobBytes, static_cast<uint8_t>(ingested >> 20));
+    video.video_blob = blob;
+    const int64_t v_id = engine->CommitPrepared(std::move(video)).value();
+    ingested += kBlobBytes;
+    ASSERT_LT(journal(), bound) << "after " << ingested << " blob bytes";
+    if (journal() < last) ++checkpoints;
+    last = journal();
+    // Keep the store itself small; a remove is journaled and bounded too.
+    if (previous != 0) {
+      ASSERT_TRUE(engine->RemoveVideo(previous).ok());
+      ASSERT_LT(journal(), bound);
+      last = journal();
+    }
+    previous = v_id;
+  }
+  EXPECT_GE(checkpoints, 3);
+  engine.reset();
+
+  // The last video survives the reopen whole.
+  engine = RetrievalEngine::Open(dir, options).value();
+  EXPECT_EQ(engine->store()->GetVideo(previous).value().video, blob);
+  EXPECT_EQ(engine->indexed_key_frames(), 1u);
+}
+
 TEST(EngineTest, VideoBlobStoredWhenEnabled) {
   EngineOptions options = FastOptions();
   options.store_video_blob = true;

@@ -173,7 +173,7 @@ TEST(FaultInjectionEnvTest, OpenHandleObservesPowerCut) {
 TEST(FaultInjectionEnvTest, SyncObserverFiresOnEverySync) {
   FaultInjectionEnv env;
   int fired = 0;
-  env.SetSyncObserver([&] { ++fired; });
+  env.SetSyncObserver([&](const std::string&) { ++fired; });
   auto f = env.Open("o", Env::OpenMode::kCreateIfMissing).value();
   ASSERT_TRUE(f->Append("x", 1).ok());
   ASSERT_TRUE(f->Sync().ok());

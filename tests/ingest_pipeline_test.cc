@@ -17,6 +17,7 @@
 #include "retrieval/ingest_pipeline.h"
 #include "service/service.h"
 #include "video/synth/generator.h"
+#include "video/video_reader.h"
 #include "video/video_writer.h"
 
 namespace vr {
@@ -176,6 +177,62 @@ TEST_F(IngestPipelineTest, FilePathJobsDecodeOnWorkers) {
   ASSERT_TRUE(results[0].ok()) << results[0].status().ToString();
   EXPECT_GT(engine->store()->KeyFrameCount().value(), 0u);
   EXPECT_GT(engine->ingest_stats().frames_decoded, 0u);
+}
+
+/// Writes \p frames to \p path as a .vsv container at \p fps and
+/// returns the file's bytes.
+std::vector<uint8_t> WriteClip(const std::string& path,
+                               const std::vector<Image>& frames, int fps) {
+  VideoWriter writer;
+  EXPECT_TRUE(writer
+                  .Open(path, frames[0].width(), frames[0].height(),
+                        frames[0].channels(), fps)
+                  .ok());
+  for (const Image& f : frames) EXPECT_TRUE(writer.Append(f).ok());
+  EXPECT_TRUE(writer.Finish().ok());
+  return ReadVideoFile(path).value();
+}
+
+TEST_F(IngestPipelineTest, FileJobsStoreTheFileAsGiven) {
+  const std::string dir = TestDir("db");
+  // 25 fps: a re-encode would rewrite the header's rate.
+  const std::vector<std::pair<std::string, int>> clips = {
+      {dir + "_12fps.vsv", 12}, {dir + "_25fps.vsv", 25}};
+  std::vector<std::vector<uint8_t>> files;
+  for (size_t i = 0; i < clips.size(); ++i) {
+    dirs_.push_back(clips[i].first);
+    files.push_back(WriteClip(
+        clips[i].first,
+        TinyVideo(static_cast<VideoCategory>(i), 30 + i), clips[i].second));
+  }
+
+  auto engine = RetrievalEngine::Open(dir, TestOptions()).value();
+  IngestPipelineOptions options;
+  options.workers = 2;
+  IngestPipeline pipeline(engine.get(), options);
+  for (const auto& clip : clips) {
+    IngestJob job;
+    job.name = clip.first;
+    job.path = clip.first;
+    pipeline.Submit(std::move(job));
+  }
+  const auto& results = pipeline.Finish();
+  ASSERT_EQ(results.size(), clips.size());
+  for (size_t i = 0; i < clips.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    const VideoRecord stored =
+        engine->store()->GetVideo(*results[i]).value();
+    EXPECT_EQ(stored.video, files[i]) << clips[i].first;
+    VideoReader reader;
+    ASSERT_TRUE(reader.OpenMemory(stored.video).ok());
+    EXPECT_EQ(reader.header().fps, clips[i].second);
+  }
+
+  // The serial file ingest stores the same bytes.
+  auto serial = RetrievalEngine::Open(TestDir("serial"), TestOptions()).value();
+  const int64_t v_id =
+      serial->IngestVideoFile(clips[1].first, clips[1].first).value();
+  EXPECT_EQ(serial->store()->GetVideo(v_id).value().video, files[1]);
 }
 
 TEST_F(IngestPipelineTest, ErrorIsolatedToItsTicket) {

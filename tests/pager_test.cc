@@ -6,6 +6,7 @@
 #include <cstring>
 #include <vector>
 
+#include "util/fault_injection_env.h"
 #include "util/hash.h"
 
 namespace vr {
@@ -133,6 +134,34 @@ TEST(PagerTest, EvictionWritesDirtyPages) {
     auto pager = Pager::Open(path, false).value();
     auto page = pager->Fetch(1).value();
     EXPECT_EQ(page->ReadAt<uint32_t>(32), 0u);
+  }
+}
+
+TEST(PagerTest, EachNewPageIsWrittenOnce) {
+  // Four times the cache, so most pages leave through eviction and the
+  // rest through the flush; none is written before its contents exist.
+  constexpr size_t kCachePages = 8;
+  constexpr uint32_t kPages = 4 * kCachePages;
+  FaultInjectionEnv env;
+  const std::string path = "pager_once.vpg";
+  {
+    auto pager = Pager::Open(path, true, kCachePages, &env).value();
+    const uint64_t writes_before = env.write_count();
+    for (uint32_t i = 0; i < kPages; ++i) {
+      const uint32_t id = pager->Allocate(PageType::kSlotted).value();
+      auto page = pager->Fetch(id).value();
+      page->WriteAt<uint32_t>(32, 1000 + i);
+      ASSERT_TRUE(pager->MarkDirty(id).ok());
+    }
+    ASSERT_TRUE(pager->Flush().ok());
+    // One write per page, plus the meta page.
+    EXPECT_EQ(env.write_count() - writes_before, kPages + 1u);
+  }
+  auto pager = Pager::Open(path, false, kCachePages, &env).value();
+  EXPECT_EQ(pager->page_count(), kPages + 1u);
+  ASSERT_TRUE(pager->VerifyAllPages().ok());
+  for (uint32_t i = 0; i < kPages; ++i) {
+    EXPECT_EQ(pager->Fetch(i + 1).value()->ReadAt<uint32_t>(32), 1000 + i);
   }
 }
 

@@ -231,5 +231,34 @@ TEST(VideoStoreTest, RejectsKeyFramesWithAMissingFeatureColumn) {
   EXPECT_NE(st.message().find(missing), std::string::npos) << st;
 }
 
+TEST(VideoStoreTest, CreatesOnlyTheVideoIdIndex) {
+  const std::string dir = FreshDir("vs_indexes");
+  ASSERT_TRUE(VideoStore::Open(dir).ok());
+  auto db = Database::Open(dir, DatabaseOptions{}).value();
+  const std::vector<IndexSpec> indexes =
+      db->GetTable(VideoStore::kKeyFrameTable).value()->indexes();
+  ASSERT_EQ(indexes.size(), 1u);
+  EXPECT_EQ(indexes[0].name, VideoStore::kVideoIdIndex);
+}
+
+TEST(VideoStoreTest, RefusesAStoreWithTheRetiredRangeIndex) {
+  // Stores written before the (MIN, MAX) index was retired still carry
+  // it; every write there would keep paying for an index nothing reads.
+  const std::string dir = FreshDir("vs_retired_index");
+  ASSERT_TRUE(VideoStore::Open(dir).ok());
+  {
+    auto db = Database::Open(dir, DatabaseOptions{}).value();
+    IndexSpec range_index;
+    range_index.name = VideoStore::kRetiredRangeIndex;
+    range_index.columns = {"MIN", "MAX"};
+    range_index.bits = {8, 8};
+    ASSERT_TRUE(db->CreateIndex(VideoStore::kKeyFrameTable, range_index).ok());
+  }
+  const Status st = VideoStore::Open(dir).status();
+  ASSERT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_NE(st.message().find("KEY_FRAMES"), std::string::npos) << st;
+  EXPECT_NE(st.message().find("idx_min_max"), std::string::npos) << st;
+}
+
 }  // namespace
 }  // namespace vr
