@@ -11,6 +11,9 @@
 # smoke corpus),
 # the Table 1 quality gate (Combined precision at every cutoff within
 # 0.01 of BENCH_quality.json, plus a must-fail probe of that comparison),
+# the coverage gate (scripts/coverage_report.sh in its own build-coverage
+# dir: no whole src/ file left unreached by the shipped paths outside
+# its allowlist, plus a must-fail probe; about 4 minutes),
 # the network chaos sweep (seeded fault injection + wire fuzzing),
 # then the sanitizer passes (ASan/UBSan over everything, TSan over the
 # concurrency suites — check_sanitizers.sh chains into check_tsan.sh
@@ -43,6 +46,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure
 "$BUILD_DIR"/bench/micro_features --smoke
 "$BUILD_DIR"/bench/micro_scale --smoke
 "$BUILD_DIR"/bench/table1_precision --gate BENCH_quality.json
+scripts/coverage_report.sh
 
 scripts/check_chaos.sh "$BUILD_DIR"
 scripts/check_sanitizers.sh

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Coverage of src/ by the shipped paths: which lines of the library no
-# bench, gate or example session reaches.
+# bench, gate or example session reaches, and a gate that fails when a
+# whole src/ file none of them reaches is not on a short allowlist.
 #
 # Builds the library, the benches and the examples with --coverage in a
 # throwaway directory, and vr_bench (vrbench/, built as its own CMake
@@ -17,9 +18,14 @@
 # It prints, per src/ file, the lines no run reached (as ranges), and
 # last the whole files none of them reached. A file with no executable
 # line, or a header no built file includes, has no coverage data and is
-# not listed. It is a report, not a gate: it exits 0 whatever it finds,
-# and non-zero only when a build fails. A run that exits non-zero is
-# named after the report (its lines still count): under the coverage
+# not listed. Partly reached files are a report only. A whole unreached
+# file is a gate failure (COVERAGE FAILURE, exit 1) unless ALLOWED below
+# lists it with its reason, so code no shipped path runs cannot come
+# back unnoticed. A must-fail probe re-checks the same gcov data with
+# util/status.cc taken off the allowlist and exits 1 with COVERAGE
+# PROBE DID NOT FIRE unless the gate rejects it. A build failure also
+# exits non-zero. A run that exits non-zero is named after the report
+# (its lines still count) but does not fail the gate: under the coverage
 # instrumentation micro_scale's two-stage speed gate can fail.
 #
 # Usage: scripts/coverage_report.sh [build-dir] [seconds-per-workload]
@@ -89,7 +95,8 @@ run "search_cli session" bash -c "printf '%s\n' help list 'find c' \
   | '$bin/examples/search_cli' '$db'"
 
 echo "coverage: reading gcov data"
-python3 - "$ROOT" "$OUT" <<'EOF'
+gate=0
+python3 - "$ROOT" "$OUT" <<'EOF' || gate=$?
 import json
 import os
 import subprocess
@@ -97,6 +104,19 @@ import sys
 
 root, out = sys.argv[1], sys.argv[2]
 src = os.path.join(root, "src") + os.sep
+
+# Whole src/ files no shipped path reaches on purpose, one reason each.
+ALLOWED = {
+    "util/fault_injection_env.h": "test infrastructure (fault-injecting Env)",
+    "util/fault_injection_env.cc": "test infrastructure (fault-injecting Env)",
+    "service/fault_injection_transport.cc":
+        "test infrastructure (chaos-suite transport)",
+    "util/status.cc": "only error paths reach it",
+    "similarity/dtw.cc":
+        "the clip query's DTW stays until the clip query is measured or cut",
+}
+# The probe: the gate must reject this data once this entry is gone.
+PROBE_ENTRY = "util/status.cc"
 
 # line -> executed, per src/ file, over every object of both builds. A
 # line any object ran counts as reached; objects no run loaded have no
@@ -153,11 +173,32 @@ print("\nsrc/ lines reached: %d of %d (%.1f%%)" %
       (reached, total, 100.0 * reached / max(total, 1)))
 print("\nwhole src/ files no run reached (%d):" % len(whole))
 for path in whole:
-    print("  " + path)
+    print("  %s  [%s]" % (path, ALLOWED.get(path, "NOT ALLOWLISTED")))
+
+def rejected(allowed):
+    """Whole unreached files the allowlist does not cover."""
+    return [path for path in whole if path not in allowed]
+
+status = 0
+bad = rejected(ALLOWED)
+if bad:
+    print("\nCOVERAGE FAILURE: no run reached these whole src/ files: %s"
+          % ", ".join(bad))
+    status = 1
+probe = {k: v for k, v in ALLOWED.items() if k != PROBE_ENTRY}
+if PROBE_ENTRY not in rejected(probe):
+    print("\nCOVERAGE PROBE DID NOT FIRE: the gate accepts %s off the "
+          "allowlist" % PROBE_ENTRY)
+    status = 1
+if status == 0:
+    print("\ncoverage gate: every whole unreached file is allowlisted; "
+          "probe fired")
+sys.exit(status)
 EOF
 
 if (( ${#failed[@]} > 0 )); then
   echo
-  echo "runs that exited non-zero (see $LOG):"
+  echo "runs that exited non-zero (see $LOG; not a gate failure):"
   printf '  %s\n' "${failed[@]}"
 fi
+exit "$gate"

@@ -5,12 +5,6 @@
 
 namespace vr {
 
-GradientField Sobel(const FloatImage& img) {
-  GradientField g;
-  SobelInto(img, &g);
-  return g;
-}
-
 namespace {
 
 /// Re-sizes \p out to \p w x \p h unless it already has that geometry.
@@ -68,14 +62,6 @@ void SummedAreaTable::Build(const FloatImage& img) {
       s[x] = img.At(x - 1, y - 1) + s[x - 1] + above[x] - above[x - 1];
     }
   }
-}
-
-FloatImage NeighborhoodAverage(const FloatImage& img, int k) {
-  SummedAreaTable sat;
-  sat.Build(img);
-  FloatImage out;
-  NeighborhoodAverageInto(sat, k, &out);
-  return out;
 }
 
 void NeighborhoodAverageInto(const SummedAreaTable& sat, int k,

@@ -16,16 +16,13 @@ struct GradientField {
   FloatImage magnitude;
 };
 
-/// Computes Sobel gradients of \p img (edge pixels use clamped reads).
-GradientField Sobel(const FloatImage& img);
-
-/// Sobel into \p out, reusing its planes when the geometry matches
-/// (the extraction plan's allocation-free form; Sobel wraps it).
+/// Computes the Sobel gradients of \p img into \p out (edge pixels use
+/// clamped reads), reusing its planes when the geometry matches.
 void SobelInto(const FloatImage& img, GradientField* out);
 
 /// \brief Summed-area table of a float raster: At(x, y) is the double
-/// sum over [0, x) x [0, y). One table serves every NeighborhoodAverage
-/// window size of its raster.
+/// sum over [0, x) x [0, y). One table serves every
+/// NeighborhoodAverageInto window size of its raster.
 class SummedAreaTable {
  public:
   /// Rebuilds the table over \p img, reusing the buffer.
@@ -43,12 +40,10 @@ class SummedAreaTable {
   std::vector<double> sums_;  ///< (width + 1) x (height + 1), row-major
 };
 
-/// Box-filter mean of the (2^k x 2^k) neighborhood around each pixel,
-/// as used by Tamura coarseness. \p k is the log2 window size.
-FloatImage NeighborhoodAverage(const FloatImage& img, int k);
-
-/// NeighborhoodAverage of the raster \p sat was built over, into \p out
-/// (re-sized only when its geometry differs).
+/// Box-filter mean of the (2^k x 2^k) neighborhood around each pixel of
+/// the raster \p sat was built over, as used by Tamura coarseness, into
+/// \p out (re-sized only when its geometry differs). \p k is the log2
+/// window size.
 void NeighborhoodAverageInto(const SummedAreaTable& sat, int k,
                              FloatImage* out);
 

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "imaging/color.h"
-
 namespace vr {
 
 int MinFuzzinessThreshold(const GrayHistogram& hist) {
@@ -65,18 +63,6 @@ int MinFuzzinessThreshold(const GrayHistogram& hist) {
     }
   }
   return best_t;
-}
-
-Image Binarize(const Image& img, int threshold) {
-  Image out(img.width(), img.height(), 1);
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < img.width(); ++x) {
-      const uint8_t g = img.channels() == 1 ? img.At(x, y)
-                                            : RgbToGray(img.PixelRgb(x, y));
-      out.At(x, y) = g > threshold ? 255 : 0;
-    }
-  }
-  return out;
 }
 
 }  // namespace vr

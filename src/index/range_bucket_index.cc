@@ -41,20 +41,11 @@ std::vector<int64_t> RangeBucketIndex::Lookup(const GrayRange& query,
   }
   for (const auto& [range, ids] : buckets_) {
     // Buckets are ordered by (min, max); once a bucket starts past the
-    // query's max gray level, no later bucket can contain or overlap.
+    // query's max gray level, no later bucket can be in its lineage.
     if (range.min > query.max) break;
-    bool match = false;
-    switch (mode) {
-      case RangeLookupMode::kExact:
-        break;  // handled above
-      case RangeLookupMode::kLineage:
-        match = range.Contains(query) || query.Contains(range);
-        break;
-      case RangeLookupMode::kOverlapping:
-        match = range.Overlaps(query);
-        break;
+    if (range.Contains(query) || query.Contains(range)) {
+      out.insert(out.end(), ids.begin(), ids.end());
     }
-    if (match) out.insert(out.end(), ids.begin(), ids.end());
   }
   std::sort(out.begin(), out.end());
   return out;

@@ -17,10 +17,13 @@ enum class RangeLookupMode {
   kExact,
   /// The query's bucket plus every ancestor and descendant bucket —
   /// frames whose recursion stopped earlier or went deeper on the same
-  /// branch. This is the lossless prune for the tree of Figure 7.
+  /// branch. It is lossless against the bucket tree of Figure 7: buckets
+  /// are dyadic intervals, so two of them either nest or are disjoint,
+  /// and lineage keeps every bucket that shares a gray level with the
+  /// query's. It is not lossless against a full scan, which also ranks
+  /// the frames of disjoint buckets (EXPERIMENTS.md § Figure 7 gives
+  /// what that costs in Table 1 precision).
   kLineage,
-  /// Every bucket whose range overlaps the query's range.
-  kOverlapping,
 };
 
 /// \brief In-memory bucket -> frame-id index.
@@ -50,8 +53,8 @@ class RangeBucketIndex {
   /// ascending. kExact matches on the (min, max) interval only (the
   /// bucket-map comparator ignores depth, matching the engine's
   /// candidate predicate for frames re-indexed at depth 0 on warm-up);
-  /// it is an O(log B) map lookup, the other modes walk the bucket
-  /// list with an early exit past the query's max gray level.
+  /// it is an O(log B) map lookup. kLineage walks the bucket list with
+  /// an early exit past the query's max gray level.
   std::vector<int64_t> Lookup(const GrayRange& query,
                               RangeLookupMode mode) const;
 

@@ -1,8 +1,8 @@
 #include "retrieval/browse.h"
 
 #include "imaging/color.h"
-#include "imaging/dct_codec.h"
 #include "imaging/draw.h"
+#include "imaging/ppm.h"
 #include "imaging/resize.h"
 
 namespace vr {
@@ -53,7 +53,9 @@ Result<Image> RenderResultSheet(RetrievalEngine* engine,
   for (const QueryResult& r : results) {
     VR_ASSIGN_OR_RETURN(KeyFrameRecord record,
                         engine->store()->GetKeyFrame(r.i_id));
-    VR_ASSIGN_OR_RETURN(Image img, DecodeKeyFrameImage(record.image));
+    VR_ASSIGN_OR_RETURN(
+        Image img,
+        DecodePnm(std::string(record.image.begin(), record.image.end())));
     thumbnails.push_back(std::move(img));
   }
   return RenderContactSheet(thumbnails, options);

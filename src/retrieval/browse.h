@@ -31,8 +31,8 @@ Result<Image> RenderContactSheet(const std::vector<Image>& thumbnails,
                                  const ContactSheetOptions& options = {});
 
 /// Fetches the key-frame images of \p results from the engine's store
-/// (decoding PNM or VJF blobs) and renders them as a contact sheet in
-/// rank order.
+/// (PNM blobs) and renders them as a contact sheet in rank order. A blob
+/// that is not PNM fails the call with the decoder's Status.
 Result<Image> RenderResultSheet(RetrievalEngine* engine,
                                 const std::vector<QueryResult>& results,
                                 const ContactSheetOptions& options = {});

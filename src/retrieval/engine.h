@@ -60,11 +60,6 @@ struct EngineOptions {
   /// Store the full video bytes in VIDEO_STORE (disable to save space
   /// in large experiments; key frames are always stored).
   bool store_video_blob = true;
-  /// Format of stored key-frame images: lossless PNM or the DCT codec
-  /// (the paper stores JPEG-converted frames).
-  enum class KeyFrameFormat { kPnm, kVjf } key_frame_format = KeyFrameFormat::kPnm;
-  /// Quality for KeyFrameFormat::kVjf.
-  int key_frame_quality = 85;
   /// When false, a damaged table is quarantined at open instead of
   /// failing it; the engine serves whatever is healthy (see
   /// DamageReport()). Mirrors DatabaseOptions::paranoid.
@@ -149,7 +144,7 @@ struct PreparedKeyFrame {
   size_t frame_index = 0;
   /// KEY_FRAMES.I_NAME ("<video name>#<frame index>").
   std::string i_name;
-  /// Encoded image bytes (PNM or VJF per EngineOptions).
+  /// The key frame as PNM bytes (EncodePnm), stored losslessly.
   std::vector<uint8_t> image;
   /// Range-finder bucket (§4.2).
   GrayRange range;

@@ -1,7 +1,6 @@
 #include <ctime>
 
 #include "features/region_growing.h"
-#include "imaging/dct_codec.h"
 #include "imaging/ppm.h"
 #include "retrieval/engine.h"
 #include "util/logging.h"
@@ -49,13 +48,8 @@ Result<PreparedKeyFrame> RetrievalEngine::PrepareKeyFrame(
   PreparedKeyFrame out;
   out.frame_index = key.frame_index;
   out.i_name = StringPrintf("%s#%zu", video_name.c_str(), key.frame_index);
-  if (options_.key_frame_format == EngineOptions::KeyFrameFormat::kVjf) {
-    VR_ASSIGN_OR_RETURN(out.image,
-                        EncodeVjf(key.image, options_.key_frame_quality));
-  } else {
-    const std::string pnm = EncodePnm(key.image);
-    out.image.assign(pnm.begin(), pnm.end());
-  }
+  const std::string pnm = EncodePnm(key.image);
+  out.image.assign(pnm.begin(), pnm.end());
   // Fused extraction: one plan pass computes shared intermediates once
   // and feeds every enabled extractor (bit-identical to the per-
   // extractor loop this replaced — the extraction_plan_test parity

@@ -1,9 +1,9 @@
 /// \file byte_io.h
 /// \brief The one little-endian byte codec of every stream format.
 ///
-/// Wire frames and payloads, serialized rows, journal records and the
-/// VJF container all write integers through the Put* appenders below
-/// and read them back through one bounds-checked ByteReader. Every
+/// Wire frames and payloads, serialized rows and journal records all
+/// write integers through the Put* appenders below and read them back
+/// through one bounds-checked ByteReader. Every
 /// multi-byte value is little-endian on disk and on the wire, whatever
 /// the host byte order; doubles travel as their IEEE-754 bit pattern.
 ///

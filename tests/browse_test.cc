@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/table1_runner.h"  // RemoveDirRecursive
-#include "imaging/dct_codec.h"
+#include "imaging/ppm.h"
 #include "video/synth/generator.h"
 
 namespace vr {
@@ -66,15 +66,7 @@ TEST(ContactSheetTest, RejectsDegenerateInput) {
   EXPECT_FALSE(RenderContactSheet({Image(4, 4, 3)}, bad).ok());
 }
 
-TEST(ResultSheetTest, EndToEndWithVjfKeyFrames) {
-  EngineOptions options;
-  options.enabled_features = {FeatureKind::kColorHistogram};
-  options.store_video_blob = false;
-  options.key_frame_format = EngineOptions::KeyFrameFormat::kVjf;
-  options.key_frame_quality = 80;
-  auto engine =
-      RetrievalEngine::Open(FreshDir("sheet_e2e"), options).value();
-
+std::vector<Image> CartoonFrames() {
   SyntheticVideoSpec spec;
   spec.category = VideoCategory::kCartoon;
   spec.width = 64;
@@ -82,17 +74,32 @@ TEST(ResultSheetTest, EndToEndWithVjfKeyFrames) {
   spec.num_scenes = 3;
   spec.frames_per_scene = 5;
   spec.seed = 8;
-  const auto frames = GenerateVideoFrames(spec).value();
+  return GenerateVideoFrames(spec).value();
+}
+
+EngineOptions SheetOptions() {
+  EngineOptions options;
+  options.enabled_features = {FeatureKind::kColorHistogram};
+  options.store_video_blob = false;
+  return options;
+}
+
+TEST(ResultSheetTest, EndToEndWithStoredKeyFrames) {
+  auto engine =
+      RetrievalEngine::Open(FreshDir("sheet_e2e"), SheetOptions()).value();
+  const auto frames = CartoonFrames();
   ASSERT_TRUE(engine->IngestFrames(frames, "toon").ok());
 
-  // Stored images are VJF and decode through the sniffing decoder.
+  // Stored images are the key frames' PNM bytes, pixel for pixel.
   const auto ids = engine->store()->KeyFrameIdsOfVideo(1).value();
   ASSERT_FALSE(ids.empty());
   const KeyFrameRecord record =
       engine->store()->GetKeyFrame(ids[0]).value();
-  EXPECT_TRUE(LooksLikeVjf(record.image));
-  const Image decoded = DecodeKeyFrameImage(record.image).value();
+  const Image decoded =
+      DecodePnm(std::string(record.image.begin(), record.image.end()))
+          .value();
   EXPECT_EQ(decoded.width(), 64);
+  EXPECT_EQ(decoded, frames[0]);
 
   const auto results = engine->QueryByImage(frames[0], 4).value();
   ASSERT_FALSE(results.empty());
@@ -102,47 +109,29 @@ TEST(ResultSheetTest, EndToEndWithVjfKeyFrames) {
   EXPECT_EQ(sheet->channels(), 3);
 }
 
-TEST(ResultSheetTest, VjfStorageIsSmallerThanPnm) {
-  SyntheticVideoSpec spec;
-  spec.category = VideoCategory::kMovie;
-  spec.width = 96;
-  spec.height = 72;
-  spec.num_scenes = 2;
-  spec.frames_per_scene = 5;
-  spec.seed = 9;
-  const auto frames = GenerateVideoFrames(spec).value();
+TEST(ResultSheetTest, NonPnmKeyFrameFailsWithStatus) {
+  // Older builds could store key frames in a lossy "VJF1" container;
+  // such a row is now an unreadable image, reported, never rendered.
+  auto engine =
+      RetrievalEngine::Open(FreshDir("sheet_vjf_row"), SheetOptions())
+          .value();
+  const auto frames = CartoonFrames();
+  PreparedVideo video;
+  video.name = "old";
+  KeyFrame frame;
+  frame.image = frames[0];
+  PreparedKeyFrame key = engine->PrepareKeyFrame("old", frame).value();
+  // Magic, u16 width, u16 height, u8 channels, u8 quality, then a
+  // payload the PNM decoder never reaches.
+  key.image = {'V', 'J', 'F', '1', 64, 0, 48, 0, 3, 80, 0, 0, 0, 0};
+  video.keys.push_back(std::move(key));
+  ASSERT_TRUE(engine->CommitPrepared(std::move(video)).ok());
 
-  size_t pnm_bytes = 0;
-  size_t vjf_bytes = 0;
-  for (auto format : {EngineOptions::KeyFrameFormat::kPnm,
-                      EngineOptions::KeyFrameFormat::kVjf}) {
-    EngineOptions options;
-    options.enabled_features = {FeatureKind::kColorHistogram};
-    options.store_video_blob = false;
-    options.key_frame_format = format;
-    auto engine = RetrievalEngine::Open(
-                      FreshDir(format == EngineOptions::KeyFrameFormat::kPnm
-                                   ? "sheet_pnm"
-                                   : "sheet_vjf"),
-                      options)
-                      .value();
-    ASSERT_TRUE(engine->IngestFrames(frames, "m").ok());
-    size_t total = 0;
-    ASSERT_TRUE(engine->store()
-                    ->ScanKeyFrames([&](const KeyFrameRecord& rec) {
-                      // image blob sizes live behind blob refs; fetch.
-                      auto full = engine->store()->GetKeyFrame(rec.i_id);
-                      if (full.ok()) total += full->image.size();
-                      return true;
-                    })
-                    .ok());
-    if (format == EngineOptions::KeyFrameFormat::kPnm) {
-      pnm_bytes = total;
-    } else {
-      vjf_bytes = total;
-    }
-  }
-  EXPECT_LT(vjf_bytes, pnm_bytes / 2);
+  const auto results = engine->QueryByImage(frames[0], 4).value();
+  ASSERT_EQ(results.size(), 1u);
+  Result<Image> sheet = RenderResultSheet(engine.get(), results);
+  ASSERT_FALSE(sheet.ok());
+  EXPECT_TRUE(sheet.status().IsCorruption()) << sheet.status();
 }
 
 }  // namespace

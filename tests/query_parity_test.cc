@@ -6,7 +6,7 @@
 /// scan), a columnar FeatureMatrix, and sharded ranking. These tests
 /// pin the contract that none of that changed observable results:
 ///  - candidate selection returns exactly the set the old per-frame
-///    range predicate selected, for all three RangeLookupModes, and
+///    range predicate selected, for both RangeLookupModes, and
 ///    for empty-bucket and single-frame corpora;
 ///  - sharded ranking (1/2/4 shards) is byte-identical to serial.
 
@@ -85,9 +85,6 @@ std::set<int64_t> ReferenceCandidates(const std::vector<StoredFrame>& frames,
       case RangeLookupMode::kLineage:
         match = f.range.Contains(query) || query.Contains(f.range);
         break;
-      case RangeLookupMode::kOverlapping:
-        match = f.range.Overlaps(query);
-        break;
     }
     if (match) out.insert(f.i_id);
   }
@@ -108,7 +105,7 @@ std::set<int64_t> QueryIds(RetrievalEngine* engine, const Image& query,
 class CandidateParityTest : public testing::TestWithParam<RangeLookupMode> {};
 
 TEST_P(CandidateParityTest, BucketLookupMatchesScanPredicate) {
-  // Dir is per-mode: the three instantiations may run concurrently
+  // Dir is per-mode: the instantiations may run concurrently
   // under parallel ctest.
   const std::string dir = FreshDir(
       "parity_modes_" + std::to_string(static_cast<int>(GetParam())));
@@ -146,16 +143,13 @@ TEST_P(CandidateParityTest, BucketLookupMatchesScanPredicate) {
 
 INSTANTIATE_TEST_SUITE_P(AllModes, CandidateParityTest,
                          testing::Values(RangeLookupMode::kExact,
-                                         RangeLookupMode::kLineage,
-                                         RangeLookupMode::kOverlapping),
+                                         RangeLookupMode::kLineage),
                          [](const auto& info) {
                            switch (info.param) {
                              case RangeLookupMode::kExact:
                                return "Exact";
                              case RangeLookupMode::kLineage:
                                return "Lineage";
-                             case RangeLookupMode::kOverlapping:
-                               return "Overlapping";
                            }
                            return "Unknown";
                          });
@@ -187,8 +181,7 @@ TEST(QueryParityTest, EmptyBucketYieldsNoCandidates) {
 
 TEST(QueryParityTest, SingleFrameCorpus) {
   for (const RangeLookupMode mode :
-       {RangeLookupMode::kExact, RangeLookupMode::kLineage,
-        RangeLookupMode::kOverlapping}) {
+       {RangeLookupMode::kExact, RangeLookupMode::kLineage}) {
     EngineOptions options = FastOptions();
     options.use_index = true;
     options.lookup_mode = mode;

@@ -136,8 +136,7 @@ TEST(TwoStageTest, ByIdParityAcrossLookupModes) {
   const std::string dir = FreshDir("ts_modes");
   const std::vector<int64_t> ids = BuildCorpus(dir);
   for (RangeLookupMode mode :
-       {RangeLookupMode::kExact, RangeLookupMode::kLineage,
-        RangeLookupMode::kOverlapping}) {
+       {RangeLookupMode::kExact, RangeLookupMode::kLineage}) {
     SCOPED_TRACE(static_cast<int>(mode));
     EngineOptions options = BaseOptions();
     options.use_index = true;
